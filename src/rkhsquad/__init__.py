@@ -38,6 +38,7 @@ from .kernels import (
     hermite_kernel,
     hermite_kernel_series,
     initial_error,
+    matched_parameters,
     mean_embedding,
     product_kernel_eval,
 )

@@ -40,7 +40,15 @@ from .errors import (
     ShapeMismatchError,
 )
 from .hermite import gauss_hermite_rule
-from .kernels import GAUSSIAN, HERMITE, INTEGRATION, KernelSpec
+from .kernels import (
+    GAUSSIAN,
+    HERMITE,
+    INTEGRATION,
+    KernelSpec,
+    check_sigma,
+    initial_error,
+    matched_parameters,
+)
 from .transference import (
     beta_from_sigma,
     transfer_quadrature_to_gaussian,
@@ -66,6 +74,13 @@ def gh_rule_on_space(n: int, spec: KernelSpec) -> QuadratureRule:
     return QuadratureRule(rule.nodes[:, None], rule.weights)
 
 
+def _integration_beta(spec: KernelSpec) -> float:
+    """Base parameter of the univariate Hermite space carrying the integration problem."""
+    if spec.is_gaussian:
+        return beta_from_sigma(INTEGRATION, spec.params[0])
+    return spec.params[0]
+
+
 def gh_error_on_space(n: int, spec: KernelSpec):
     """Worst-case integration error of the n-point Gauss-Hermite rule.
 
@@ -78,13 +93,12 @@ def gh_error_on_space(n: int, spec: KernelSpec):
         raise ShapeMismatchError("gh_error_on_space expects a univariate kernel")
     rule = gh_rule_on_space(n, spec)
     if spec.is_gaussian:
-        sigma = spec.params[0]
-        beta = beta_from_sigma(INTEGRATION, sigma)
-        prefactor = (1.0 + 4.0 * sigma * sigma) ** -0.25
-        twin = transfer_quadrature_to_hermite(rule, [sigma])
-        value, tail = hermite_wce_integration_spectral(twin.nodes[:, 0], twin.weights, beta)
-        return prefactor * value, prefactor * tail
-    return hermite_wce_integration_spectral(rule.nodes[:, 0], rule.weights, spec.params[0])
+        rule = transfer_quadrature_to_hermite(rule, spec.params)
+    value, tail = hermite_wce_integration_spectral(
+        rule.nodes[:, 0], rule.weights, _integration_beta(spec)
+    )
+    prefactor = initial_error(spec, INTEGRATION)
+    return prefactor * value, prefactor * tail
 
 
 def integration_error_lower_bound(spec: KernelSpec, n: int) -> float:
@@ -96,14 +110,8 @@ def integration_error_lower_bound(spec: KernelSpec, n: int) -> float:
     """
     if spec.dimension != 1:
         raise ShapeMismatchError("univariate bound")
-    if spec.is_gaussian:
-        sigma = spec.params[0]
-        beta = beta_from_sigma(INTEGRATION, sigma)
-        prefactor = (1.0 + 4.0 * sigma * sigma) ** -0.25
-    else:
-        beta = spec.params[0]
-        prefactor = 1.0
-    return prefactor * 0.5 * (beta / 2.0) ** (2 * n) * (n + 1) ** -2
+    beta = _integration_beta(spec)
+    return initial_error(spec, INTEGRATION) * 0.5 * (beta / 2.0) ** (2 * n) * (n + 1) ** -2
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +138,7 @@ def level_choice_for_eps(eps: float, sigma) -> np.ndarray:
     """Sizes n_j = ceil(ln(d/eps)/zeta_j) with zeta_j = ln(1 + 1/(2 sigma_j^2))."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie strictly inside (0, 1)")
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if np.any(sigma <= 0):
-        raise DomainError("shape parameters must be positive")
+    sigma = check_sigma(sigma)
     d = sigma.size
     zeta = np.log1p(1.0 / (2.0 * sigma * sigma))
     return np.array([max(1, ceil(log(d / eps) / z)) for z in zeta], dtype=int)
@@ -444,13 +450,21 @@ class KernelGenerator:
     def measured_family(self) -> str:
         return GAUSSIAN if self.family == GAUSSIAN else HERMITE
 
+    def _twin_betas(self, d: int) -> np.ndarray:
+        """Integration twins of the first d sigma_j of the rule."""
+        sigma = self.rule.values(d)
+        # far out a geometric rule underflows to sigma_j = 0, whose twin is beta_j = 0
+        beta = np.zeros(d)
+        live = sigma > 0.0
+        beta[live] = matched_parameters(INTEGRATION, sigma[live])[0]
+        return beta
+
     def params(self, d: int) -> np.ndarray:
-        raw = self.rule.values(d)
         if self.family == GAUSSIAN:
-            return raw
+            return self.rule.values(d)
         if self.family == "hermite_twin":
-            s2 = raw * raw
-            return 2.0 * s2 / (1.0 + 2.0 * s2)
+            return self._twin_betas(d)
+        raw = self.rule.values(d)
         if np.any(raw >= 1.0):
             raise DomainError("hermite rule produced beta >= 1")
         return raw
@@ -458,11 +472,11 @@ class KernelGenerator:
     def spec(self, d: int) -> KernelSpec:
         return KernelSpec(self.measured_family, tuple(self.params(d)))
 
-    def score_beta(self, j: int) -> float:
-        """Base parameter feeding the greedy surrogate score."""
+    def score_betas(self, d: int) -> np.ndarray:
+        """Base parameters of coordinates 1..d feeding the greedy surrogate score."""
         if self.family == HERMITE:
-            return self.rule.value(j)
-        return beta_from_sigma(INTEGRATION, self.rule.value(j))
+            return self.rule.values(d)
+        return self._twin_betas(d)
 
     def param_tail_sq_bound(self, start: int) -> float:
         """Upper bound for the tail sum of squared parameters from ``start`` on."""
@@ -496,7 +510,6 @@ class MdmPlan:
     flattened: QuadratureRule
     cost: float
     levels: tuple | None = None
-    dedupe_anchor: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -519,14 +532,13 @@ class MdmPlan:
         )
 
 
-def assemble_mdm_plan(active_levels, model: CostModel, dedupe_anchor: bool = True) -> MdmPlan:
+def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     """Build an MDM plan from explicit per-set Smolyak levels.
 
     ``active_levels`` maps coordinate sets (0-based tuples) to combination
     levels.  The flattened rule starts with the anchor evaluation f(0) of
-    weight one; each set contributes its anchored-flattened Smolyak rule.
-    With ``dedupe_anchor`` the anchor rows of all components merge into a
-    single evaluation, otherwise each occurrence is charged separately.
+    weight one; each set contributes its anchored-flattened Smolyak rule,
+    whose anchor row folds into that single evaluation.
     """
     normalized = {tuple(sorted(int(j) for j in u)): int(q) for u, q in active_levels.items()}
     if len(normalized) != len(active_levels):
@@ -549,7 +561,7 @@ def assemble_mdm_plan(active_levels, model: CostModel, dedupe_anchor: bool = Tru
         budgets.append(len(comp))
         levels.append(q)
         local_anchor = (0.0,) * len(u)
-        if dedupe_anchor and local_anchor in comp:
+        if local_anchor in comp:
             anchor_weight_extra += comp[local_anchor]
             comp = {k: v for k, v in comp.items() if k != local_anchor}
         if comp:
@@ -559,7 +571,7 @@ def assemble_mdm_plan(active_levels, model: CostModel, dedupe_anchor: bool = Tru
     weight_blocks[0][0] += anchor_weight_extra
     flattened = QuadratureRule(np.vstack(node_blocks), np.concatenate(weight_blocks))
     cost = rule_cost(flattened, model)
-    return MdmPlan(tuple(sets), tuple(budgets), flattened, cost, tuple(levels), dedupe_anchor)
+    return MdmPlan(tuple(sets), tuple(budgets), flattened, cost, tuple(levels))
 
 
 def _subset_pool(betas, max_coord: int, pool_size: int):
@@ -589,7 +601,6 @@ def mdm_build(
     *,
     max_coord: int = 512,
     pool_size: int = 2048,
-    dedupe_anchor: bool = True,
 ) -> MdmPlan:
     """Greedy cost-aware MDM plan within an evaluation-cost budget.
 
@@ -604,7 +615,7 @@ def mdm_build(
     anchor_cost = model.charge(0)
     if budget < anchor_cost:
         raise BudgetError(f"budget {budget} below the anchor evaluation cost {anchor_cost}")
-    betas = [gen.score_beta(j) for j in range(1, max_coord + 1)]
+    betas = gen.score_betas(max_coord).tolist()
     pool = _subset_pool(betas, max_coord, pool_size)
 
     cost_cache: dict[tuple, float] = {}
@@ -643,7 +654,7 @@ def mdm_build(
         dpe = score * beta_u ** (q - len(u)) * (1.0 - beta_u)
         push(u, q + 1, nxt_cost, score, beta_u, dpe)
 
-    plan = assemble_mdm_plan(chosen, model, dedupe_anchor)
+    plan = assemble_mdm_plan(chosen, model)
     if plan.cost > budget:
         raise NumericalConsistencyError(f"assembled cost {plan.cost} exceeds budget {budget}")
     return plan

@@ -11,8 +11,6 @@ verify            run an oracle battery; exit 0 iff everything passes
 
 CSV output uses a header row, comma separators, '.' decimals, and %.17g
 number formatting, so repeated runs on one machine are byte-identical.
-The environment variable RKHS_THREADS caps the worker pool used for
-independent experiment points (default 1, fully serial).
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ fit quality is reported as r^2.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +24,9 @@ from .algorithms import (
 )
 from .errors import DomainError, InsufficientDataError
 from .hermite import gauss_hermite_rule
-from .kernels import GAUSSIAN, HERMITE, INTEGRATION, KernelSpec, initial_error
-from .transference import beta_from_sigma
+from .kernels import GAUSSIAN, HERMITE, KernelSpec
+from .transference import TransferConstants
 from .worst_case import CostModel, tensor_wce_integration
-
-THREAD_ENV_VAR = "RKHS_THREADS"
-
-
-def thread_cap() -> int:
-    """Worker cap for independent experiment points (RKHS_THREADS, default 1)."""
-    raw = os.environ.get(THREAD_ENV_VAR, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
-
-
-def _map_points(fn, items):
-    cap = thread_cap()
-    if cap <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -142,7 +120,7 @@ def univariate_decay_curve(space: str, param: float, n_max: int):
     if n_max < 1:
         raise DomainError("n_max must be positive")
     spec = KernelSpec(space, (param,))
-    errors = _map_points(lambda n: gh_error_on_space(n, spec)[0], range(1, n_max + 1))
+    errors = [gh_error_on_space(n, spec)[0] for n in range(1, n_max + 1)]
     lower = [integration_error_lower_bound(spec, n) for n in range(1, n_max + 1)]
     slope = float(np.polyfit(np.arange(1, n_max + 1), np.log(errors), 1)[0]) if n_max >= 2 else 0.0
     return [
@@ -159,20 +137,19 @@ def tensor_decay_curve(sigma, eps_list, space: str = GAUSSIAN):
     side through the exact transference ratio), so large grids never
     materialize a dense Gram matrix.
     """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    herm_spec = KernelSpec.hermite(tuple(beta_from_sigma(INTEGRATION, s) for s in sigma))
-    ratio = initial_error(KernelSpec.gaussian(tuple(sigma)), INTEGRATION)
+    constants = TransferConstants.integration(sigma)
+    herm_spec = constants.hermite_spec()
 
     def point(eps):
-        ns = level_choice_for_eps(eps, sigma)
-        rule = tensor_rule_for_eps(eps, sigma, space)
+        ns = level_choice_for_eps(eps, constants.sigma)
+        rule = tensor_rule_for_eps(eps, constants.sigma, space)
         factors = [gauss_hermite_rule(int(n)) for n in ns]
         err = tensor_wce_integration(factors, herm_spec)
         if space == GAUSSIAN:
-            err *= ratio
+            err *= constants.gauss_prefactor
         return eps, ";".join(str(int(n)) for n in ns), rule.n, err
 
-    return _map_points(point, [float(e) for e in eps_list])
+    return [point(float(e)) for e in eps_list]
 
 
 def mdm_run_curve(gen: KernelGenerator, budgets, model: CostModel, trunc: int = 2048,

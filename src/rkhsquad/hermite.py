@@ -94,17 +94,7 @@ def hermite_row(nu_max: int, x: float) -> np.ndarray:
     -------
     ndarray of shape (nu_max + 1,)
     """
-    if nu_max < 0:
-        raise UnsupportedDegreeError("degree must be non-negative")
-    if nu_max > MAX_DEGREE:
-        raise UnsupportedDegreeError(f"degree {nu_max} exceeds the guard {MAX_DEGREE}")
-    out = np.empty(nu_max + 1, dtype=float)
-    out[0] = 1.0
-    if nu_max >= 1:
-        out[1] = x
-    for nu in range(1, nu_max):
-        out[nu + 1] = (x * out[nu] - np.sqrt(nu) * out[nu - 1]) / np.sqrt(nu + 1.0)
-    return out
+    return hermite_table(nu_max, float(x))
 
 
 def hermite_normalized(nu: int, x: float) -> float:
@@ -115,8 +105,8 @@ def hermite_normalized(nu: int, x: float) -> float:
 def hermite_table(nu_max: int, x: np.ndarray) -> np.ndarray:
     """Rows h_0..h_{nu_max} evaluated at an array of points.
 
-    Returns an array of shape (nu_max + 1, len(x)); the same recurrence as
-    :func:`hermite_row`, vectorized over points.
+    Returns an array of shape (nu_max + 1,) + x.shape, filled by the
+    three-term recurrence vectorized over points.
     """
     if nu_max < 0:
         raise UnsupportedDegreeError("degree must be non-negative")

@@ -30,6 +30,16 @@ closed forms under the standard normal product measure:
 
 each validated against Gauss-Hermite quadrature in the test suite before
 being trusted anywhere else.
+
+The two families correspond exactly: a Gaussian coordinate with shape
+sigma carries the same problem as a Hermite coordinate with base
+
+    integration:     beta = 2 sigma^2 / (1 + 2 sigma^2),
+    approximation:   beta = 1 - 2 / (1 + (1 + 8 sigma^2)^(1/2)),
+
+up to the Gaussian initial error; :func:`matched_parameters` is the one
+place that computes this map, and :func:`check_sigma` the one place that
+validates shape parameters.
 """
 
 from __future__ import annotations
@@ -61,6 +71,34 @@ def _check_problem(problem: str) -> str:
     return problem
 
 
+def check_sigma(sigma) -> np.ndarray:
+    """Shape parameters as a read-only 1D array of finite, positive values."""
+    arr = np.atleast_1d(np.array(sigma, dtype=float))
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("sigma must be a non-empty 1D sequence")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise DomainError("shape parameters must be finite and positive")
+    arr.flags.writeable = False
+    return arr
+
+
+def matched_parameters(problem: str, sigma):
+    """Hermite bases beta_j and scales c_j matched to Gaussian shapes sigma_j.
+
+    Integration: beta = 2 sigma^2 / (1 + 2 sigma^2) and
+    c = (1 + 4 sigma^2)^(1/2).  Approximation:
+    beta = 1 - 2 / (1 + (1 + 8 sigma^2)^(1/2)) and c = (1 + 8 sigma^2)^(1/4).
+    Returns the arrays ``(beta, c)``; beta is strictly increasing in sigma.
+    """
+    _check_problem(problem)
+    sigma = check_sigma(sigma)
+    s2 = sigma * sigma
+    if problem == INTEGRATION:
+        return 2.0 * s2 / (1.0 + 2.0 * s2), np.sqrt(1.0 + 4.0 * s2)
+    root = np.sqrt(1.0 + 8.0 * s2)
+    return 1.0 - 2.0 / (1.0 + root), root**0.5
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A tensor-product kernel: family plus per-coordinate parameters.
@@ -79,8 +117,7 @@ class KernelSpec:
         if len(params) == 0:
             raise DomainError("kernel needs at least one coordinate")
         if self.family == GAUSSIAN:
-            if any(p <= 0 for p in params):
-                raise DomainError("shape parameters must be positive")
+            check_sigma(params)
         else:
             if any(not 0.0 < p < 1.0 for p in params):
                 raise DomainError("base parameters must lie strictly inside (0, 1)")
@@ -192,19 +229,26 @@ def gaussian_mean_embedding_1d(sigma: float, x):
     return (1.0 + 2.0 * s2) ** -0.5 * np.exp(-s2 * np.asarray(x, dtype=float) ** 2 / (1.0 + 2.0 * s2))
 
 
-def mean_embedding(spec: KernelSpec, x) -> float:
-    """m(x) = int M(x, y) mu(dy), the representer of integration.
+def embedding_vector(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
+    """Mean embedding m(x_i) for all node rows.
 
     Hermite factors integrate to 1 (only the constant term of the series
     survives); Gaussian factors have the closed form above.
     """
-    xv = spec._point(x)
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    if nodes.shape[1] != spec.dimension:
+        raise ShapeMismatchError("node dimension does not match kernel dimension")
     if not spec.is_gaussian:
-        return 1.0
-    value = 1.0
-    for sigma, a in zip(spec.params, xv):
-        value *= float(gaussian_mean_embedding_1d(sigma, a))
-    return value
+        return np.ones(nodes.shape[0])
+    m = np.ones(nodes.shape[0])
+    for j, sigma in enumerate(spec.params):
+        m *= gaussian_mean_embedding_1d(sigma, nodes[:, j])
+    return m
+
+
+def mean_embedding(spec: KernelSpec, x) -> float:
+    """m(x) = int M(x, y) mu(dy), the representer of integration."""
+    return float(embedding_vector(spec, spec._point(x)[None, :])[0])
 
 
 def double_integral(spec: KernelSpec) -> float:

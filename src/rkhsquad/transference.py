@@ -6,32 +6,25 @@ L2-approximation problems up to an explicit constant: any algorithm on one
 space has a twin on the other with proportionally identical worst-case
 error, and the map preserves evaluation cost exactly.
 
-Integration uses the correspondence
+Both problems use the base parameters beta_j and scales c_j of
+:func:`rkhsquad.kernels.matched_parameters`.  Integration adds
 
-    1 - beta_j = 1 / (1 + 2 sigma_j^2),
-    c_j   = (1 + 4 sigma_j^2)^(1/2),
-    tau_j = (1 + 2 sigma_j^2)^(1/2),
-    e_j   = c_j / tau_j,
+    tau_j = (1 + 2 sigma_j^2)^(1/2),   e_j = c_j / tau_j,
 
 and maps a rule with nodes x_i and weights a_i to nodes e*x_i and weights
-(prod_j e_j) * exp(-sum_j sigma_j^2 x_ij^2 / (1+2 sigma_j^2)) * a_i; the
-error ratio is the Gaussian initial error prod_j (1+4 sigma_j^2)^(-1/4).
+(prod_j e_j) * exp(-sum_j sigma_j^2 x_ij^2 / (1+2 sigma_j^2)) * a_i.
 
-Approximation uses
-
-    1 - beta_j = 2 / (1 + (1 + 8 sigma_j^2)^(1/2)),
-    c_j = (1 + 8 sigma_j^2)^(1/4),
-
-the weight function phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4) and the
-unitary change of variables
+Approximation uses the weight function
+phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4) and the unitary change of
+variables
 
     (Q_c f)(x) = (prod_j c_j)^(1/2) * phi_c(x) * f(c x),
 
 which is an isometry of L2(mu).  A sampling method transfers to nodes
 c*x_i with coefficient rows rescaled by (prod_j c_j)^(1/2) phi_c(x_i);
 stored in each space's own eigenbasis, this is a table rescaling, not a
-quadrature-computed change of basis.  The error ratio is
-prod_j (1-beta_j)^(1/2), again the Gaussian initial error.
+quadrature-computed change of basis.  For both problems the error ratio
+is the Gaussian initial error.
 """
 
 from __future__ import annotations
@@ -42,8 +35,15 @@ from math import sqrt
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .hermite import gauss_hermite_rule
-from .kernels import APPROXIMATION, INTEGRATION, KernelSpec, _check_problem
+from .kernels import (
+    APPROXIMATION,
+    INTEGRATION,
+    KernelSpec,
+    _check_problem,
+    check_sigma,
+    initial_error,
+    matched_parameters,
+)
 from .worst_case import (
     MultiIndexSet,
     QuadratureRule,
@@ -54,13 +54,7 @@ from .worst_case import (
 
 def beta_from_sigma(problem: str, sigma: float) -> float:
     """Base parameter matched to a shape parameter; strictly increasing in sigma."""
-    _check_problem(problem)
-    if sigma <= 0:
-        raise DomainError("shape parameter must be positive")
-    s2 = sigma * sigma
-    if problem == INTEGRATION:
-        return 2.0 * s2 / (1.0 + 2.0 * s2)
-    return 1.0 - 2.0 / (1.0 + sqrt(1.0 + 8.0 * s2))
+    return float(matched_parameters(problem, sigma)[0][0])
 
 
 def sigma_from_beta(problem: str, beta: float) -> float:
@@ -75,7 +69,11 @@ def sigma_from_beta(problem: str, beta: float) -> float:
 
 @dataclass(frozen=True)
 class TransferConstants:
-    """All per-coordinate constants tying a Gaussian algorithm to its twin."""
+    """All per-coordinate constants tying a Gaussian algorithm to its twin.
+
+    ``gauss_prefactor`` is the Gaussian initial error, the ratio of the
+    twins' worst-case errors.
+    """
 
     problem: str
     sigma: np.ndarray
@@ -87,23 +85,17 @@ class TransferConstants:
 
     @classmethod
     def integration(cls, sigma) -> "TransferConstants":
-        sigma = _as_sigma(sigma)
-        s2 = sigma * sigma
-        beta = 2.0 * s2 / (1.0 + 2.0 * s2)
-        c = np.sqrt(1.0 + 4.0 * s2)
-        tau = np.sqrt(1.0 + 2.0 * s2)
-        e = c / tau
-        prefactor = float(np.prod((1.0 + 4.0 * s2) ** -0.25))
-        return cls(INTEGRATION, sigma, beta, c, tau, e, prefactor)
+        sigma = check_sigma(sigma)
+        beta, c = matched_parameters(INTEGRATION, sigma)
+        tau = np.sqrt(1.0 + 2.0 * sigma * sigma)
+        prefactor = initial_error(KernelSpec.gaussian(sigma), INTEGRATION)
+        return cls(INTEGRATION, sigma, beta, c, tau, c / tau, prefactor)
 
     @classmethod
     def approximation(cls, sigma) -> "TransferConstants":
-        sigma = _as_sigma(sigma)
-        s2 = sigma * sigma
-        root = np.sqrt(1.0 + 8.0 * s2)
-        beta = 1.0 - 2.0 / (1.0 + root)
-        c = root**0.5
-        prefactor = float(np.prod(np.sqrt(1.0 - beta)))
+        sigma = check_sigma(sigma)
+        beta, c = matched_parameters(APPROXIMATION, sigma)
+        prefactor = initial_error(KernelSpec.gaussian(sigma), APPROXIMATION)
         return cls(APPROXIMATION, sigma, beta, c, None, None, prefactor)
 
     @property
@@ -115,16 +107,6 @@ class TransferConstants:
 
     def hermite_spec(self) -> KernelSpec:
         return KernelSpec.hermite(tuple(self.beta))
-
-
-def _as_sigma(sigma) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("sigma must be a non-empty 1D sequence")
-    if np.any(arr <= 0):
-        raise DomainError("shape parameters must be positive")
-    arr.flags.writeable = False
-    return arr
 
 
 def phi_c(c, x) -> float:
@@ -165,7 +147,7 @@ def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRul
     """Twin of a Gaussian-space quadrature rule on the matched Hermite space.
 
     The worst-case errors satisfy
-    e(A, Gaussian) = prod_j (1+4 sigma_j^2)^(-1/4) * e(twin, Hermite), and
+    e(A, Gaussian) = initial_error(Gaussian) * e(twin, Hermite), and
     the evaluation cost is preserved node by node.
     """
     constants = TransferConstants.integration(sigma)
@@ -206,7 +188,7 @@ def transfer_sampling_to_hermite(method: SamplingMethod, sigma) -> SamplingMetho
     Nodes scale by c_j; coefficient row i rescales by
     (prod c)^(1/2) phi_c(x_i), mapping the Gaussian eigenbasis expansion
     onto the tensor-Hermite expansion index by index.  The errors satisfy
-    e(A, Gaussian) = prod_j (1-beta_j)^(1/2) * e(twin, Hermite), up to the
+    e(A, Gaussian) = initial_error(Gaussian) * e(twin, Hermite), up to the
     reported truncation tails.
     """
     constants = TransferConstants.approximation(sigma)
@@ -228,35 +210,3 @@ def transfer_sampling_to_gaussian(method: SamplingMethod, sigma) -> SamplingMeth
     nodes = method.nodes / constants.c[None, :]
     scale = _sampling_row_scale(constants, nodes)
     return SamplingMethod(nodes, method.coeff_table / scale[:, None], method.index_set)
-
-
-def sampling_coeffs_via_quadrature(
-    method: SamplingMethod, sigma, n_quad: int = 64
-) -> np.ndarray:
-    """Quadrature oracle for the Hermite-side coefficient table.
-
-    Evaluates each transferred coefficient function pointwise through the
-    inverse change of variables and projects it onto the tensor-Hermite
-    basis by tensor Gauss-Hermite quadrature.  Cross-check for the
-    rescaling path of :func:`transfer_sampling_to_hermite`; O(n_quad^d).
-    """
-    constants = TransferConstants.approximation(sigma)
-    d = constants.dimension
-    gauss_sys = spectral_system(constants.gaussian_spec(), method.index_set)
-    rule = gauss_hermite_rule(n_quad)
-    grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    wgrid = np.ones(points.shape[0])
-    for g in np.meshgrid(*([rule.weights] * d), indexing="ij"):
-        wgrid *= g.ravel()
-    # b_i(z) = (prod c)^(1/2) phi_c(x_i) * Q_c^{-1} a_i (z), evaluated
-    # pointwise through the inverse change of variables.
-    pre_images = points / constants.c[None, :]
-    E_at = gauss_sys.eigenfunction_matrix(pre_images)  # [nu, point]
-    a_vals = method.coeff_table @ E_at  # [i, point]
-    node_scale = _sampling_row_scale(constants, method.nodes)
-    inv_scale = 1.0 / _sampling_row_scale(constants, pre_images)
-    b_vals = node_scale[:, None] * a_vals * inv_scale[None, :]
-    herm_sys = spectral_system(constants.hermite_spec(), method.index_set)
-    H_at = herm_sys.eigenfunction_matrix(points)  # [m, point]
-    return b_vals @ (H_at * wgrid[None, :]).T

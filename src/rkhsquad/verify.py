@@ -12,6 +12,7 @@ from math import sqrt
 
 import numpy as np
 
+from .algorithms import tensor_rule
 from .hermite import gauss_hermite_rule, hermite_table
 from .kernels import (
     KernelSpec,
@@ -21,6 +22,7 @@ from .kernels import (
 )
 from .transference import (
     TransferConstants,
+    _sampling_row_scale,
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
@@ -210,14 +212,29 @@ def cost_invariance_battery(draws: int = 50, seed: int = 7):
     return True
 
 
-def _tensor_gh_grid(d: int, n: int):
-    rule = gauss_hermite_rule(n)
-    grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(points.shape[0])
-    for g in np.meshgrid(*([rule.weights] * d), indexing="ij"):
-        weights *= g.ravel()
-    return points, weights
+def sampling_coeffs_via_quadrature(
+    method: SamplingMethod, sigma, n_quad: int = 64
+) -> np.ndarray:
+    """Quadrature oracle for the Hermite-side coefficient table.
+
+    Evaluates each transferred coefficient function pointwise through the
+    inverse change of variables and projects it onto the tensor-Hermite
+    basis by tensor Gauss-Hermite quadrature.  Cross-check for the
+    rescaling path of :func:`transfer_sampling_to_hermite`; O(n_quad^d).
+    """
+    constants = TransferConstants.approximation(sigma)
+    grid = tensor_rule([gauss_hermite_rule(n_quad)] * constants.dimension)
+    # b_i(z) = (prod c)^(1/2) phi_c(x_i) * Q_c^{-1} a_i (z), evaluated
+    # pointwise through the inverse change of variables.
+    pre_images = grid.nodes / constants.c[None, :]
+    gauss_sys = spectral_system(constants.gaussian_spec(), method.index_set)
+    a_vals = method.coeff_table @ gauss_sys.eigenfunction_matrix(pre_images)  # [i, point]
+    node_scale = _sampling_row_scale(constants, method.nodes)
+    inv_scale = 1.0 / _sampling_row_scale(constants, pre_images)
+    b_vals = node_scale[:, None] * a_vals * inv_scale[None, :]
+    herm_sys = spectral_system(constants.hermite_spec(), method.index_set)
+    H_at = herm_sys.eigenfunction_matrix(grid.nodes)  # [m, point]
+    return b_vals @ (H_at * grid.weights[None, :]).T
 
 
 def _random_poly(rng, d, degree=3):
@@ -246,7 +263,8 @@ def qc_isometry_battery(draws: int = 8, seed: int = 11):
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(2.0), size=d))
         constants = TransferConstants.approximation(sigma)
         f = _random_poly(rng, d, degree=3)
-        points, weights = _tensor_gh_grid(d, 64)
+        grid = tensor_rule([gauss_hermite_rule(64)] * d)
+        points, weights = grid.nodes, grid.weights
         norm_f = sqrt(float(weights @ f(points) ** 2))
         c = constants.c
         phi = np.exp(-np.sum((c * c - 1.0)[None, :] / 4.0 * points**2, axis=1))
@@ -265,7 +283,8 @@ def scaled_integral_identity_battery(draws: int = 8, seed: int = 13):
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(1.5), size=d))
         constants = TransferConstants.integration(sigma)
         f = _random_poly(rng, d, degree=3)
-        points, weights = _tensor_gh_grid(d, 64)
+        grid = tensor_rule([gauss_hermite_rule(64)] * d)
+        points, weights = grid.nodes, grid.weights
         c, tau = constants.c, constants.tau
         pre = points / tau[None, :]
         phi = np.exp(-np.sum((c * c - 1.0)[None, :] / 4.0 * pre**2, axis=1))

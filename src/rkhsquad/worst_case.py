@@ -43,12 +43,14 @@ from .errors import (
 )
 from .hermite import QuadratureRule1D, hermite_table
 from .kernels import (
+    APPROXIMATION,
     CRAMER_CONSTANT,
     KernelSpec,
     double_integral,
+    embedding_vector,
     gaussian_kernel,
-    gaussian_mean_embedding_1d,
     hermite_kernel,
+    matched_parameters,
 )
 
 NEGATIVE_VARIANCE_TOL = 1e-12
@@ -203,6 +205,8 @@ class CostModel:
             table = tuple(float(v) for v in self.table)
             if not table:
                 raise DomainError("dollar mode needs a non-empty table")
+            if not all(np.isfinite(table)):
+                raise DomainError("dollar table entries must be finite")
             if any(v < 1.0 for v in table):
                 raise DomainError("dollar(m) must be >= 1")
             if any(b < a for a, b in zip(table, table[1:])):
@@ -411,18 +415,13 @@ def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSyste
     """Build the spectral system of a kernel over a downward-closed index set."""
     if index_set.dimension != spec.dimension:
         raise ShapeMismatchError("index set dimension does not match kernel dimension")
+    idx = index_set.array()
     if spec.is_gaussian:
-        sigma = np.asarray(spec.params, dtype=float)
-        # approximation correspondence: 1 - beta = 2 / (1 + sqrt(1 + 8 sigma^2))
-        root = np.sqrt(1.0 + 8.0 * sigma * sigma)
-        beta = 1.0 - 2.0 / (1.0 + root)
-        scale_c = root**0.5
-        idx = index_set.array()
+        beta, scale_c = matched_parameters(APPROXIMATION, spec.params)
         lam = np.prod((1.0 - beta)[None, :] * beta[None, :] ** idx, axis=1)
     else:
         beta = np.asarray(spec.params, dtype=float)
         scale_c = None
-        idx = index_set.array()
         lam = np.prod(beta[None, :] ** idx, axis=1)
     lam.flags.writeable = False
     return SpectralSystem(spec, index_set, lam, beta, scale_c)
@@ -447,19 +446,6 @@ def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
         else:
             gram *= hermite_kernel(param, col[:, None], col[None, :])
     return gram
-
-
-def embedding_vector(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
-    """Mean embedding m(x_i) for all node rows."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if nodes.shape[1] != spec.dimension:
-        raise ShapeMismatchError("node dimension does not match kernel dimension")
-    if not spec.is_gaussian:
-        return np.ones(nodes.shape[0])
-    m = np.ones(nodes.shape[0])
-    for j, sigma in enumerate(spec.params):
-        m *= gaussian_mean_embedding_1d(sigma, nodes[:, j])
-    return m
 
 
 def wce_integration(rule: QuadratureRule, spec: KernelSpec) -> float:

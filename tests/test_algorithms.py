@@ -7,6 +7,7 @@ import pytest
 
 from rkhsquad.algorithms import (
     KernelGenerator,
+    _component_local,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -376,14 +377,17 @@ class TestMdm:
         with pytest.raises(DomainError):
             mdm_apply(again, lambda x: 1.0, path="components")
 
-    def test_dedupe_anchor_cost_difference(self):
-        with_dedupe = assemble_mdm_plan({(0,): 2, (1,): 2}, self.model, dedupe_anchor=True)
-        without = assemble_mdm_plan({(0,): 2, (1,): 2}, self.model, dedupe_anchor=False)
-        # each component carries one anchor row; dedupe folds them into f(0)
-        assert without.cost == with_dedupe.cost + 2.0
-        assert without.flattened.n == with_dedupe.flattened.n + 2
+    def test_anchor_evaluated_once(self):
+        levels = {(0,): 2, (1,): 2}
+        plan = assemble_mdm_plan(levels, self.model)
+        # each component's anchor row folds into the single f(0) row
+        anchor_rows = np.flatnonzero(~plan.flattened.nodes.any(axis=1))
+        assert anchor_rows.tolist() == [0]
+        folded = sum(_component_local(len(u), q).get((0.0,) * len(u), 0.0) for u, q in levels.items())
+        assert folded != 0.0
+        assert plan.flattened.weights[0] == 1.0 + folded
         f = lambda x: 1.3 + x[0] ** 2 - 0.4 * x[1] ** 2
-        assert mdm_apply(without, f) == pytest.approx(mdm_apply(with_dedupe, f), rel=1e-13)
+        assert mdm_apply(plan, f) == pytest.approx(mdm_apply(plan, f, path="components"), rel=1e-13)
 
     @pytest.mark.parametrize("gen", [
         KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),

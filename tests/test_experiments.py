@@ -92,12 +92,6 @@ class TestStretchedExponentFit:
 
 
 class TestCurves:
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        serial = univariate_decay_curve("hermite", 0.4, 8)
-        monkeypatch.setenv("RKHS_THREADS", "3")
-        threaded = univariate_decay_curve("hermite", 0.4, 8)
-        assert serial == threaded
-
     def test_univariate_curve_monotone(self):
         rows = univariate_decay_curve("hermite", 0.5, 12)
         errors = [r[1] for r in rows]

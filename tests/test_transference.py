@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from rkhsquad.algorithms import KernelGenerator, ParamRule, level_choice_for_eps
 from rkhsquad.errors import DomainError, ShapeMismatchError
 from rkhsquad.hermite import hermite_normalized
-from rkhsquad.kernels import APPROXIMATION, INTEGRATION, KernelSpec, initial_error
+from rkhsquad.kernels import (
+    APPROXIMATION,
+    INTEGRATION,
+    KernelSpec,
+    initial_error,
+    matched_parameters,
+)
 from rkhsquad.transference import (
     TransferConstants,
     beta_from_sigma,
     phi_c,
     q_c_apply,
     q_c_inverse_apply,
-    sampling_coeffs_via_quadrature,
     sigma_from_beta,
     spectral_pair,
     transfer_quadrature_to_gaussian,
@@ -26,6 +32,7 @@ from rkhsquad.verify import (
     cost_invariance_battery,
     integration_identity_battery,
     qc_isometry_battery,
+    sampling_coeffs_via_quadrature,
     scaled_integral_identity_battery,
 )
 from rkhsquad.worst_case import (
@@ -67,6 +74,33 @@ class TestParameterMaps:
         with pytest.raises(DomainError):
             beta_from_sigma("interpolation", 1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: KernelSpec.gaussian((math.nan,)),
+        lambda: KernelSpec.gaussian((math.inf,)),
+        lambda: TransferConstants.integration([math.nan]),
+        lambda: beta_from_sigma(INTEGRATION, math.nan),
+        lambda: level_choice_for_eps(0.1, [math.nan]),
+    ], ids=["spec-nan", "spec-inf", "constants-nan", "beta-nan", "levels-nan"])
+    def test_non_finite_shapes_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("problem", [INTEGRATION, APPROXIMATION])
+    def test_every_caller_shares_the_matched_parameters(self, problem):
+        sigma = np.exp(np.random.default_rng(1).uniform(np.log(0.01), np.log(10.0), size=40))
+        beta, c = matched_parameters(problem, sigma)
+        assert [beta_from_sigma(problem, s) for s in sigma] == beta.tolist()
+        tc = getattr(TransferConstants, problem)(sigma)
+        assert np.array_equal(tc.beta, beta) and np.array_equal(tc.c, c)
+        if problem == INTEGRATION:
+            rule = ParamRule.parse("j^-1.5")
+            gen = KernelGenerator.hermite_twin_of_gaussian(rule)
+            assert np.array_equal(gen.params(40), matched_parameters(problem, rule.values(40))[0])
+        else:
+            system = spectral_pair(sigma[:3], MultiIndexSet.box(3, 2))[0]
+            assert np.array_equal(system.beta, beta[:3])
+            assert np.array_equal(system.scale_c, c[:3])
+
 
 class TestTransferConstants:
     def test_integration_relations(self):
@@ -85,9 +119,9 @@ class TestTransferConstants:
             sigma = np.exp(rng.uniform(np.log(0.05), np.log(3.0), size=d))
             spec = KernelSpec.gaussian(tuple(sigma))
             tc_int = TransferConstants.integration(sigma)
-            assert abs(tc_int.gauss_prefactor - initial_error(spec, INTEGRATION)) <= 1e-13
+            assert tc_int.gauss_prefactor == initial_error(spec, INTEGRATION)
             tc_app = TransferConstants.approximation(sigma)
-            assert abs(tc_app.gauss_prefactor - initial_error(spec, APPROXIMATION)) <= 1e-13
+            assert tc_app.gauss_prefactor == initial_error(spec, APPROXIMATION)
 
 
 class TestChangeOfVariables:

@@ -88,6 +88,10 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel.dollar([2.0, 1.0])
         with pytest.raises(DomainError):
+            CostModel.dollar([math.nan, 2.0])
+        with pytest.raises(DomainError):
+            CostModel.dollar([1.0, math.inf])
+        with pytest.raises(DomainError):
             CostModel.dollar([1.0, 1.5], c1=2.0)  # 1.5 < 2*1
         with pytest.raises(DomainError):
             CostModel.dollar([1.0, 4.0], c2=1.0)  # 4 > e^1
