@@ -46,6 +46,9 @@ from .kernels import (
     INTEGRATION,
     KernelSpec,
     check_sigma,
+    gaussian_kernel,
+    gaussian_mean_embedding_1d,
+    hermite_kernel,
     initial_error,
     matched_parameters,
 )
@@ -59,7 +62,7 @@ from .worst_case import CostModel, QuadratureRule, hermite_wce_integration_spect
 TENSOR_BUDGET = 10**6
 ANCHOR_SET_GUARD = 20
 
-_BLOCK_CHUNK = 2**21  # max entries of one pairwise block slice
+_BLOCK_CHUNK = 2**21  # max entries of one pairwise or table block slice
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +319,22 @@ def anchored_component_eval(f, u, x) -> float:
     return total
 
 
-def _anchored_local(local: dict, size: int) -> dict:
-    """Apply anchoring signs to a local rule: f_u evaluations to f evaluations."""
-    acc: dict[tuple, float] = {}
-    masks = []
-    for mask in range(1 << size):
-        pattern = tuple(mask >> pos & 1 for pos in range(size))
-        sign = (-1) ** (size - sum(pattern))
-        masks.append((pattern, sign))
-    for key, w in local.items():
-        for pattern, sign in masks:
-            masked = tuple(v if b else 0.0 for v, b in zip(key, pattern))
-            acc[masked] = acc.get(masked, 0.0) + sign * w
-    return {k: v for k, v in acc.items() if v != 0.0}
+def _level_vectors(size: int, level: int) -> tuple:
+    """Level vectors k with every k_j >= 2 and |k|_1 <= level, in lexicographic order.
+
+    With the unit schedule Delta_1 = B_1 = delta_0, whose anchored part
+    vanishes, while every Delta_k with k >= 2 has weight sum zero and is
+    left unchanged by anchoring.  The anchored component of a set of
+    ``size`` coordinates at ``level`` is therefore exactly the sum of the
+    tensor terms (x)_j Delta_{k_j} over these vectors.
+    """
+    if size == 0:
+        return ((),)
+    return tuple(
+        (k,) + rest
+        for k in range(2, level - 2 * (size - 1) + 1)
+        for rest in _level_vectors(size - 1, level - k)
+    )
 
 
 _LOCAL_COMPONENT_CACHE: dict = {}
@@ -337,14 +343,32 @@ _LOCAL_COMPONENT_CACHE: dict = {}
 def _component_local(size: int, level: int) -> dict:
     """Anchored-flattened Smolyak component in local coordinates, cached.
 
-    Identical for every coordinate set of one size (unit schedule), so the
-    greedy planner shares it across all pooled candidates.
+    The tensor terms of :func:`_level_vectors`, merged exactly.  Identical
+    for every coordinate set of one size (unit schedule), so the greedy
+    planner shares it across all pooled candidates.
     """
     key = (size, level)
     hit = _LOCAL_COMPONENT_CACHE.get(key)
     if hit is None:
         schedule = tuple(range(1, level + 1))
-        hit = _anchored_local(_smolyak_local(size, schedule, level), size)
+        # (values, weights) of Delta_k for every k a level vector can hold
+        blocks = {
+            k: np.array(_difference_block(schedule, k)).T
+            for k in range(2, level - 2 * size + 3)
+        }
+        node_parts, weight_parts = [], []
+        for ks in _level_vectors(size, level):
+            grids = np.meshgrid(*[blocks[k][0] for k in ks], indexing="ij")
+            node_parts.append(np.stack([g.ravel() for g in grids], axis=1))
+            weights = np.ones(grids[0].size)
+            for g in np.meshgrid(*[blocks[k][1] for k in ks], indexing="ij"):
+                weights *= g.ravel()
+            weight_parts.append(weights)
+        hit = {}
+        if node_parts:
+            keys, where = np.unique(np.vstack(node_parts), axis=0, return_inverse=True)
+            merged = np.bincount(where.ravel(), weights=np.concatenate(weight_parts))
+            hit = {tuple(k): w for k, w in zip(keys.tolist(), merged.tolist()) if w != 0.0}
         _LOCAL_COMPONENT_CACHE[key] = hit
     return hit
 
@@ -501,8 +525,8 @@ class MdmPlan:
 
     ``budgets`` counts the function evaluations of each per-set sub-rule
     after anchored flattening; ``levels`` keeps the per-set Smolyak levels
-    for the component-wise evaluation path (in-memory only, not part of
-    the JSON contract).
+    for the component-wise paths of :func:`mdm_apply` and :func:`mdm_wce`
+    (in-memory only, not part of the JSON contract).
     """
 
     active_sets: tuple
@@ -677,6 +701,14 @@ def mdm_apply(plan: MdmPlan, f, path: str = "flattened") -> float:
 
 
 # -- exact worst-case error of the flattened rule on the infinite-variate space
+#
+# Both forms of the Gram identity run over rows grouped by support.  A row
+# holds, for each coordinate of its group's support, an index into that
+# coordinate's tables; index 0 is the anchor value x_c = 0, where every
+# normalized kernel and embedding table is 1, so only active coordinates
+# enter a product.  An in-memory plan supplies its tensor terms (row k - 1
+# stands for Delta_k, tables are Delta_k^T K_c Delta_l); a plan loaded from
+# JSON supplies its nodes (tables on the distinct node values).
 
 
 def _group_by_support(rule: QuadratureRule):
@@ -691,34 +723,117 @@ def _group_by_support(rule: QuadratureRule):
     return out
 
 
-def _hermite_ratio(beta: float, x, y):
-    """k_beta(x, y) / k_beta(0, 0): the exponential part of the closed form."""
-    b2 = beta * beta
-    return np.exp(-(b2 * (x * x + y * y) - 2.0 * beta * x * y) / (2.0 * (1.0 - b2)))
+def _node_rows(rule: QuadratureRule):
+    """Node rows of a flattened rule, with the distinct values of each coordinate."""
+    groups = _group_by_support(rule)
+    grids = {}
+    for c in sorted({c for supp, _, _ in groups for c in supp}):
+        col = rule.nodes[:, c]
+        grids[c] = (np.concatenate(([0.0], np.unique(col[col != 0.0]))), None)
+    rows = []
+    for supp, nodes, w in groups:
+        idx = np.empty((nodes.shape[0], len(supp)), dtype=np.intp)
+        for j, c in enumerate(supp):
+            idx[:, j] = 1 + np.searchsorted(grids[c][0][1:], nodes[:, c])
+        rows.append((supp, idx, w))
+    return rows, grids
 
 
-def _pairwise_quadratic(groups, params, family: str) -> float:
-    """w^T K w over support groups; products run over active coordinates only."""
+def _term_rows(plan: MdmPlan):
+    """Tensor-term rows of an in-memory plan: the anchor, then per set the
+    level vectors of its component; every coordinate gets the values of
+    B_1..B_top and the rows Delta_1..Delta_top on them (top: its largest level)."""
+    rows = [((), np.zeros((1, 0), dtype=np.intp), np.ones(1))]
+    top = {}
+    for u, q in zip(plan.active_sets, plan.levels):
+        ks = np.array(_level_vectors(len(u), q), dtype=np.intp).reshape(-1, len(u))
+        rows.append((u, ks - 1, np.ones(ks.shape[0])))
+        for c, k in zip(u, ks.max(axis=0).tolist()):
+            top[c] = max(top.get(c, 1), k)
+    if not top:
+        return rows, {}
+    schedule = tuple(range(1, max(top.values()) + 1))
+    position = {}
+    diff = np.zeros((len(schedule), sum(schedule)))
+    width = []  # distinct values of B_1..B_k, which carry Delta_1..Delta_k
+    for k in schedule:
+        for x, w in _difference_block(schedule, k):
+            diff[k - 1, position.setdefault(x, len(position))] = w
+        width.append(len(position))
+    values = np.array(list(position))
+    grids = {c: (values[: width[k - 1]], diff[:k, : width[k - 1]]) for c, k in top.items()}
+    return rows, grids
+
+
+def _tables(grids, family: str, params):
+    """Per-coordinate quadratic tables K_c / K_c(0, 0) and linear tables m_c / m_c(0)
+    (m_c = 1 on the Hermite side), mapped through the row measures when given."""
+    kernel = gaussian_kernel if family == GAUSSIAN else hermite_kernel
+    quad, lin = {}, {}
+    for c, (values, diff) in grids.items():
+        p = params[c]
+        k00 = float(kernel(p, 0.0, 0.0))
+        if family == GAUSSIAN:
+            m = gaussian_mean_embedding_1d(p, values) / gaussian_mean_embedding_1d(p, 0.0)
+        else:
+            m = np.ones(values.size)
+        if diff is None:
+            quad[c], lin[c] = kernel(p, values[:, None], values[None, :]) / k00, m
+            continue
+        step = max(1, _BLOCK_CHUNK // values.size)
+        blocks = (
+            (diff[:, lo : lo + step], kernel(p, values[lo : lo + step, None], values[None, :]) / k00)
+            for lo in range(0, values.size, step)
+        )
+        quad[c] = sum(part @ block @ diff.T for part, block in blocks)
+        lin[c] = diff @ m
+    return quad, lin
+
+
+def _linear_form(groups, tables) -> float:
+    """sum over rows of the weight times prod over its support of tables[c][i_c]."""
     total = 0.0
-    for a, (supp_a, nodes_a, w_a) in enumerate(groups):
-        for b in range(a, len(groups)):
-            supp_b, nodes_b, w_b = groups[b]
-            union = sorted(set(supp_a) | set(supp_b))
-            n_a, n_b = nodes_a.shape[0], nodes_b.shape[0]
-            step = max(1, _BLOCK_CHUNK // max(n_b, 1))
-            contrib = 0.0
-            for lo in range(0, n_a, step):
-                hi = min(lo + step, n_a)
-                block = np.ones((hi - lo, n_b))
-                for c in union:
-                    xa = nodes_a[lo:hi, c][:, None]
-                    xb = nodes_b[:, c][None, :]
-                    if family == GAUSSIAN:
-                        block *= np.exp(-(params[c] ** 2) * (xa - xb) ** 2)
-                    else:
-                        block *= _hermite_ratio(params[c], xa, xb)
-                contrib += float(w_a[lo:hi] @ block @ w_b)
-            total += contrib if a == b else 2.0 * contrib
+    for supp, rows, w in groups:
+        terms = w.copy()
+        for j, c in enumerate(supp):
+            terms *= tables[c][rows[:, j]]
+        total += float(terms.sum())
+    return total
+
+
+def _pairwise_quadratic(groups, tables) -> float:
+    """sum over row pairs of both weights times prod_c tables[c][i_c, j_c], c in
+    the union of the two supports.
+
+    Against a row of support S, column j carries the factor
+    prod_{c in supp_j - S} tables[c][0, j_c] whatever the row, so each group
+    computes that column vector once and multiplies in its own coordinates
+    row by row, in blocks of at most ``_BLOCK_CHUNK`` entries.
+    """
+    weights = np.concatenate([w for _, _, w in groups])
+    n = weights.size
+    width = max(len(supp) for supp, _, _ in groups)
+    coord = np.full((n, width), -1)  # the support of every column, padded
+    index = np.zeros((n, width), dtype=np.intp)
+    anchor = np.ones((n, width))  # tables[c][0, j_c] for every active c of column j
+    start = 0
+    for supp, rows, _ in groups:
+        span = slice(start, start + rows.shape[0])
+        for j, c in enumerate(supp):
+            coord[span, j] = c
+            index[span, j] = rows[:, j]
+            anchor[span, j] = tables[c][0, rows[:, j]]
+        start += rows.shape[0]
+    step = max(1, _BLOCK_CHUNK // n)
+    total = 0.0
+    for supp, rows, w in groups:
+        base = np.where(np.isin(coord, supp), 1.0, anchor).prod(axis=1)
+        columns = [np.where(coord == c, index, 0).max(axis=1) for c in supp]
+        for lo in range(0, rows.shape[0], step):
+            block = np.tile(base, (min(step, rows.shape[0] - lo), 1))
+            for j, c in enumerate(supp):
+                block *= tables[c][np.ix_(rows[lo : lo + step, j], columns[j])]
+            total += float(w[lo : lo + step] @ block @ weights)
     return total
 
 
@@ -728,44 +843,37 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     The value uses exact prefix products over the first ``trunc``
     coordinates; the effect of all later coordinates (where every node
     sits at the anchor) is bounded rigorously from the generator's tail
-    sums.  Returns ``(value, tail_bound)``.
+    sums.  Both the quadratic and the linear form of the Gram identity
+    run over the plan's tensor terms, or over its nodes for a plan loaded
+    from JSON (which has no levels).  Returns ``(value, tail_bound)``.
     """
     rule = plan.flattened
     if rule.dimension > trunc:
         raise ShapeMismatchError(
             f"plan touches coordinate {rule.dimension - 1}, beyond trunc = {trunc}"
         )
-    all_params = gen.params(trunc)
-    groups = _group_by_support(rule)
-    w = rule.weights
-    wsum = float(w.sum())
+    params = gen.params(trunc)
+    groups, grids = _node_rows(rule) if plan.levels is None else _term_rows(plan)
+    quad_tables, lin_tables = _tables(grids, gen.measured_family, params)
+    quad = _pairwise_quadratic(groups, quad_tables)
+    lin = _linear_form(groups, lin_tables)
 
     if gen.measured_family == HERMITE:
-        beta = all_params
-        g0 = exp(-0.5 * float(np.sum(np.log1p(-beta * beta))))
-        quad = _pairwise_quadratic(groups, beta, HERMITE)
-        e2 = 1.0 - 2.0 * wsum + g0 * quad
+        g0 = exp(-0.5 * float(np.sum(np.log1p(-params * params))))
+        e2 = 1.0 - 2.0 * lin + g0 * quad
         s_tail = gen.param_tail_sq_bound(trunc + 1)
-        beta_next = beta[-1]  # rules are non-increasing in j
+        beta_next = params[-1]  # rules are non-increasing in j
         delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
     else:
-        sigma = all_params
-        s2 = sigma * sigma
+        s2 = params * params
         di = float(np.prod((1.0 + 4.0 * s2) ** -0.5))
         m0 = float(np.prod((1.0 + 2.0 * s2) ** -0.5))
-        m_active = np.ones(rule.n)
-        for c in range(rule.dimension):
-            col = rule.nodes[:, c]
-            m_active *= np.exp(-s2[c] * col * col / (1.0 + 2.0 * s2[c]))
-        m_vec = m0 * m_active
-        quad = _pairwise_quadratic(groups, sigma, GAUSSIAN)
-        e2 = di - 2.0 * float(w @ m_vec) + quad
+        e2 = di - 2.0 * m0 * lin + quad
+        # the tail scales di by at most exp(-2 s) and w.m by at most exp(-s)
         s_tail = gen.sigma_tail_sq_bound(trunc + 1)
-        delta = di * -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * float(
-            np.abs(w) @ m_vec
-        )
+        delta = di * -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * abs(m0 * lin)
 
-    scale = max(1.0, float(np.abs(w).sum()) ** 2)
+    scale = max(1.0, float(np.abs(rule.weights).sum()) ** 2)
     if e2 < -1e-10 * scale:
         raise NumericalConsistencyError(f"squared error {e2:.3e} badly negative")
     e2 = max(e2, 0.0)

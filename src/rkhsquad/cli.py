@@ -11,6 +11,8 @@ verify            run an oracle battery; exit 0 iff everything passes
 
 CSV output uses a header row, comma separators, '.' decimals, and %.17g
 number formatting, so repeated runs on one machine are byte-identical.
+Exit status 1 reports invalid input or a numerical failure, 2 a file that
+cannot be read or written (any OSError).
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, KeyError, ValueError, ArithmeticError) as exc:

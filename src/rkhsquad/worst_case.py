@@ -80,6 +80,8 @@ class QuadratureRule:
             )
         if weights.size < 1:
             raise ShapeMismatchError("a rule needs at least one node")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise DomainError("nodes and weights must be finite")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

@@ -235,6 +235,38 @@ class TestAnchoredDecomposition:
         assert total == pytest.approx(f(x), rel=1e-12)
 
 
+def _anchored_smolyak(size, level):
+    """Anchored component from the flattened Smolyak rule and the 2^size anchoring signs."""
+    if level < size:
+        return {}
+    rule = smolyak_rule(range(size), SmolyakLevels.unit(level))
+    masks = [[mask >> pos & 1 for pos in range(size)] for mask in range(1 << size)]
+    acc = {}
+    for row, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+        for keep in masks:
+            key = tuple(v if b else 0.0 for v, b in zip(row, keep))
+            acc[key] = acc.get(key, 0.0) + (-1) ** (size - sum(keep)) * w
+    return {k: v for k, v in acc.items() if v != 0.0}
+
+
+class TestComponentTerms:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_tensor_terms_match_anchored_smolyak(self, size):
+        for level in range(1, 13):
+            want = _anchored_smolyak(size, level)
+            got = _component_local(size, level)
+            assert got.keys() == want.keys(), (size, level)
+            for key, w in want.items():
+                assert got[key] == pytest.approx(w, rel=1e-13, abs=0.0), (size, level, key)
+
+    def test_acceptance_curve_costs(self):
+        gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
+        model = CostModel.dollar([float(1 + m) for m in range(24)])
+        budgets = [10.0, 31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0, 31623.0, 100000.0]
+        costs = [mdm_build(gen, b, model, max_coord=512, pool_size=2048).cost for b in budgets]
+        assert costs == [9, 25, 89, 293, 965, 3097, 9873, 31373, 99513]
+
+
 class TestParamRule:
     def test_parse_power(self):
         rule = ParamRule.parse("j^-1.5")
@@ -265,6 +297,46 @@ class TestParamRule:
             KernelGenerator.gaussian(ParamRule.parse("j^-0.4"))
         with pytest.raises(DomainError):
             KernelGenerator.hermite(ParamRule.parse("j^-1.0"))
+
+
+EPS = float(np.finfo(float).eps)
+
+GENERATORS = [
+    KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),
+    KernelGenerator.gaussian(ParamRule.parse("0.6^j")),
+    KernelGenerator.hermite(ParamRule.parse("0.4^j")),
+]
+
+
+def _long_double_e2(rule, beta):
+    """1 - 2 sum w + w^T K w of a rule on a Hermite space, by node pairs in
+    long double (the dense Gram identity, grouped by support)."""
+    ld = np.longdouble
+    beta = np.asarray(beta, dtype=ld)
+    ratio = {}  # per coordinate: k(x, y) / k(0, 0) on the distinct values, and each node's value
+    for c in range(rule.dimension):
+        values, where = np.unique(rule.nodes[:, c], return_inverse=True)
+        x, b = values.astype(ld)[:, None], beta[c]
+        expo = -(b * b * (x * x + x.T * x.T) - 2 * b * x * x.T) / (2 * (1 - b * b))
+        ratio[c] = (np.exp(expo), where)
+    rows_by_support = {}
+    for i, row in enumerate(rule.nodes):
+        rows_by_support.setdefault(tuple(np.flatnonzero(row)), []).append(i)
+    groups = [
+        (supp, np.array(rows), rule.weights[rows].astype(ld))
+        for supp, rows in rows_by_support.items()
+    ]
+    quad = ld(0)
+    for a, (supp_a, rows_a, w_a) in enumerate(groups):
+        for supp_b, rows_b, w_b in groups[a:]:
+            block = np.ones((rows_a.size, rows_b.size), dtype=ld)
+            for c in sorted(set(supp_a) | set(supp_b)):
+                table, where = ratio[c]
+                block *= table[np.ix_(where[rows_a], where[rows_b])]
+            part = w_a @ block @ w_b
+            quad += part if supp_a == supp_b else 2 * part
+    g0 = np.prod(1 / np.sqrt(1 - beta * beta))
+    return 1 - 2 * np.sum(rule.weights.astype(ld)) + g0 * quad
 
 
 class TestMdm:
@@ -389,11 +461,7 @@ class TestMdm:
         f = lambda x: 1.3 + x[0] ** 2 - 0.4 * x[1] ** 2
         assert mdm_apply(plan, f) == pytest.approx(mdm_apply(plan, f, path="components"), rel=1e-13)
 
-    @pytest.mark.parametrize("gen", [
-        KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),
-        KernelGenerator.gaussian(ParamRule.parse("0.6^j")),
-        KernelGenerator.hermite(ParamRule.parse("0.4^j")),
-    ])
+    @pytest.mark.parametrize("gen", GENERATORS)
     def test_wce_matches_dense_finite_computation(self, gen):
         # the grouped active-coordinate evaluation equals the plain Gram
         # identity against the finite prefix kernel, padded with anchors
@@ -406,6 +474,27 @@ class TestMdm:
 
         dense = wce_integration(QuadratureRule(padded, plan.flattened.weights), gen.spec(trunc))
         assert value == pytest.approx(dense, rel=1e-11)
+
+    @pytest.mark.parametrize("budget", [60.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_term_rows_match_node_rows(self, gen, budget):
+        # a plan loaded from JSON has no levels and is evaluated node by node;
+        # the two agree up to the rounding scale eps |w|_1^2 of the Gram identity
+        plan = mdm_build(gen, budget, self.model, max_coord=64, pool_size=256)
+        loaded = MdmPlan.from_json(plan.to_json())
+        assert plan.levels is not None and loaded.levels is None
+        by_terms, tail_terms = mdm_wce(plan, gen, trunc=256)
+        by_nodes, tail_nodes = mdm_wce(loaded, gen, trunc=256)
+        w1 = float(np.abs(plan.flattened.weights).sum())
+        assert abs(by_terms**2 - by_nodes**2) <= EPS * w1 * w1
+        assert tail_terms == pytest.approx(tail_nodes, rel=1e-6, abs=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
+    def test_term_path_matches_long_double_at_1e4(self):
+        plan = mdm_build(self.gen, 1e4, self.model, max_coord=512, pool_size=2048)
+        value, _ = mdm_wce(plan, self.gen, trunc=2048)
+        reference = _long_double_e2(plan.flattened, self.gen.params(2048))
+        assert value**2 == pytest.approx(float(reference), rel=1e-7)
 
     def test_unit_cost_model_build(self):
         plan = mdm_build(self.gen, 25.0, CostModel.unit(), max_coord=8, pool_size=32)

@@ -162,6 +162,21 @@ class TestUsageErrors:
         code = main(["transfer", "--rule", rule_file, "--sigma", "1.0;2.0", "--problem", "int"])
         assert code == 1
 
+    def test_out_path_is_a_directory(self, tmp_path, capsys):
+        code = main([
+            "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "3",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_rule_file(self, tmp_path, capsys):
+        path = tmp_path / "rule.json"
+        path.write_text('{"nodes": [[0.0], [NaN]], "weights": [0.5, 0.5]}')
+        code = main(["transfer", "--rule", str(path), "--sigma", "1.0", "--problem", "int"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_sigma_rule(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "exp(-j)", "--budgets", "10",

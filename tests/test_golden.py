@@ -2,22 +2,30 @@
 
 Each command writes its CSV through ``cli.main``; the bytes must equal
 the committed file under ``tests/data/golden``.  A refactor that keeps
-the library's outputs must keep these files unchanged.
+the library's outputs must keep these files unchanged.  The MDM errors
+are also checked against a 40-digit evaluation of the same plans.
 """
 
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rkhsquad import CostModel, KernelGenerator, ParamRule, mdm_build
 from rkhsquad.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
+_BUDGETS = (10.0, 40.0, 160.0)
+_DOLLARS = [float(1 + m) for m in range(16)]
+_TRUNC, _MAX_COORD, _POOL_SIZE = 512, 16, 64
 _MDM = [
-    "--budgets", "10,40,160",
-    "--dollar-table", ",".join(str(1 + m) for m in range(16)),
-    "--trunc", "512", "--max-coord", "16", "--pool-size", "64",
+    "--budgets", ",".join(f"{b:g}" for b in _BUDGETS),
+    "--dollar-table", ",".join(f"{d:g}" for d in _DOLLARS),
+    "--trunc", str(_TRUNC), "--max-coord", str(_MAX_COORD), "--pool-size", str(_POOL_SIZE),
 ]
+_MDM_RULES = {"mdm-run-power": "j^-1.5", "mdm-run-geometric": "0.5^j"}
 
 COMMANDS = {
     "univariate-decay-gaussian-0.7": [
@@ -27,8 +35,7 @@ COMMANDS = {
         "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "40",
     ],
     "tensor-decay": ["tensor-decay", "--sigma", "1,0.5,2", "--eps-list", "0.1,0.01"],
-    "mdm-run-power": ["mdm-run", "--sigma-rule", "j^-1.5", *_MDM],
-    "mdm-run-geometric": ["mdm-run", "--sigma-rule", "0.5^j", *_MDM],
+    **{name: ["mdm-run", "--sigma-rule", rule, *_MDM] for name, rule in _MDM_RULES.items()},
 }
 
 
@@ -37,3 +44,45 @@ def test_csv_bytes_match_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main([*COMMANDS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _mp_e2(rule, beta, mp):
+    """1 - 2 sum w + w^T K w of a rule on a Hermite space, node pair by node pair."""
+    nodes = rule.nodes
+    w = [mp.mpf(float(v)) for v in rule.weights]
+    ratio = {}  # per coordinate: k(x, y) / k(0, 0) on the distinct values
+    for c in range(rule.dimension):
+        b = mp.mpf(float(beta[c]))
+        vals = [mp.mpf(v) for v in sorted(set(nodes[:, c].tolist()))]
+        ratio[c] = {
+            (float(x), float(y)): mp.exp(-(b * b * (x * x + y * y) - 2 * b * x * y) / (2 * (1 - b * b)))
+            for x in vals
+            for y in vals
+        }
+    supp = [set(np.flatnonzero(row).tolist()) for row in nodes]
+    quad = mp.fsum(
+        w[i] * w[j] * mp.fprod(ratio[c][(nodes[i, c], nodes[j, c])] for c in supp[i] | supp[j])
+        for i in range(len(w)) for j in range(len(w))
+    )
+    g0 = mp.fprod(1 / mp.sqrt(1 - mp.mpf(float(b)) ** 2) for b in beta)
+    return 1 - 2 * mp.fsum(w) + g0 * quad
+
+
+@pytest.mark.parametrize("name", sorted(_MDM_RULES))
+def test_mdm_errors_match_40_digit_reference(name):
+    # golden errors sit within 16 times the Gram identity's rounding scale
+    # eps * |w|_1^2 (in e^2) of a 40-digit evaluation of the same plan
+    mp = pytest.importorskip("mpmath")
+    gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse(_MDM_RULES[name]))
+    model = CostModel.dollar(_DOLLARS)
+    with open(GOLDEN / f"{name}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_BUDGETS)
+    eps = float(np.finfo(float).eps)
+    for budget, row in zip(_BUDGETS, rows):
+        plan = mdm_build(gen, budget, model, max_coord=_MAX_COORD, pool_size=_POOL_SIZE)
+        assert plan.cost == float(row["cost"])
+        with mp.workdps(40):
+            reference = _mp_e2(plan.flattened, gen.params(_TRUNC), mp)
+        w1 = float(np.abs(plan.flattened.weights).sum())
+        assert abs(float(row["error"]) ** 2 - float(reference)) <= 16.0 * eps * w1 * w1, budget

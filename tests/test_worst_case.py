@@ -41,6 +41,19 @@ class TestQuadratureRule:
         with pytest.raises(ShapeMismatchError):
             QuadratureRule(np.zeros((2, 1)), np.ones(3))
 
+    @pytest.mark.parametrize("nodes, weights", [
+        ([[np.nan], [1.0]], [0.5, 0.5]),
+        ([[0.0], [-np.inf]], [0.5, 0.5]),
+        ([[0.0], [1.0]], [np.inf, 0.5]),
+        ([[0.0], [1.0]], [0.5, np.nan]),
+    ])
+    def test_non_finite_entries_rejected(self, nodes, weights):
+        # wce_integration would otherwise return nan without complaint
+        with pytest.raises(DomainError):
+            QuadratureRule(np.array(nodes), np.array(weights))
+        with pytest.raises(DomainError):
+            QuadratureRule.from_json({"nodes": nodes, "weights": weights})
+
 
 class TestMultiIndexSet:
     def test_box(self):
