@@ -29,7 +29,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
-from math import ceil, exp, expm1, inf, log, prod, sqrt
+from math import ceil, exp, expm1, inf, isfinite, log, prod, sqrt
 
 import numpy as np
 
@@ -213,50 +213,72 @@ def _difference_block(schedule, k):
     return list(entries.items())
 
 
+def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
+    """Level vectors k with every k_j >= lowest and |k|_1 <= level, in lexicographic order.
+
+    ``lowest=1`` gives the Smolyak combination.  ``lowest=2`` gives the
+    anchored component: with the unit schedule Delta_1 = B_1 = delta_0,
+    whose anchored part vanishes, while every Delta_k with k >= 2 has
+    weight sum zero and is left unchanged by anchoring.
+    """
+    if size == 0:
+        return ((),)
+    return tuple(
+        (k,) + rest
+        for k in range(lowest, level - lowest * (size - 1) + 1)
+        for rest in _level_vectors(size - 1, level - k, lowest)
+    )
+
+
+def _merged_terms(size: int, schedule, level: int, lowest: int):
+    """Sum of the tensor terms (x)_j Delta_{k_j} over :func:`_level_vectors`, merged exactly.
+
+    Returns ``(keys, weights)``: the distinct local node rows in
+    lexicographic order and their non-zero merged weights (both read-only).
+    Duplicate nodes merge by exact coordinate equality; all node values
+    come from identical univariate rules, so collisions are exact.
+    """
+    # (values, weights) of Delta_k for every k a level vector can hold
+    blocks = {
+        k: np.array(_difference_block(schedule, k)).T
+        for k in range(lowest, level - lowest * (size - 1) + 1)
+    }
+    node_parts, weight_parts = [np.zeros((0, size))], [np.zeros(0)]  # no terms: empty
+    for ks in _level_vectors(size, level, lowest):
+        grids = np.meshgrid(*[blocks[k][0] for k in ks], indexing="ij")
+        node_parts.append(np.stack([g.ravel() for g in grids], axis=1))
+        weights = np.ones(grids[0].size)
+        for g in np.meshgrid(*[blocks[k][1] for k in ks], indexing="ij"):
+            weights *= g.ravel()
+        weight_parts.append(weights)
+    keys, where = np.unique(np.vstack(node_parts), axis=0, return_inverse=True)
+    merged = np.bincount(where.ravel(), weights=np.concatenate(weight_parts))
+    keep = merged != 0.0
+    keys, merged = keys[keep], merged[keep]
+    keys.flags.writeable = merged.flags.writeable = False
+    return keys, merged
+
+
 _LOCAL_SMOLYAK_CACHE: dict = {}
 
 
-def _smolyak_local(size: int, schedule, level: int) -> dict:
-    """Combination rule over ``size`` local coordinates, merged exactly.
+def _smolyak_local(size: int, schedule, level: int):
+    """Smolyak combination over ``size`` local coordinates as ``(keys, weights)``.
 
-    Keys are length-``size`` value tuples; identical for every coordinate
-    set of that size, so results are cached by (size, schedule, level).
+    Identical for every coordinate set of that size, so results are
+    cached by (size, schedule, level).
     """
-    cache_key = (size, schedule, level)
-    hit = _LOCAL_SMOLYAK_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    blocks = {k: _difference_block(schedule, k) for k in range(1, level - size + 2)}
-    acc: dict[tuple, float] = {}
-    point = [0.0] * size
-
-    def recurse(pos, remaining, weight):
-        if pos == size:
-            key = tuple(point)
-            acc[key] = acc.get(key, 0.0) + weight
-            return
-        slots_left = size - pos - 1
-        for k in range(1, remaining - slots_left + 1):
-            for x, w in blocks[k]:
-                point[pos] = x
-                recurse(pos + 1, remaining - k, weight * w)
-            point[pos] = 0.0
-
-    recurse(0, level, 1.0)
-    out = {k: v for k, v in acc.items() if v != 0.0}
-    _LOCAL_SMOLYAK_CACHE[cache_key] = out
-    return out
+    key = (size, schedule, level)
+    if key not in _LOCAL_SMOLYAK_CACHE:
+        _LOCAL_SMOLYAK_CACHE[key] = _merged_terms(size, schedule, level, lowest=1)
+    return _LOCAL_SMOLYAK_CACHE[key]
 
 
-def _embed_local(local: dict, u, dim: int):
-    """Materialize local (values-on-u, weight) entries as ambient arrays."""
-    items = sorted(local.items())
-    nodes = np.zeros((len(items), dim))
-    cols = list(u)
-    for i, (key, _) in enumerate(items):
-        nodes[i, cols] = key
-    weights = np.array([v for _, v in items], dtype=float)
-    return nodes, weights
+def _embed_local(keys: np.ndarray, u, dim: int) -> np.ndarray:
+    """Local node rows on the coordinates u as ambient rows, zero elsewhere."""
+    nodes = np.zeros((keys.shape[0], dim))
+    nodes[:, list(u)] = keys
+    return nodes
 
 
 def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> QuadratureRule:
@@ -280,11 +302,10 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
         dim = u[-1] + 1
     if dim <= u[-1]:
         raise ShapeMismatchError("ambient dimension too small for u")
-    local = _smolyak_local(len(u), levels.schedule, q)
-    if len(local) > TENSOR_BUDGET:
-        raise BudgetError(f"sparse grid of {len(local)} nodes exceeds {TENSOR_BUDGET}")
-    nodes, weights = _embed_local(local, u, dim)
-    return QuadratureRule(nodes, weights)
+    keys, weights = _smolyak_local(len(u), levels.schedule, q)
+    if weights.size > TENSOR_BUDGET:
+        raise BudgetError(f"sparse grid of {weights.size} nodes exceeds {TENSOR_BUDGET}")
+    return QuadratureRule(_embed_local(keys, u, dim), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -319,58 +340,20 @@ def anchored_component_eval(f, u, x) -> float:
     return total
 
 
-def _level_vectors(size: int, level: int) -> tuple:
-    """Level vectors k with every k_j >= 2 and |k|_1 <= level, in lexicographic order.
-
-    With the unit schedule Delta_1 = B_1 = delta_0, whose anchored part
-    vanishes, while every Delta_k with k >= 2 has weight sum zero and is
-    left unchanged by anchoring.  The anchored component of a set of
-    ``size`` coordinates at ``level`` is therefore exactly the sum of the
-    tensor terms (x)_j Delta_{k_j} over these vectors.
-    """
-    if size == 0:
-        return ((),)
-    return tuple(
-        (k,) + rest
-        for k in range(2, level - 2 * (size - 1) + 1)
-        for rest in _level_vectors(size - 1, level - k)
-    )
-
-
 _LOCAL_COMPONENT_CACHE: dict = {}
 
 
-def _component_local(size: int, level: int) -> dict:
+def _component_local(size: int, level: int):
     """Anchored-flattened Smolyak component in local coordinates, cached.
 
-    The tensor terms of :func:`_level_vectors`, merged exactly.  Identical
-    for every coordinate set of one size (unit schedule), so the greedy
-    planner shares it across all pooled candidates.
+    The tensor terms with every k_j >= 2 on the unit schedule, as
+    ``(keys, weights)``.  Identical for every coordinate set of one size,
+    so the greedy planner shares it across all pooled candidates.
     """
     key = (size, level)
-    hit = _LOCAL_COMPONENT_CACHE.get(key)
-    if hit is None:
-        schedule = tuple(range(1, level + 1))
-        # (values, weights) of Delta_k for every k a level vector can hold
-        blocks = {
-            k: np.array(_difference_block(schedule, k)).T
-            for k in range(2, level - 2 * size + 3)
-        }
-        node_parts, weight_parts = [], []
-        for ks in _level_vectors(size, level):
-            grids = np.meshgrid(*[blocks[k][0] for k in ks], indexing="ij")
-            node_parts.append(np.stack([g.ravel() for g in grids], axis=1))
-            weights = np.ones(grids[0].size)
-            for g in np.meshgrid(*[blocks[k][1] for k in ks], indexing="ij"):
-                weights *= g.ravel()
-            weight_parts.append(weights)
-        hit = {}
-        if node_parts:
-            keys, where = np.unique(np.vstack(node_parts), axis=0, return_inverse=True)
-            merged = np.bincount(where.ravel(), weights=np.concatenate(weight_parts))
-            hit = {tuple(k): w for k, w in zip(keys.tolist(), merged.tolist()) if w != 0.0}
-        _LOCAL_COMPONENT_CACHE[key] = hit
-    return hit
+    if key not in _LOCAL_COMPONENT_CACHE:
+        _LOCAL_COMPONENT_CACHE[key] = _merged_terms(size, tuple(range(1, level + 1)), level, lowest=2)
+    return _LOCAL_COMPONENT_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +502,18 @@ class KernelGenerator:
 # multivariate decomposition methods
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass(frozen=True)
 class MdmPlan:
     """A finite family of active sets with budgets and the flattened rule.
 
     ``budgets`` counts the function evaluations of each per-set sub-rule
     after anchored flattening; ``levels`` keeps the per-set Smolyak levels
-    for the component-wise paths of :func:`mdm_apply` and :func:`mdm_wce`
-    (in-memory only, not part of the JSON contract).
+    for the tensor-term path of :func:`mdm_wce` (in-memory only, not part
+    of the JSON contract).
     """
 
     active_sets: tuple
@@ -534,6 +521,19 @@ class MdmPlan:
     flattened: QuadratureRule
     cost: float
     levels: tuple | None = None
+
+    def __post_init__(self):
+        if not isfinite(self.cost):
+            raise DomainError(f"plan cost {self.cost} is not finite")
+        count = len(self.active_sets)
+        if len(self.budgets) != count or not all(map(_is_count, self.budgets)):
+            raise DomainError(f"need one non-negative int budget per active set, got {self.budgets}")
+        dim = self.flattened.dimension
+        for u in self.active_sets:
+            if not (u and all(map(_is_count, u)) and u[-1] < dim and list(u) == sorted(set(u))):
+                raise DomainError(f"active set {u} is not strictly increasing in [0, {dim})")
+        if self.levels is not None and len(self.levels) != count:
+            raise DomainError(f"{len(self.levels)} levels for {count} active sets")
 
     def to_json(self) -> dict:
         return {
@@ -567,35 +567,30 @@ def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     normalized = {tuple(sorted(int(j) for j in u)): int(q) for u, q in active_levels.items()}
     if len(normalized) != len(active_levels):
         raise DomainError("duplicate active sets")
-    contributing = [
-        (u, normalized[u], _component_local(len(u), normalized[u]))
-        for u in sorted(normalized)
-        if _component_local(len(u), normalized[u])  # empty: every term cancelled
-    ]
-    dim = max((u[-1] + 1 for u, _, _ in contributing), default=1)
+    contributing = []
+    for u, q in sorted(normalized.items()):
+        keys, weights = _component_local(len(u), q)
+        if weights.size:  # empty: every term cancelled
+            contributing.append((u, q, keys, weights))
+    dim = max((u[-1] + 1 for u, _, _, _ in contributing), default=1)
 
     node_blocks = [np.zeros((1, dim))]
     weight_blocks = [np.ones(1)]
     anchor_weight_extra = 0.0
-    sets = []
-    budgets = []
-    levels = []
-    for u, q, comp in contributing:
-        sets.append(u)
-        budgets.append(len(comp))
-        levels.append(q)
-        local_anchor = (0.0,) * len(u)
-        if local_anchor in comp:
-            anchor_weight_extra += comp[local_anchor]
-            comp = {k: v for k, v in comp.items() if k != local_anchor}
-        if comp:
-            nodes, ws = _embed_local(comp, u, dim)
-            node_blocks.append(nodes)
-            weight_blocks.append(ws)
+    for u, _, keys, weights in contributing:
+        anchor = ~keys.any(axis=1)
+        anchor_weight_extra += float(weights[anchor].sum())
+        node_blocks.append(_embed_local(keys[~anchor], u, dim))
+        weight_blocks.append(weights[~anchor])
     weight_blocks[0][0] += anchor_weight_extra
     flattened = QuadratureRule(np.vstack(node_blocks), np.concatenate(weight_blocks))
-    cost = rule_cost(flattened, model)
-    return MdmPlan(tuple(sets), tuple(budgets), flattened, cost, tuple(levels))
+    return MdmPlan(
+        tuple(u for u, _, _, _ in contributing),
+        tuple(weights.size for _, _, _, weights in contributing),
+        flattened,
+        rule_cost(flattened, model),
+        tuple(q for _, q, _, _ in contributing),
+    )
 
 
 def _subset_pool(betas, max_coord: int, pool_size: int):
@@ -636,6 +631,8 @@ def mdm_build(
     Ties prefer the lexicographically smaller set.  The anchor evaluation
     is always included and charged dollar(0).
     """
+    if not isfinite(budget):
+        raise DomainError(f"budget {budget} is not finite")
     anchor_cost = model.charge(0)
     if budget < anchor_cost:
         raise BudgetError(f"budget {budget} below the anchor evaluation cost {anchor_cost}")
@@ -648,10 +645,8 @@ def mdm_build(
         # the anchored component is size-generic, hence so is its cost
         key = (len(u), q)
         if key not in cost_cache:
-            comp = _component_local(len(u), q)
-            cost_cache[key] = sum(
-                model.charge(sum(1 for v in point if v != 0.0)) for point in comp
-            )
+            keys, _ = _component_local(len(u), q)
+            cost_cache[key] = sum(model.charge(int(a)) for a in np.count_nonzero(keys, axis=1))
         return cost_cache[key]
 
     remaining = budget - anchor_cost
@@ -684,20 +679,9 @@ def mdm_build(
     return plan
 
 
-def mdm_apply(plan: MdmPlan, f, path: str = "flattened") -> float:
-    """Apply the MDM to a function, by the flattened rule or component-wise."""
-    if path == "flattened":
-        return plan.flattened.apply(f)
-    if path != "components":
-        raise DomainError(f"unknown path {path!r}")
-    if plan.levels is None:
-        raise DomainError("component path needs the in-memory plan (levels lost in JSON)")
-    dim = plan.flattened.dimension
-    total = float(f(np.zeros(dim)))
-    for u, q in zip(plan.active_sets, plan.levels):
-        rule = smolyak_rule(u, SmolyakLevels.unit(q), dim)
-        total += rule.apply(lambda row, u=u: anchored_component_eval(f, u, row))
-    return total
+def mdm_apply(plan: MdmPlan, f) -> float:
+    """Apply the MDM to a function through its flattened rule."""
+    return plan.flattened.apply(f)
 
 
 # -- exact worst-case error of the flattened rule on the infinite-variate space

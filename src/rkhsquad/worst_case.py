@@ -252,9 +252,9 @@ class CostModel:
     def from_json(cls, obj) -> "CostModel":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        if obj["mode"] == "unit":
+        if obj.get("mode") == "unit":
             return cls.unit()
-        return cls.dollar(obj["table"])
+        return cls(obj.get("mode"), tuple(obj.get("table", ())))
 
 
 @dataclass(frozen=True)

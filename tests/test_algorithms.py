@@ -1,5 +1,6 @@
 """Constructive families: GH rules, tensor/Smolyak grids, anchoring, MDM."""
 
+import json
 import math
 
 import numpy as np
@@ -235,29 +236,94 @@ class TestAnchoredDecomposition:
         assert total == pytest.approx(f(x), rel=1e-12)
 
 
+def _reference_difference(schedule, k):
+    """(node, weight) pairs of B_{m_k} - B_{m_{k-1}} (with B_{m_0} = 0)."""
+    entries = {}
+    for m, sign in ((schedule[k - 1], 1.0), (schedule[k - 2] if k >= 2 else 0, -1.0)):
+        if m:
+            rule = gauss_hermite_rule(m)
+            for x, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+                entries[x] = entries.get(x, 0.0) + sign * w
+    return list(entries.items())
+
+
+def _reference_smolyak(size, schedule, level):
+    """Smolyak combination over ``size`` local coordinates as a {node tuple: weight}
+    dict: a recursive walk over the level vectors k >= 1 with |k|_1 <= level,
+    merged exactly, exactly cancelled weights dropped."""
+    blocks = {k: _reference_difference(schedule, k) for k in range(1, level - size + 2)}
+    acc = {}
+    point = [0.0] * size
+
+    def recurse(pos, remaining, weight):
+        if pos == size:
+            key = tuple(point)
+            acc[key] = acc.get(key, 0.0) + weight
+            return
+        for k in range(1, remaining - (size - pos - 1) + 1):
+            for x, w in blocks[k]:
+                point[pos] = x
+                recurse(pos + 1, remaining - k, weight * w)
+        point[pos] = 0.0
+
+    recurse(0, level, 1.0)
+    return {k: v for k, v in acc.items() if v != 0.0}
+
+
+def _assert_terms_match(keys, weights, want, where):
+    assert [tuple(k) for k in keys.tolist()] == sorted(want), where
+    for key, w in zip(keys.tolist(), weights.tolist()):
+        assert w == pytest.approx(want[tuple(key)], rel=1e-13, abs=0.0), (where, key)
+
+
+SCHEDULES = {
+    "unit": tuple(range(1, 13)),
+    "odd": tuple(range(1, 25, 2)),
+    "growing": (1, 2, 4, 6, 9, 13, 18, 24, 31, 39, 48, 58),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_smolyak_rule_matches_recursive_reference(size, schedule):
+    for level in range(size, 13):
+        levels = SmolyakLevels(SCHEDULES[schedule][:level], level)
+        rule = smolyak_rule(range(size), levels)
+        want = _reference_smolyak(size, levels.schedule, level)
+        _assert_terms_match(rule.nodes, rule.weights, want, (size, schedule, level))
+
+
 def _anchored_smolyak(size, level):
-    """Anchored component from the flattened Smolyak rule and the 2^size anchoring signs."""
+    """Anchored component from the reference Smolyak rule and the 2^size anchoring signs."""
     if level < size:
         return {}
-    rule = smolyak_rule(range(size), SmolyakLevels.unit(level))
+    rule = _reference_smolyak(size, tuple(range(1, level + 1)), level)
     masks = [[mask >> pos & 1 for pos in range(size)] for mask in range(1 << size)]
     acc = {}
-    for row, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+    for row, w in rule.items():
         for keep in masks:
             key = tuple(v if b else 0.0 for v, b in zip(row, keep))
             acc[key] = acc.get(key, 0.0) + (-1) ** (size - sum(keep)) * w
     return {k: v for k, v in acc.items() if v != 0.0}
 
 
+def _mdm_by_components(plan, f):
+    """f(0) plus, per active set, the unit-schedule Smolyak rule applied to the
+    anchored component f_u: the MDM without flattening."""
+    dim = plan.flattened.dimension
+    total = float(f(np.zeros(dim)))
+    for u, q in zip(plan.active_sets, plan.levels):
+        rule = smolyak_rule(u, SmolyakLevels.unit(q), dim)
+        total += rule.apply(lambda row, u=u: anchored_component_eval(f, u, row))
+    return total
+
+
 class TestComponentTerms:
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_tensor_terms_match_anchored_smolyak(self, size):
         for level in range(1, 13):
-            want = _anchored_smolyak(size, level)
-            got = _component_local(size, level)
-            assert got.keys() == want.keys(), (size, level)
-            for key, w in want.items():
-                assert got[key] == pytest.approx(w, rel=1e-13, abs=0.0), (size, level, key)
+            keys, weights = _component_local(size, level)
+            _assert_terms_match(keys, weights, _anchored_smolyak(size, level), (size, level))
 
     def test_acceptance_curve_costs(self):
         gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
@@ -339,6 +405,20 @@ def _long_double_e2(rule, beta):
     return 1 - 2 * np.sum(rule.weights.astype(ld)) + g0 * quad
 
 
+PLAN_DEFECTS = {
+    "cost-nan": lambda blob: blob.update(cost=math.nan),
+    "cost-inf": lambda blob: blob.update(cost=math.inf),
+    "budget-missing": lambda blob: blob["budgets"].pop(),
+    "budget-negative": lambda blob: blob["budgets"].__setitem__(0, -1),
+    "budget-float": lambda blob: blob["budgets"].__setitem__(0, 2.5),
+    "set-decreasing": lambda blob: blob["active_sets"].__setitem__(1, [1, 0]),
+    "set-repeated": lambda blob: blob["active_sets"].__setitem__(1, [0, 0]),
+    "set-negative": lambda blob: blob["active_sets"].__setitem__(0, [-1]),
+    "set-beyond-dimension": lambda blob: blob["active_sets"].__setitem__(1, [0, 2]),
+    "set-empty": lambda blob: blob["active_sets"].__setitem__(0, []),
+}
+
+
 class TestMdm:
     model = CostModel.dollar([float(1 + m) for m in range(24)])
     gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
@@ -358,6 +438,12 @@ class TestMdm:
     def test_budget_below_anchor(self):
         with pytest.raises(BudgetError):
             mdm_build(self.gen, 0.5, self.model)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # a NaN or infinite budget never runs out, so the greedy loop would not end
+        with pytest.raises(DomainError):
+            mdm_build(self.gen, budget, self.model, max_coord=8, pool_size=16)
 
     def test_cost_accounting_resums(self):
         plan = mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
@@ -405,7 +491,7 @@ class TestMdm:
                 )
 
             flat = mdm_apply(plan, f)
-            comp = mdm_apply(plan, f, path="components")
+            comp = _mdm_by_components(plan, f)
             assert comp == pytest.approx(flat, rel=1e-12, abs=1e-12)
 
     def test_univariate_exponential_convergence(self):
@@ -446,8 +532,19 @@ class TestMdm:
         again = MdmPlan.from_json(blob)
         assert again.cost == plan.cost
         assert np.array_equal(again.flattened.nodes, plan.flattened.nodes)
+
+    @pytest.mark.parametrize("defect", sorted(PLAN_DEFECTS))
+    def test_from_json_rejects_bad_plans(self, defect):
+        blob = json.loads(json.dumps(assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model).to_json()))
+        MdmPlan.from_json(blob)
+        PLAN_DEFECTS[defect](blob)
         with pytest.raises(DomainError):
-            mdm_apply(again, lambda x: 1.0, path="components")
+            MdmPlan.from_json(blob)
+
+    def test_levels_match_active_sets(self):
+        plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
+        with pytest.raises(DomainError):
+            MdmPlan(plan.active_sets, plan.budgets, plan.flattened, plan.cost, plan.levels[:1])
 
     def test_anchor_evaluated_once(self):
         levels = {(0,): 2, (1,): 2}
@@ -455,11 +552,14 @@ class TestMdm:
         # each component's anchor row folds into the single f(0) row
         anchor_rows = np.flatnonzero(~plan.flattened.nodes.any(axis=1))
         assert anchor_rows.tolist() == [0]
-        folded = sum(_component_local(len(u), q).get((0.0,) * len(u), 0.0) for u, q in levels.items())
+        folded = 0.0
+        for u, q in levels.items():
+            keys, weights = _component_local(len(u), q)
+            folded += float(weights[~keys.any(axis=1)].sum())
         assert folded != 0.0
         assert plan.flattened.weights[0] == 1.0 + folded
         f = lambda x: 1.3 + x[0] ** 2 - 0.4 * x[1] ** 2
-        assert mdm_apply(plan, f) == pytest.approx(mdm_apply(plan, f, path="components"), rel=1e-13)
+        assert mdm_apply(plan, f) == pytest.approx(_mdm_by_components(plan, f), rel=1e-13)
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_wce_matches_dense_finite_computation(self, gen):

@@ -177,6 +177,14 @@ class TestUsageErrors:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_budget(self, capsys):
+        code = main([
+            "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "nan,10,100",
+            "--dollar-table", "1,2,3,4,5", "--max-coord", "4", "--pool-size", "8",
+        ])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_sigma_rule(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "exp(-j)", "--budgets", "10",

@@ -36,6 +36,12 @@ COMMANDS = {
     ],
     "tensor-decay": ["tensor-decay", "--sigma", "1,0.5,2", "--eps-list", "0.1,0.01"],
     **{name: ["mdm-run", "--sigma-rule", rule, *_MDM] for name, rule in _MDM_RULES.items()},
+    # non-dyadic dollars: the cost column pins the order of the cost summation
+    "mdm-run-fractional-dollars": [
+        "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "10,100,1000",
+        "--dollar-table", "1.1,1.7,2.3,3.1,4.3,5.9,7.7,9.1,11.3,13.7,16.1,19.3,23.9,29.7,37.1,45.3",
+        "--trunc", str(_TRUNC), "--max-coord", str(_MAX_COORD), "--pool-size", str(_POOL_SIZE),
+    ],
 }
 
 

@@ -121,6 +121,15 @@ class TestCostModel:
         assert CostModel.from_json(model.to_json()) == model
         assert model.to_json() == {"mode": "dollar", "table": [1.0, 2.0, 4.0]}
 
+    @pytest.mark.parametrize(
+        "blob",
+        [{"mode": "foo"}, {}, {"mode": "dollar"}, {"mode": "dollar", "table": []}],
+        ids=["unknown-mode", "no-mode", "dollar-without-table", "dollar-empty-table"],
+    )
+    def test_from_json_rejects_bad_models(self, blob):
+        with pytest.raises(DomainError):
+            CostModel.from_json(blob)
+
 
 class TestWceIntegration:
     def test_zero_weights_hermite_initial(self):
