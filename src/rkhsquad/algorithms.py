@@ -508,36 +508,35 @@ def _is_count(v) -> bool:
 
 @dataclass(frozen=True)
 class MdmPlan:
-    """A finite family of active sets with budgets and the flattened rule.
+    """A finite family of active sets with their Smolyak levels, budgets and flattened rule.
 
-    ``budgets`` counts the function evaluations of each per-set sub-rule
-    after anchored flattening; ``levels`` keeps the per-set Smolyak levels
-    for the tensor-term path of :func:`mdm_wce` (in-memory only, not part
-    of the JSON contract).
+    The sets and ``levels`` determine the rest: ``budgets`` counts the
+    function evaluations of each per-set sub-rule after anchored
+    flattening, and :func:`mdm_wce` evaluates the plan from its levels.
     """
 
     active_sets: tuple
     budgets: tuple
     flattened: QuadratureRule
     cost: float
-    levels: tuple | None = None
+    levels: tuple
 
     def __post_init__(self):
         if not isfinite(self.cost):
             raise DomainError(f"plan cost {self.cost} is not finite")
         count = len(self.active_sets)
-        if len(self.budgets) != count or not all(map(_is_count, self.budgets)):
-            raise DomainError(f"need one non-negative int budget per active set, got {self.budgets}")
+        for name, values in (("budget", self.budgets), ("level", self.levels)):
+            if len(values) != count or not all(map(_is_count, values)):
+                raise DomainError(f"need one non-negative int {name} per active set, got {values}")
         dim = self.flattened.dimension
         for u in self.active_sets:
             if not (u and all(map(_is_count, u)) and u[-1] < dim and list(u) == sorted(set(u))):
                 raise DomainError(f"active set {u} is not strictly increasing in [0, {dim})")
-        if self.levels is not None and len(self.levels) != count:
-            raise DomainError(f"{len(self.levels)} levels for {count} active sets")
 
     def to_json(self) -> dict:
         return {
             "active_sets": [list(u) for u in self.active_sets],
+            "levels": list(self.levels),
             "budgets": list(self.budgets),
             "flattened": self.flattened.to_json(),
             "cost": self.cost,
@@ -545,27 +544,38 @@ class MdmPlan:
 
     @classmethod
     def from_json(cls, obj) -> "MdmPlan":
+        """Load a plan and check that its sets and levels rebuild its budgets and rule exactly."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(
+        if "levels" not in obj:
+            raise DomainError("plan JSON has no 'levels'; rebuild the plan to save it with them")
+        plan = cls(
             tuple(tuple(u) for u in obj["active_sets"]),
             tuple(obj["budgets"]),
             QuadratureRule.from_json(obj["flattened"]),
             float(obj["cost"]),
-            None,
+            tuple(obj["levels"]),
         )
+        sets, levels, budgets, rule = _flatten_components(zip(plan.active_sets, plan.levels))
+        if (sets, levels, budgets) != (plan.active_sets, plan.levels, plan.budgets) or not (
+            np.array_equal(rule.nodes, plan.flattened.nodes)
+            and np.array_equal(rule.weights, plan.flattened.weights)
+        ):
+            raise DomainError("plan budgets or rule differ from what its sets and levels build")
+        return plan
 
 
-def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
-    """Build an MDM plan from explicit per-set Smolyak levels.
+def _flatten_components(active_levels):
+    """The model-free part of an MDM plan: ``(sets, levels, budgets, rule)``.
 
-    ``active_levels`` maps coordinate sets (0-based tuples) to combination
-    levels.  The flattened rule starts with the anchor evaluation f(0) of
-    weight one; each set contributes its anchored-flattened Smolyak rule,
-    whose anchor row folds into that single evaluation.
+    ``active_levels`` yields (set, level) pairs.  The flattened rule starts
+    with the anchor evaluation f(0) of weight one; each set contributes its
+    anchored-flattened Smolyak rule, whose anchor row folds into that
+    single evaluation.  Sets whose component cancels entirely are dropped.
     """
-    normalized = {tuple(sorted(int(j) for j in u)): int(q) for u, q in active_levels.items()}
-    if len(normalized) != len(active_levels):
+    pairs = [(tuple(sorted(int(j) for j in u)), int(q)) for u, q in active_levels]
+    normalized = dict(pairs)
+    if len(normalized) != len(pairs):
         raise DomainError("duplicate active sets")
     contributing = []
     for u, q in sorted(normalized.items()):
@@ -583,14 +593,22 @@ def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
         node_blocks.append(_embed_local(keys[~anchor], u, dim))
         weight_blocks.append(weights[~anchor])
     weight_blocks[0][0] += anchor_weight_extra
-    flattened = QuadratureRule(np.vstack(node_blocks), np.concatenate(weight_blocks))
-    return MdmPlan(
+    return (
         tuple(u for u, _, _, _ in contributing),
-        tuple(weights.size for _, _, _, weights in contributing),
-        flattened,
-        rule_cost(flattened, model),
         tuple(q for _, q, _, _ in contributing),
+        tuple(weights.size for _, _, _, weights in contributing),
+        QuadratureRule(np.vstack(node_blocks), np.concatenate(weight_blocks)),
     )
+
+
+def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
+    """Build an MDM plan from explicit per-set Smolyak levels.
+
+    ``active_levels`` maps coordinate sets (0-based tuples) to combination
+    levels; see :func:`_flatten_components` for the flattened rule.
+    """
+    sets, levels, budgets, flattened = _flatten_components(active_levels.items())
+    return MdmPlan(sets, budgets, flattened, rule_cost(flattened, model), levels)
 
 
 def _subset_pool(betas, max_coord: int, pool_size: int):
@@ -633,6 +651,9 @@ def mdm_build(
     """
     if not isfinite(budget):
         raise DomainError(f"budget {budget} is not finite")
+    for name, value in (("max_coord", max_coord), ("pool_size", pool_size)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
     anchor_cost = model.charge(0)
     if budget < anchor_cost:
         raise BudgetError(f"budget {budget} below the anchor evaluation cost {anchor_cost}")
@@ -686,45 +707,16 @@ def mdm_apply(plan: MdmPlan, f) -> float:
 
 # -- exact worst-case error of the flattened rule on the infinite-variate space
 #
-# Both forms of the Gram identity run over rows grouped by support.  A row
-# holds, for each coordinate of its group's support, an index into that
-# coordinate's tables; index 0 is the anchor value x_c = 0, where every
-# normalized kernel and embedding table is 1, so only active coordinates
-# enter a product.  An in-memory plan supplies its tensor terms (row k - 1
-# stands for Delta_k, tables are Delta_k^T K_c Delta_l); a plan loaded from
-# JSON supplies its nodes (tables on the distinct node values).
-
-
-def _group_by_support(rule: QuadratureRule):
-    groups: dict[tuple, list] = {}
-    for i, row in enumerate(rule.nodes):
-        supp = tuple(np.nonzero(row)[0].tolist())
-        groups.setdefault(supp, []).append(i)
-    out = []
-    for supp in sorted(groups):
-        idx = np.array(groups[supp], dtype=int)
-        out.append((supp, rule.nodes[idx], rule.weights[idx]))
-    return out
-
-
-def _node_rows(rule: QuadratureRule):
-    """Node rows of a flattened rule, with the distinct values of each coordinate."""
-    groups = _group_by_support(rule)
-    grids = {}
-    for c in sorted({c for supp, _, _ in groups for c in supp}):
-        col = rule.nodes[:, c]
-        grids[c] = (np.concatenate(([0.0], np.unique(col[col != 0.0]))), None)
-    rows = []
-    for supp, nodes, w in groups:
-        idx = np.empty((nodes.shape[0], len(supp)), dtype=np.intp)
-        for j, c in enumerate(supp):
-            idx[:, j] = 1 + np.searchsorted(grids[c][0][1:], nodes[:, c])
-        rows.append((supp, idx, w))
-    return rows, grids
+# Both forms of the Gram identity run over the plan's tensor terms, grouped
+# by support.  A row holds, for each coordinate of its group's support, the
+# index k - 1 of the factor Delta_k on that coordinate; tables are
+# Delta_k^T K_c Delta_l and Delta_k^T m_c.  Index 0 stands for Delta_1 =
+# delta_0, the anchor value x_c = 0, where every normalized kernel and
+# embedding table is 1, so only active coordinates enter a product.
 
 
 def _term_rows(plan: MdmPlan):
-    """Tensor-term rows of an in-memory plan: the anchor, then per set the
+    """Tensor-term rows of a plan: the anchor, then per set the
     level vectors of its component; every coordinate gets the values of
     B_1..B_top and the rows Delta_1..Delta_top on them (top: its largest level)."""
     rows = [((), np.zeros((1, 0), dtype=np.intp), np.ones(1))]
@@ -751,7 +743,7 @@ def _term_rows(plan: MdmPlan):
 
 def _tables(grids, family: str, params):
     """Per-coordinate quadratic tables K_c / K_c(0, 0) and linear tables m_c / m_c(0)
-    (m_c = 1 on the Hermite side), mapped through the row measures when given."""
+    (m_c = 1 on the Hermite side), mapped through the difference rules Delta_k."""
     kernel = gaussian_kernel if family == GAUSSIAN else hermite_kernel
     quad, lin = {}, {}
     for c, (values, diff) in grids.items():
@@ -761,9 +753,6 @@ def _tables(grids, family: str, params):
             m = gaussian_mean_embedding_1d(p, values) / gaussian_mean_embedding_1d(p, 0.0)
         else:
             m = np.ones(values.size)
-        if diff is None:
-            quad[c], lin[c] = kernel(p, values[:, None], values[None, :]) / k00, m
-            continue
         step = max(1, _BLOCK_CHUNK // values.size)
         blocks = (
             (diff[:, lo : lo + step], kernel(p, values[lo : lo + step, None], values[None, :]) / k00)
@@ -786,8 +775,8 @@ def _linear_form(groups, tables) -> float:
 
 
 def _pairwise_quadratic(groups, tables) -> float:
-    """sum over row pairs of both weights times prod_c tables[c][i_c, j_c], c in
-    the union of the two supports.
+    """sum over term-row pairs of both weights times prod_c tables[c][i_c, j_c], c
+    in the union of the two supports.
 
     Against a row of support S, column j carries the factor
     prod_{c in supp_j - S} tables[c][0, j_c] whatever the row, so each group
@@ -828,8 +817,9 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     coordinates; the effect of all later coordinates (where every node
     sits at the anchor) is bounded rigorously from the generator's tail
     sums.  Both the quadratic and the linear form of the Gram identity
-    run over the plan's tensor terms, or over its nodes for a plan loaded
-    from JSON (which has no levels).  Returns ``(value, tail_bound)``.
+    run over the tensor terms of the plan's per-set levels, so the cost
+    grows with the number of terms, not with the square of the node
+    count.  Returns ``(value, tail_bound)``.
     """
     rule = plan.flattened
     if rule.dimension > trunc:
@@ -837,7 +827,7 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
             f"plan touches coordinate {rule.dimension - 1}, beyond trunc = {trunc}"
         )
     params = gen.params(trunc)
-    groups, grids = _node_rows(rule) if plan.levels is None else _term_rows(plan)
+    groups, grids = _term_rows(plan)
     quad_tables, lin_tables = _tables(grids, gen.measured_family, params)
     quad = _pairwise_quadratic(groups, quad_tables)
     lin = _linear_form(groups, lin_tables)

@@ -43,7 +43,8 @@ def decay_estimate(pairs) -> DecayEstimate:
     """Least-squares decay exponent of ln(error) against ln(cost).
 
     Fits the largest-cost half of the curve (never fewer than three
-    points).  Errors must be positive; the exponent is the negated slope.
+    points), which must hold at least two distinct costs.  Errors must be
+    positive; the exponent is the negated slope.
     """
     pairs = [(float(c), float(e)) for c, e in pairs]
     if len(pairs) < 3:
@@ -55,6 +56,8 @@ def decay_estimate(pairs) -> DecayEstimate:
     pairs.sort(key=lambda p: p[0])
     k = max(3, (len(pairs) + 1) // 2)
     window = pairs[-k:]
+    if window[0][0] == window[-1][0]:
+        raise InsufficientDataError(f"the {k} largest costs are all {window[0][0]:g}; need two")
     x = np.log([c for c, _ in window])
     y = np.log([e for _, e in window])
     slope, intercept = np.polyfit(x, y, 1)

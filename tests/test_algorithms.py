@@ -365,8 +365,6 @@ class TestParamRule:
             KernelGenerator.hermite(ParamRule.parse("j^-1.0"))
 
 
-EPS = float(np.finfo(float).eps)
-
 GENERATORS = [
     KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),
     KernelGenerator.gaussian(ParamRule.parse("0.6^j")),
@@ -416,6 +414,12 @@ PLAN_DEFECTS = {
     "set-negative": lambda blob: blob["active_sets"].__setitem__(0, [-1]),
     "set-beyond-dimension": lambda blob: blob["active_sets"].__setitem__(1, [0, 2]),
     "set-empty": lambda blob: blob["active_sets"].__setitem__(0, []),
+    "levels-missing": lambda blob: blob.pop("levels"),
+    "level-changed": lambda blob: blob["levels"].__setitem__(0, 4),
+    "level-float": lambda blob: blob["levels"].__setitem__(0, 3.0),
+    "node-changed": lambda blob: blob["flattened"]["nodes"][1].__setitem__(0, 0.5),
+    "weight-changed": lambda blob: blob["flattened"]["weights"].__setitem__(1, 0.25),
+    "budget-disagrees-with-level": lambda blob: blob["budgets"].__setitem__(0, 4),
 }
 
 
@@ -528,7 +532,7 @@ class TestMdm:
     def test_json_contract(self):
         plan = mdm_build(self.gen, 30.0, self.model, max_coord=8, pool_size=16)
         blob = plan.to_json()
-        assert set(blob) == {"active_sets", "budgets", "flattened", "cost"}
+        assert set(blob) == {"active_sets", "levels", "budgets", "flattened", "cost"}
         again = MdmPlan.from_json(blob)
         assert again.cost == plan.cost
         assert np.array_equal(again.flattened.nodes, plan.flattened.nodes)
@@ -577,17 +581,19 @@ class TestMdm:
 
     @pytest.mark.parametrize("budget", [60.0, 300.0, 1000.0])
     @pytest.mark.parametrize("gen", GENERATORS)
-    def test_term_rows_match_node_rows(self, gen, budget):
-        # a plan loaded from JSON has no levels and is evaluated node by node;
-        # the two agree up to the rounding scale eps |w|_1^2 of the Gram identity
+    def test_json_round_trip_is_bit_identical(self, gen, budget):
+        # a loaded plan carries its levels, so it is evaluated by the same tensor terms
         plan = mdm_build(gen, budget, self.model, max_coord=64, pool_size=256)
-        loaded = MdmPlan.from_json(plan.to_json())
-        assert plan.levels is not None and loaded.levels is None
-        by_terms, tail_terms = mdm_wce(plan, gen, trunc=256)
-        by_nodes, tail_nodes = mdm_wce(loaded, gen, trunc=256)
-        w1 = float(np.abs(plan.flattened.weights).sum())
-        assert abs(by_terms**2 - by_nodes**2) <= EPS * w1 * w1
-        assert tail_terms == pytest.approx(tail_nodes, rel=1e-6, abs=0.0)
+        loaded = MdmPlan.from_json(json.dumps(plan.to_json()))
+        assert loaded.levels == plan.levels and loaded.budgets == plan.budgets
+        assert mdm_wce(loaded, gen, trunc=256) == mdm_wce(plan, gen, trunc=256)
+
+    @pytest.mark.parametrize("argument", ["max_coord", "pool_size"])
+    @pytest.mark.parametrize("bad", [0, -2])
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_build_rejects_empty_candidate_pool(self, gen, bad, argument):
+        with pytest.raises(DomainError, match=argument):
+            mdm_build(gen, 100.0, self.model, **{"max_coord": 8, "pool_size": 16, argument: bad})
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
     def test_term_path_matches_long_double_at_1e4(self):

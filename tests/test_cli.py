@@ -192,3 +192,21 @@ class TestUsageErrors:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_equal_costs_have_no_decay_fit(self, capfd):
+        # three budgets that all plan cost 9 leave nothing to fit a slope to
+        code = main([
+            "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "10,10.5,10.9",
+            "--dollar-table", "1,2,3,4,5,6,7,8",
+        ])
+        assert code == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_max_coord_below_one(self, capsys):
+        code = main([
+            "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "10,100,1000",
+            "--dollar-table", "1,2,3", "--max-coord", "0",
+        ])
+        assert code == 1
+        assert "max_coord" in capsys.readouterr().err

@@ -36,6 +36,12 @@ class TestDecayEstimate:
         with pytest.raises(InsufficientDataError):
             decay_estimate([(1.0, 0.5), (2.0, 0.2)])
 
+    @pytest.mark.parametrize("cost", [9.0, 1.0])
+    def test_equal_costs_rejected(self, cost):
+        # one distinct cost fixes no slope; log(1) = 0 would also make the fit singular
+        with pytest.raises(InsufficientDataError):
+            decay_estimate([(cost, 0.3), (cost, 0.2), (cost, 0.1)])
+
     def test_positive_errors_required(self):
         with pytest.raises(DomainError):
             decay_estimate([(1.0, 0.5), (2.0, 0.0), (3.0, 0.1)])
