@@ -19,6 +19,9 @@ whose spectral norm over a finite downward-closed index set gives the
 computed error; the contribution of indices outside the set is controlled
 by a rigorous tail bound (Cramer envelope for the eigenfunctions plus the
 eigenvalue tail mass), so the true error lies in [value, value + tail].
+T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
+index sets above 400 indices get a matrix-free ARPACK norm at O(|Lambda| n)
+time and memory per product, smaller ones a dense SVD.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import exp, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +60,7 @@ NEGATIVE_VARIANCE_TOL = 1e-12
 MAX_GRAM_CONDITION = 1e14
 
 _DENSE_NORM_LIMIT = 400
+_DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +123,78 @@ def concat_rules(a: QuadratureRule, b: QuadratureRule) -> QuadratureRule:
     )
 
 
-@dataclass(frozen=True)
+_MAX_INDEX_ENTRY = 2**62
+
+
+def _index_rows(indices) -> np.ndarray:
+    """Validated (n, d) int64 copy of a collection of multi-indices."""
+    try:
+        raw = np.array(indices)
+    except ValueError:
+        raise ShapeMismatchError("multi-indices of mixed dimension") from None
+    if raw.ndim >= 1 and raw.shape[0] == 0:
+        raise DomainError("index set must be non-empty")
+    if raw.ndim != 2 or raw.shape[1] == 0:
+        raise ShapeMismatchError("multi-indices must be non-empty rows of one length")
+    integral = raw.dtype.kind in "biu" or (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw)) and np.array_equal(raw, np.floor(raw))
+    )
+    if not integral:
+        raise DomainError("multi-indices must have integer entries")
+    if np.any(raw < 0):
+        raise DomainError("multi-indices must be non-negative")
+    if np.any(raw >= _MAX_INDEX_ENTRY):
+        raise DomainError("multi-index entries must be below 2**62")
+    return raw.astype(np.int64)
+
+
+def _row_keys(rows: np.ndarray, radix: tuple) -> np.ndarray:
+    """Sort keys of int64 rows with 0 <= rows[:, j] < radix[j].
+
+    Mixed-radix int64 keys while prod(radix) < 2**63, else one byte-string
+    row view of the big-endian entries; both order rows lexicographically.
+    numpy sorts and searches the int64 keys two to three times faster than
+    byte rows, which is why both are kept.
+    """
+    if prod(radix) < 2**63:
+        strides = np.cumprod((1,) + radix[:0:-1], dtype=np.int64)[::-1]
+        return rows @ strides
+    return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * len(radix)}").ravel()
+
+
 class MultiIndexSet:
-    """A finite downward-closed set of multi-indices (tuples of size d)."""
+    """A finite downward-closed set of multi-indices of one dimension d.
 
-    indices: tuple
+    Stored as one read-only (size, d) int64 array in lexicographic row
+    order, with sorted row keys (:func:`_row_keys`, radix max_j + 2 so that
+    every direct successor of a member is keyed too) for membership tests.
+    """
 
-    def __post_init__(self):
-        idx = tuple(sorted(tuple(int(v) for v in nu) for nu in self.indices))
-        if not idx:
-            raise DomainError("index set must be non-empty")
-        d = len(idx[0])
-        members = set(idx)
-        if len(members) != len(idx):
+    def __init__(self, indices):
+        rows = _index_rows(indices)
+        radix = tuple(int(v) + 2 for v in rows.max(axis=0))
+        keys = _row_keys(rows, radix)
+        order = np.argsort(keys, kind="stable")
+        rows, keys = rows[order], keys[order]
+        if np.any(keys[1:] == keys[:-1]):
             raise DomainError("duplicate multi-indices")
-        for nu in idx:
-            if len(nu) != d:
-                raise ShapeMismatchError("multi-indices of mixed dimension")
-            if any(v < 0 for v in nu):
-                raise DomainError("multi-indices must be non-negative")
-            for j in range(d):
-                if nu[j] > 0:
-                    pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
-                    if pred not in members:
-                        raise DomainError(
-                            f"index set is not downward closed: {nu} without {pred}"
-                        )
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_members", members)
+        self._rows, self._keys, self._radix = rows, keys, radix
+        missing = np.zeros(rows.shape, dtype=bool)
+        for j in range(rows.shape[1]):
+            has = rows[:, j] > 0
+            missing[has, j] = ~self._members(_predecessors(rows[has], j))
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            nu = tuple(rows[i].tolist())
+            pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
+            raise DomainError(f"index set is not downward closed: {nu} without {pred}")
+        rows.flags.writeable = False
+
+    def _members(self, rows: np.ndarray) -> np.ndarray:
+        """Membership mask of rows with entries below the set's radix."""
+        keys = _row_keys(rows, self._radix)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return self._keys[pos] == keys
 
     @classmethod
     def box(cls, dimension: int, degree) -> "MultiIndexSet":
@@ -155,42 +203,67 @@ class MultiIndexSet:
         if len(degrees) != dimension:
             raise ShapeMismatchError("one degree per coordinate required")
         grids = np.meshgrid(*[np.arange(g + 1) for g in degrees], indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
-        return cls(tuple(map(tuple, idx.tolist())))
+        return cls(np.stack([g.ravel() for g in grids], axis=1))
+
+    @property
+    def indices(self) -> tuple:
+        """The multi-indices as sorted tuples."""
+        return tuple(map(tuple, self._rows.tolist()))
 
     @property
     def dimension(self) -> int:
-        return len(self.indices[0])
+        return self._rows.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self._rows.shape[0]
 
     def __contains__(self, nu) -> bool:
-        return tuple(nu) in self._members
+        row = np.asarray(nu)
+        if row.shape != (self.dimension,) or row.dtype.kind not in "biuf":
+            return False
+        if not (np.all(row >= 0) and np.all(row < np.array(self._radix) - 1)):
+            return False
+        ints = row.astype(np.int64)
+        return bool(np.array_equal(ints, row) and self._members(ints[None, :])[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiIndexSet):
+            return NotImplemented
+        return self is other or np.array_equal(self._rows, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self._rows.shape, self._rows.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MultiIndexSet(size={self.size}, dimension={self.dimension})"
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
+        """The read-only (size, d) int64 array of multi-indices, sorted."""
+        return self._rows
 
     def complement_minimal(self) -> tuple:
         """Minimal (componentwise) multi-indices outside the set."""
-        out = set()
-        d = self.dimension
-        for nu in self.indices:
-            for j in range(d):
-                cand = nu[:j] + (nu[j] + 1,) + nu[j + 1 :]
-                if cand in self._members or cand in out:
-                    continue
-                minimal = True
-                for k in range(d):
-                    if cand[k] > 0:
-                        pred = cand[:k] + (cand[k] - 1,) + cand[k + 1 :]
-                        if pred not in self._members:
-                            minimal = False
-                            break
-                if minimal:
-                    out.add(cand)
-        return tuple(sorted(out))
+        outside = []
+        for j in range(self.dimension):
+            cand = self._rows.copy()
+            cand[:, j] += 1
+            outside.append(cand[~self._members(cand)])
+        cand = np.concatenate(outside)
+        _, first = np.unique(_row_keys(cand, self._radix), return_index=True)
+        cand = cand[first]
+        minimal = np.ones(cand.shape[0], dtype=bool)
+        for k in range(self.dimension):
+            has = cand[:, k] > 0
+            minimal[has] &= self._members(_predecessors(cand[has], k))
+        return tuple(map(tuple, cand[minimal].tolist()))
+
+
+def _predecessors(rows: np.ndarray, j: int) -> np.ndarray:
+    """Copy of rows with coordinate j lowered by one."""
+    out = rows.copy()
+    out[:, j] -= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,6 +355,8 @@ class SamplingMethod:
             )
         if nodes.shape[1] != self.index_set.dimension:
             raise ShapeMismatchError("node dimension does not match index-set dimension")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(coeff))):
+            raise DomainError("nodes and coefficients must be finite")
         nodes.flags.writeable = False
         coeff.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -303,7 +378,7 @@ class SamplingMethod:
     def to_json(self) -> dict:
         return {
             "nodes": self.nodes.tolist(),
-            "index_set": [list(nu) for nu in self.index_set.indices],
+            "index_set": self.index_set.array().tolist(),
             "coeffs": self.coeff_table.tolist(),
         }
 
@@ -314,7 +389,7 @@ class SamplingMethod:
         return cls(
             np.asarray(obj["nodes"], dtype=float),
             np.asarray(obj["coeffs"], dtype=float),
-            MultiIndexSet(tuple(map(tuple, obj["index_set"]))),
+            MultiIndexSet(obj["index_set"]),
         )
 
 
@@ -407,9 +482,14 @@ class SpectralSystem:
 
     def node_amplitude_bound(self, node: np.ndarray) -> float:
         """Rigorous bound on |E_nu(node)| uniform over all nu (Cramer)."""
-        bound = CRAMER_CONSTANT**self.dimension * exp(float(np.dot(node, node)) / 4.0)
+        try:
+            bound = CRAMER_CONSTANT**self.dimension * exp(float(np.dot(node, node)) / 4.0)
+        except OverflowError:
+            bound = float("inf")
         if self.scale_c is not None:
             bound *= float(np.prod(np.sqrt(self.scale_c)))
+        if not np.isfinite(bound):
+            raise NumericalConsistencyError(f"amplitude bound at node {node} overflows")
         return bound
 
 
@@ -498,17 +578,49 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
 # L2-approximation
 
 
-def _spectral_norm(matrix: np.ndarray) -> float:
-    n = matrix.shape[0]
-    if n <= _DENSE_NORM_LIMIT:
-        return float(scipy.linalg.svdvals(matrix)[0])
-    v0 = np.full(n, 1.0 / sqrt(n))
+def _error_operator(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Dense error operator (I - (P C)^T) diag(sqrt_lam), |Lambda| x |Lambda|."""
+    inner = P @ coeff  # [nu, m]
+    return (np.eye(sqrt_lam.size) - inner.T) * sqrt_lam[None, :]
+
+
+def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> float:
+    """Spectral norm of the error operator diag(s) - A B^T, A = C^T, B = s * P.
+
+    Small index sets take the dense SVD.  Larger ones hand ARPACK a
+    matrix-free operator whose products cost O(|Lambda| n); the dense matrix
+    is built only if ARPACK fails, and only up to ``_DENSE_FALLBACK_LIMIT``
+    indices, past which the failure raises ``NumericalConsistencyError``.
+    """
+    size = sqrt_lam.size
+    if size <= _DENSE_NORM_LIMIT:
+        return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
+    A = coeff.T
+    B = P * sqrt_lam[:, None]
+
+    def matvec(x):
+        x = np.ravel(x)
+        return sqrt_lam * x - A @ (B.T @ x)
+
+    def rmatvec(y):
+        y = np.ravel(y)
+        return sqrt_lam * y - B @ (A.T @ y)
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (size, size), matvec=matvec, rmatvec=rmatvec, dtype=float
+    )
+    v0 = np.full(size, 1.0 / sqrt(size))
     try:
-        s = scipy.sparse.linalg.svds(matrix, k=1, v0=v0, return_singular_vectors=False)
+        s = scipy.sparse.linalg.svds(op, k=1, v0=v0, return_singular_vectors=False)
         return float(s[0])
-    except (scipy.sparse.linalg.ArpackError, ValueError):
+    except (scipy.sparse.linalg.ArpackError, ValueError) as err:
         # iterative solver can stall on (near-)degenerate matrices
-        return float(scipy.linalg.svdvals(matrix)[0])
+        if size > _DENSE_FALLBACK_LIMIT:
+            raise NumericalConsistencyError(
+                f"ARPACK failed on the {size}-index error operator ({err}) and a dense"
+                f" fallback is only built up to {_DENSE_FALLBACK_LIMIT} indices"
+            ) from err
+        return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
 
 
 def wce_approximation(method: SamplingMethod, system: SpectralSystem):
@@ -518,17 +630,19 @@ def wce_approximation(method: SamplingMethod, system: SpectralSystem):
     error operator restricted to the system's index set and the true
     worst-case error lies in ``[value, value + tail_bound]``.  A tail bound
     larger than requested precision is the caller's concern, not an error.
+    Raises ``NumericalConsistencyError`` when the eigenfunction values, a
+    node amplitude bound or either result is not finite.
     """
-    if method.index_set.indices != system.index_set.indices:
+    if method.index_set != system.index_set:
         raise ShapeMismatchError("method and system use different index sets")
     if method.dimension != system.dimension:
         raise ShapeMismatchError("method and system dimensions differ")
-    lam = system.eigenvalues
-    sqrt_lam = np.sqrt(lam)
-    P = system.eigenfunction_matrix(method.nodes)
-    inner = P @ method.coeff_table  # [nu, m]
-    G = (np.eye(len(lam)) - inner.T) * sqrt_lam[None, :]
-    g = _spectral_norm(G)
+    # overflow in the Hermite recurrence is caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = system.eigenfunction_matrix(method.nodes)
+    if not np.all(np.isfinite(P)):
+        raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")
+    g = _spectral_norm(np.sqrt(system.eigenvalues), P, method.coeff_table)
 
     # Tail of the error operator over indices outside the set: the block
     # norm bound ||T||^2 <= max(g^2, c^2 + d^2) + g*c with d the largest
@@ -539,6 +653,8 @@ def wce_approximation(method: SamplingMethod, system: SpectralSystem):
     s_bound = float(amp @ coeff_norms)
     c_tail = s_bound * sqrt(system.tail_eigenvalue_sum())
     upper = sqrt(max(g * g, c_tail * c_tail + d_tail * d_tail) + g * c_tail)
+    if not (np.isfinite(g) and np.isfinite(upper)):
+        raise NumericalConsistencyError(f"error {g} or its tail bound {upper - g} is not finite")
     return g, max(0.0, upper - g)
 
 

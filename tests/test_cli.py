@@ -177,6 +177,18 @@ class TestUsageErrors:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        ('{"nodes": [[0.0]], "index_set": [[0], [1.5]], "coeffs": [[1.0, 0.0]]}', "integer"),
+        ('{"nodes": [[0.0]], "index_set": [[0], [NaN]], "coeffs": [[1.0, 0.0]]}', "integer"),
+        ('{"nodes": [[NaN]], "index_set": [[0], [1]], "coeffs": [[1.0, 0.0]]}', "finite"),
+    ])
+    def test_bad_sampling_method_file(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "method.json"
+        path.write_text(payload)
+        code = main(["transfer", "--rule", str(path), "--sigma", "1.0", "--problem", "approx"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_non_finite_budget(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "nan,10,100",

@@ -1,18 +1,27 @@
 """Worst-case errors, optimal weights, spectral systems, cost accounting."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from rkhsquad.errors import ConditioningError, DomainError, ShapeMismatchError
+from rkhsquad.errors import (
+    ConditioningError,
+    DomainError,
+    NumericalConsistencyError,
+    ShapeMismatchError,
+)
 from rkhsquad.hermite import gauss_hermite_rule
-from rkhsquad.kernels import KernelSpec, double_integral
+from rkhsquad.kernels import APPROXIMATION, KernelSpec, double_integral, initial_error
+from rkhsquad.transference import spectral_pair, transfer_sampling_to_hermite
 from rkhsquad.worst_case import (
     CostModel,
     MultiIndexSet,
     QuadratureRule,
     SamplingMethod,
+    _row_keys,
     concat_rules,
     embedding_vector,
     hermite_wce_integration_spectral,
@@ -64,6 +73,8 @@ class TestMultiIndexSet:
     def test_downward_closure_enforced(self):
         with pytest.raises(DomainError):
             MultiIndexSet(((0, 0), (1, 1)))
+        with pytest.raises(DomainError, match=r"\(1, 1\) without \(0, 1\)"):
+            MultiIndexSet(((0, 0), (1, 0), (1, 1)))
         MultiIndexSet(((0, 0), (0, 1), (1, 0), (1, 1)))  # fine
 
     def test_complement_minimal(self):
@@ -71,6 +82,143 @@ class TestMultiIndexSet:
         assert box.complement_minimal() == ((4,),)
         tri = MultiIndexSet(((0, 0), (1, 0), (0, 1)))
         assert tri.complement_minimal() == ((0, 2), (1, 1), (2, 0))
+
+
+class _TupleIndexSet:
+    """Test-local oracle: the tuple-backed index set the array class replaced."""
+
+    def __init__(self, indices):
+        idx = tuple(sorted(tuple(int(v) for v in nu) for nu in indices))
+        if not idx:
+            raise DomainError("index set must be non-empty")
+        d = len(idx[0])
+        members = set(idx)
+        if len(members) != len(idx):
+            raise DomainError("duplicate multi-indices")
+        for nu in idx:
+            if len(nu) != d:
+                raise ShapeMismatchError("multi-indices of mixed dimension")
+            if any(v < 0 for v in nu):
+                raise DomainError("multi-indices must be non-negative")
+            for j in range(d):
+                if nu[j] > 0:
+                    pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
+                    if pred not in members:
+                        raise DomainError(
+                            f"index set is not downward closed: {nu} without {pred}"
+                        )
+        self.indices = idx
+        self.members = members
+
+    def complement_minimal(self):
+        out = set()
+        d = len(self.indices[0])
+        for nu in self.indices:
+            for j in range(d):
+                cand = nu[:j] + (nu[j] + 1,) + nu[j + 1 :]
+                if cand in self.members or cand in out:
+                    continue
+                if all(
+                    cand[k] == 0 or cand[:k] + (cand[k] - 1,) + cand[k + 1 :] in self.members
+                    for k in range(d)
+                ):
+                    out.add(cand)
+        return tuple(sorted(out))
+
+
+def _random_lower_set(rng, d, corners, top):
+    """Union of the boxes below a few random corner points, shuffled."""
+    rows = set()
+    for _ in range(corners):
+        corner = rng.integers(0, top + 1, size=d)
+        rows.update(itertools.product(*[range(int(c) + 1) for c in corner]))
+    rows = sorted(rows)
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _outcome(cls, rows):
+    try:
+        return cls(rows)
+    except (DomainError, ShapeMismatchError) as exc:
+        return exc
+
+
+class TestMultiIndexSetAgainstTuples:
+    """The array-backed set against the tuple-backed oracle, seeded fuzz."""
+
+    def _assert_same(self, rows, rng):
+        want, got = _outcome(_TupleIndexSet, rows), _outcome(MultiIndexSet, rows)
+        if isinstance(want, Exception):
+            assert type(got) is type(want), (rows, want, got)
+            if "downward closed" in str(want):
+                assert str(got) == str(want)
+            return
+        assert not isinstance(got, Exception), (rows, got)
+        assert got.indices == want.indices
+        assert got.size == len(want.indices) and got.dimension == len(rows[0])
+        assert got.complement_minimal() == want.complement_minimal()
+        d = got.dimension
+        probes = [tuple(rng.integers(-1, 5, size=d)) for _ in range(40)]
+        probes += list(want.indices[:5]) + list(want.complement_minimal()[:5])
+        for nu in probes:
+            assert (nu in got) == (nu in want.members), nu
+        assert got == MultiIndexSet(np.array(rows)) and hash(got) == hash(MultiIndexSet(want.indices))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_lower_sets(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(25):
+            rows = _random_lower_set(rng, d, int(rng.integers(1, 5)), 7 - d)
+            self._assert_same(rows, rng)
+            pick = int(rng.integers(len(rows)))
+            self._assert_same(rows + [rows[pick]], rng)  # duplicate
+            negative = list(rows[pick])
+            negative[int(rng.integers(d))] = -1
+            self._assert_same(rows[:pick] + [tuple(negative)] + rows[pick + 1 :], rng)
+            self._assert_same(rows + [(0,) * (d + 1)], rng)  # ragged
+            if d > 1:
+                self._assert_same(rows + [(0,) * (d - 1)], rng)
+            # dropping a row leaves a lower set or a set that is not closed
+            self._assert_same(rows[:pick] + rows[pick + 1 :] or rows, rng)
+
+    @pytest.mark.parametrize("rows", [
+        ((0,), (1.5,), (2.9,)),
+        ((0, 0), (0, 1), (-1.5, 0)),
+        ((0, 0), (0, 1), (np.nan, 0)),
+        ((0, 0), (0, 1), (np.inf, 0)),
+        ((0, 0), (0, 1), (1e300, 0)),
+    ])
+    def test_non_integral_entries_rejected(self, rows):
+        # the tuple class truncated 1.5 to 1 and raised a bare ValueError on NaN
+        with pytest.raises(DomainError):
+            MultiIndexSet(rows)
+        with pytest.raises(DomainError):
+            SamplingMethod.from_json(
+                {"nodes": [[0.0] * len(rows[0])], "index_set": rows, "coeffs": [[1.0, 0.0, 0.0]]}
+            )
+
+    def test_byte_row_keys_in_high_dimension(self):
+        # radix >= 2 per coordinate, so 70 coordinates overflow int64 keys
+        rng = np.random.default_rng(70)
+        d = 70
+        rows = set()
+        for _ in range(6):
+            corner = np.zeros(d, dtype=int)
+            corner[rng.choice(d, size=4, replace=False)] = rng.integers(1, 3, size=4)
+            rows.update(itertools.product(*[range(c + 1) for c in corner]))
+        rows = [tuple(r) for r in rng.permutation(sorted(rows)).tolist()]
+        got = MultiIndexSet(rows)
+        radix = tuple(int(v) + 2 for v in got.array().max(axis=0))
+        assert _row_keys(got.array(), radix).dtype.kind == "V"
+        self._assert_same(rows, rng)
+        self._assert_same(rows + [rows[3]], rng)
+        self._assert_same(rows[1:], rng)
+
+    def test_array_is_stored_read_only(self):
+        box = MultiIndexSet.box(3, 2)
+        assert box.array() is box.array()
+        assert box.array().dtype == np.int64 and not box.array().flags.writeable
+        assert box.array().tolist() == [list(nu) for nu in box.indices]
 
 
 class TestCostModel:
@@ -301,6 +449,121 @@ class TestWceApproximation:
         value, tail = wce_approximation(SamplingMethod.zero(2, idx), system)
         assert value == pytest.approx(1.0, rel=1e-12)
         assert tail >= 0.0
+
+
+def _dense_error_norm(method, system):
+    """Test-local oracle: the dense error operator (I - (P C)^T) diag(sqrt(lambda))
+    and its largest singular value.  Above 2,000 indices the top eigenvalue of
+    G G^T stands in for svdvals, which takes about 40 s at 4,913 on two cores."""
+    P = system.eigenfunction_matrix(method.nodes)
+    inner = P @ method.coeff_table
+    G = (np.eye(system.index_set.size) - inner.T) * np.sqrt(system.eigenvalues)[None, :]
+    if G.shape[0] <= 2000:
+        return float(scipy.linalg.svdvals(G)[0])
+    top = G.shape[0] - 1
+    return math.sqrt(scipy.linalg.eigh(G @ G.T, eigvals_only=True, subset_by_index=[top, top])[0])
+
+
+class TestMatrixFreeNorm:
+    """wce_approximation above the dense limit against the dense operator."""
+
+    @pytest.mark.parametrize("d, deg, n", [(2, 40, 8), (3, 16, 6)])
+    def test_spline_pair_matches_dense(self, d, deg, n):
+        rng = np.random.default_rng(10 * d + n)
+        sigma = np.exp(rng.uniform(np.log(0.2), np.log(0.6), size=d))
+        idx = MultiIndexSet.box(d, deg)
+        gauss_sys, herm_sys = spectral_pair(sigma, idx)
+        method = spline_method(rng.normal(size=(n, d)), gauss_sys)
+        twin = transfer_sampling_to_hermite(method, sigma)
+        for m, system in ((method, gauss_sys), (twin, herm_sys)):
+            value, _ = wce_approximation(m, system)
+            assert value == pytest.approx(_dense_error_norm(m, system), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian((1.0, 0.4)), KernelSpec.hermite((0.5, 0.3))])
+    def test_zero_method_matches_dense(self, spec):
+        idx = MultiIndexSet.box(2, 40)
+        system = spectral_system(spec, idx)
+        method = SamplingMethod.zero(2, idx)
+        value, _ = wce_approximation(method, system)
+        assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
+
+    def test_equal_beta_hermite_matches_dense(self):
+        # equal beta_j give eigenvalues of multiplicity nu_1 + nu_2 + 1
+        rng = np.random.default_rng(31)
+        idx = MultiIndexSet.box(2, 40)
+        system = spectral_system(KernelSpec.hermite((0.5, 0.5)), idx)
+        method = spline_method(rng.normal(size=(7, 2)), system)
+        value, _ = wce_approximation(method, system)
+        assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _stalled_arpack(monkeypatch, degree):
+        import scipy.sparse.linalg
+
+        def stall(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        rng = np.random.default_rng(41)
+        system = spectral_system(KernelSpec.hermite((0.5, 0.3)), MultiIndexSet.box(2, degree))
+        method = spline_method(rng.normal(size=(5, 2)), system)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
+        return method, system
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        method, system = self._stalled_arpack(monkeypatch, 40)
+        value, _ = wce_approximation(method, system)
+        assert value == _dense_error_norm(method, system)
+
+    def test_arpack_failure_without_dense_fallback_raises(self, monkeypatch):
+        # |Lambda| = 5,776 is past the dense fallback's 5,000 indices
+        method, system = self._stalled_arpack(monkeypatch, 75)
+        with pytest.raises(NumericalConsistencyError, match="ARPACK failed on the 5776-index"):
+            wce_approximation(method, system)
+
+    def test_d3_degree_40_transference_identity(self):
+        # |Lambda| = 68,921: 38 GB as a dense operator
+        rng = np.random.default_rng(40)
+        sigma = np.exp(rng.uniform(np.log(0.2), np.log(0.6), size=3))
+        idx = MultiIndexSet.box(3, 40)
+        gauss_sys, herm_sys = spectral_pair(sigma, idx)
+        method = spline_method(rng.normal(size=(6, 3)), gauss_sys)
+        e_g, tail_g = wce_approximation(method, gauss_sys)
+        e_h, tail_h = wce_approximation(transfer_sampling_to_hermite(method, sigma), herm_sys)
+        prefactor = initial_error(KernelSpec.gaussian(tuple(sigma)), APPROXIMATION)
+        assert 0.0 < e_g < prefactor and 0.0 <= tail_g < 1e-6 and 0.0 <= tail_h < 1e-6
+        assert abs(e_g - prefactor * e_h) <= tail_g + prefactor * tail_h + 1e-14
+
+
+class TestFiniteOrRaise:
+    def test_eigenfunction_overflow(self):
+        # hermite_table(512, [100.0]) overflows to inf and NaN
+        idx = MultiIndexSet.box(1, 512)
+        system = spectral_system(HERM_HALF, idx)
+        method = SamplingMethod(np.array([[100.0]]), np.ones((1, idx.size)), idx)
+        with pytest.raises(NumericalConsistencyError):
+            wce_approximation(method, system)
+
+    def test_amplitude_bound_overflow(self):
+        # exp(60^2 / 4) overflows; the eigenfunction values themselves are finite
+        idx = MultiIndexSet.box(1, 5)
+        system = spectral_system(HERM_HALF, idx)
+        method = SamplingMethod(np.array([[60.0]]), np.ones((1, idx.size)), idx)
+        assert np.all(np.isfinite(system.eigenfunction_matrix(method.nodes)))
+        with pytest.raises(NumericalConsistencyError):
+            wce_approximation(method, system)
+
+    @pytest.mark.parametrize("nodes, coeffs", [
+        ([[np.nan]], [[1.0, 0.0]]),
+        ([[np.inf]], [[1.0, 0.0]]),
+        ([[0.0]], [[1.0, np.nan]]),
+        ([[0.0]], [[-np.inf, 0.0]]),
+    ])
+    def test_non_finite_sampling_method_rejected(self, nodes, coeffs):
+        idx = MultiIndexSet.box(1, 1)
+        with pytest.raises(DomainError):
+            SamplingMethod(np.array(nodes), np.array(coeffs), idx)
+        with pytest.raises(DomainError):
+            SamplingMethod.from_json({"nodes": nodes, "index_set": [[0], [1]], "coeffs": coeffs})
 
 
 class TestSplineMethod:
