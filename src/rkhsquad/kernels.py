@@ -159,10 +159,25 @@ class KernelSpec:
         return x
 
 
+def _gaussian_exponent(sigma: float, x, y):
+    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return -(sigma * sigma) * d * d
+
+
+def _mehler_exponent(beta: float, x, y):
+    """-(beta^2 (x^2+y^2) - 2 beta x y) / (2 (1-beta^2)), the exponent of the
+    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b2 = beta * beta
+    cross = x * y  # single commutative product keeps k(x,y) == k(y,x) bitwise
+    return -(b2 * (x * x + y * y) - 2.0 * beta * cross) / (2.0 * (1.0 - b2))
+
+
 def gaussian_kernel(sigma: float, x, y):
     """exp(-sigma^2 (x-y)^2); accepts scalars or broadcastable arrays."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return np.exp(-(sigma * sigma) * d * d)
+    return np.exp(_gaussian_exponent(sigma, x, y))
 
 
 def hermite_kernel(beta: float, x, y):
@@ -172,12 +187,7 @@ def hermite_kernel(beta: float, x, y):
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b2 = beta * beta
-    cross = x * y  # single commutative product keeps k(x,y) == k(y,x) bitwise
-    expo = -(b2 * (x * x + y * y) - 2.0 * beta * cross) / (2.0 * (1.0 - b2))
-    return np.exp(expo) / np.sqrt(1.0 - b2)
+    return np.exp(_mehler_exponent(beta, x, y)) / np.sqrt(1.0 - beta * beta)
 
 
 def hermite_kernel_series(beta: float, x: float, y: float, terms: int = 400):

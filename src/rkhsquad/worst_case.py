@@ -7,7 +7,13 @@ identity
     e(A, M)^2 = II - 2 * sum_i a_i m(x_i) + sum_{i,j} a_i a_j M(x_i, x_j),
 
 with m the mean embedding and II the double integral of M.  Optimal
-weights for fixed nodes solve the Gram system G w = m.
+weights for fixed nodes solve the Gram system G w = m.  Gram entries come
+in blocks of rows, each one exp of the summed per-coordinate kernel
+exponents; the error sums w^T G w block by block without holding G.  The
+system is solved by Cholesky with a condition estimate from eigvalsh up to
+400 nodes and from Lanczos on G and on G^{-1} above; a failed factorization
+or an estimate above 1e14 raises ConditioningError, and non-finite kernel
+values raise NumericalConsistencyError.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -49,18 +55,24 @@ from .kernels import (
     APPROXIMATION,
     CRAMER_CONSTANT,
     KernelSpec,
+    _gaussian_exponent,
+    _mehler_exponent,
     double_integral,
     embedding_vector,
-    gaussian_kernel,
-    hermite_kernel,
     matched_parameters,
 )
 
 NEGATIVE_VARIANCE_TOL = 1e-12
 MAX_GRAM_CONDITION = 1e14
 
-_DENSE_NORM_LIMIT = 400
+# Up to this many indices (error operator) or nodes (Gram matrix) a dense
+# decomposition is cheap; above it ARPACK works on matrix products.
+_DENSE_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
+# Gram entries per block of rows.  Timing wce_integration at n = 1000, 2000
+# and 4000 (d = 6) was flat from 2**14 to 2**16 entries and twice as slow
+# from 2**17 on, once the block's temporaries leave the per-core L2 cache.
+_GRAM_BLOCK_ENTRIES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +210,15 @@ class MultiIndexSet:
 
     @classmethod
     def box(cls, dimension: int, degree) -> "MultiIndexSet":
-        """Full tensor box {0..deg_1} x ... x {0..deg_d}."""
+        """Full tensor box {0..deg_1} x ... x {0..deg_d}.
+
+        Degrees that are not non-negative integers raise ``DomainError``.
+        """
         degrees = [degree] * dimension if np.isscalar(degree) else list(degree)
         if len(degrees) != dimension:
             raise ShapeMismatchError("one degree per coordinate required")
-        grids = np.meshgrid(*[np.arange(g + 1) for g in degrees], indexing="ij")
+        top = _index_rows([degrees])[0]  # the degrees are the box's top multi-index
+        grids = np.meshgrid(*[np.arange(g + 1) for g in top], indexing="ij")
         return cls(np.stack([g.ravel() for g in grids], axis=1))
 
     @property
@@ -513,6 +529,32 @@ def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSyste
 # integration
 
 
+def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
+    """Yield ``(rows, block)``: the Gram matrix of ``nodes`` as slices of rows
+    of at most ``_GRAM_BLOCK_ENTRIES`` entries.
+
+    Each block is one exp of the summed per-coordinate kernel exponents,
+    divided by prod_j (1-beta_j^2)^(1/2) for the Hermite family; with one
+    coordinate its entries are bitwise those of :func:`gaussian_kernel` and
+    :func:`hermite_kernel`.
+    """
+    exponent = _gaussian_exponent if spec.is_gaussian else _mehler_exponent
+    scale = 1.0 if spec.is_gaussian else prod(sqrt(1.0 - b * b) for b in spec.params)
+    n = nodes.shape[0]
+    step = max(1, _GRAM_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        total = None
+        for j, param in enumerate(spec.params):
+            col = nodes[:, j]
+            part = exponent(param, col[rows, None], col[None, :])
+            total = part if total is None else np.add(total, part, out=total)
+        block = np.exp(total, out=total)
+        if not spec.is_gaussian:
+            block /= scale
+        yield rows, block
+
+
 def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -520,26 +562,34 @@ def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"nodes have dimension {nodes.shape[1]}, kernel has {spec.dimension}"
         )
-    gram = np.ones((nodes.shape[0], nodes.shape[0]))
-    for j, param in enumerate(spec.params):
-        col = nodes[:, j]
-        if spec.is_gaussian:
-            gram *= gaussian_kernel(param, col[:, None], col[None, :])
-        else:
-            gram *= hermite_kernel(param, col[:, None], col[None, :])
+    gram = np.empty((nodes.shape[0], nodes.shape[0]))
+    for rows, block in _gram_rows(spec, nodes):
+        gram[rows] = block
     return gram
 
 
 def wce_integration(rule: QuadratureRule, spec: KernelSpec) -> float:
-    """Exact worst-case integration error of a rule on the kernel's unit ball."""
+    """Exact worst-case integration error of a rule on the kernel's unit ball.
+
+    w^T G w is summed block of rows by block of rows, so the n x n Gram
+    matrix is never held.  Raises ``NumericalConsistencyError`` when a
+    kernel value at the nodes is not finite.
+    """
     if rule.dimension != spec.dimension:
         raise ShapeMismatchError(
             f"rule dimension {rule.dimension} does not match kernel dimension {spec.dimension}"
         )
     w = rule.weights
-    gram = kernel_gram(spec, rule.nodes)
+    wg = np.zeros(rule.n)  # w^T G
+    # overflowing kernel values are caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block in _gram_rows(spec, rule.nodes):
+            wg += w[rows] @ block
+        quad = float(wg @ w)
+    if not np.isfinite(quad):
+        raise NumericalConsistencyError("kernel values at the nodes are not finite")
     m = embedding_vector(spec, rule.nodes)
-    e2 = double_integral(spec) - 2.0 * float(w @ m) + float(w @ gram @ w)
+    e2 = double_integral(spec) - 2.0 * float(w @ m) + quad
     if e2 < -NEGATIVE_VARIANCE_TOL:
         raise NumericalConsistencyError(
             f"squared error {e2:.3e} below round-off tolerance -{NEGATIVE_VARIANCE_TOL}"
@@ -547,17 +597,63 @@ def wce_integration(rule: QuadratureRule, spec: KernelSpec) -> float:
     return sqrt(max(e2, 0.0))
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
-    """Cholesky solve with an explicit condition estimate; no regularization."""
+def _cholesky(gram: np.ndarray):
+    """Lower Cholesky factor of a finite Gram matrix; ConditioningError with
+    estimate inf when it is not numerically positive definite."""
+    try:
+        return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise ConditioningError(
+            f"Gram matrix is not numerically positive definite ({err})", np.inf
+        ) from err
+
+
+def _dense_extremes(gram: np.ndarray):
     eigs = np.linalg.eigvalsh(gram)
-    lo, hi = float(eigs[0]), float(eigs[-1])
+    return float(eigs[0]), float(eigs[-1])
+
+
+def _lanczos_extremes(gram: np.ndarray, factor):
+    """(lambda_min, lambda_max) of G by Lanczos: lambda_max from G itself,
+    lambda_min as 1 / lambda_max(G^-1) with G^-1 applied through the factor."""
+    n = gram.shape[0]
+    v0 = np.full(n, 1.0 / sqrt(n))
+    hi = scipy.sparse.linalg.eigsh(gram, k=1, v0=v0, return_eigenvectors=False)[0]
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False), dtype=float
+    )
+    inv_hi = scipy.sparse.linalg.eigsh(inverse, k=1, v0=v0, return_eigenvectors=False)[0]
+    return float(1.0 / inv_hi), float(hi)
+
+
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
+    """Cholesky solve with an explicit condition estimate; no regularization.
+
+    Up to ``_DENSE_LIMIT`` nodes the extreme eigenvalues come from
+    ``eigvalsh``.  Larger Grams are factored first and the extremes found by
+    Lanczos (``eigvalsh`` again if ARPACK does not converge).  A non-finite
+    Gram raises ``NumericalConsistencyError``; a failed factorization or an
+    estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
+    """
+    if not np.all(np.isfinite(gram)):
+        raise NumericalConsistencyError("Gram matrix entries are not finite")
+    factor = None
+    if gram.shape[0] <= _DENSE_LIMIT:
+        lo, hi = _dense_extremes(gram)
+    else:
+        factor = _cholesky(gram)
+        try:
+            lo, hi = _lanczos_extremes(gram, factor)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            lo, hi = _dense_extremes(gram)
     cond = np.inf if lo <= 0.0 else hi / lo
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
         raise ConditioningError(
             f"Gram matrix condition estimate {cond:.3e} exceeds {MAX_GRAM_CONDITION:.1e}",
             cond,
         )
-    factor = scipy.linalg.cho_factor(gram, lower=True)
+    if factor is None:
+        factor = _cholesky(gram)
     return scipy.linalg.cho_solve(factor, rhs), cond
 
 
@@ -565,10 +661,13 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
     """Worst-case optimal quadrature weights for fixed nodes.
 
     Solves G w = m.  Ill-conditioning (estimate above 1e14) is reported,
-    never regularized away.
+    never regularized away; kernel values that are not finite raise
+    ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram = kernel_gram(spec, nodes)
+    # overflowing kernel values are caught by _solve_spd's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = kernel_gram(spec, nodes)
     m = embedding_vector(spec, nodes)
     w, _ = _solve_spd(gram, m)
     return QuadratureRule(nodes, w)
@@ -593,7 +692,7 @@ def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> fl
     indices, past which the failure raises ``NumericalConsistencyError``.
     """
     size = sqrt_lam.size
-    if size <= _DENSE_NORM_LIMIT:
+    if size <= _DENSE_LIMIT:
         return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
     A = coeff.T
     B = P * sqrt_lam[:, None]
@@ -663,11 +762,16 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
 
     Coefficient functions a_i = sum_j (G^{-1})_{ij} M(., x_j), expanded
     over the system's index set via M(., x_j) = sum_nu lambda_nu
-    E_nu(x_j) E_nu.
+    E_nu(x_j) E_nu.  Non-finite kernel or eigenfunction values at the
+    nodes raise ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram = kernel_gram(system.spec, nodes)
-    P = system.eigenfunction_matrix(nodes)  # [nu, j]
+    # overflow is caught by the finiteness checks here and in _solve_spd
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = kernel_gram(system.spec, nodes)
+        P = system.eigenfunction_matrix(nodes)  # [nu, j]
+    if not np.all(np.isfinite(P)):
+        raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")
     rhs = (P * system.eigenvalues[:, None]).T  # [j, nu]
     coeff, _ = _solve_spd(gram, rhs)
     return SamplingMethod(nodes, coeff, system.index_set)

@@ -3,9 +3,12 @@
 import itertools
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from rkhsquad.errors import (
     ConditioningError,
@@ -14,7 +17,14 @@ from rkhsquad.errors import (
     ShapeMismatchError,
 )
 from rkhsquad.hermite import gauss_hermite_rule
-from rkhsquad.kernels import APPROXIMATION, KernelSpec, double_integral, initial_error
+from rkhsquad.kernels import (
+    APPROXIMATION,
+    KernelSpec,
+    double_integral,
+    gaussian_kernel,
+    hermite_kernel,
+    initial_error,
+)
 from rkhsquad.transference import spectral_pair, transfer_sampling_to_hermite
 from rkhsquad.worst_case import (
     CostModel,
@@ -22,9 +32,11 @@ from rkhsquad.worst_case import (
     QuadratureRule,
     SamplingMethod,
     _row_keys,
+    _solve_spd,
     concat_rules,
     embedding_vector,
     hermite_wce_integration_spectral,
+    kernel_gram,
     optimal_weights,
     rule_cost,
     spectral_system,
@@ -76,6 +88,22 @@ class TestMultiIndexSet:
         with pytest.raises(DomainError, match=r"\(1, 1\) without \(0, 1\)"):
             MultiIndexSet(((0, 0), (1, 0), (1, 1)))
         MultiIndexSet(((0, 0), (0, 1), (1, 0), (1, 1)))  # fine
+
+    @pytest.mark.parametrize("dimension, degree", [
+        (1, 2.5),
+        (1, np.nan),
+        (1, np.inf),
+        (1, -np.inf),
+        (1, -1),
+        (2, (1, 2.5)),
+        (2, (np.nan, 1)),
+        (2, (1, np.inf)),
+        (2, (-1, 2)),
+    ])
+    def test_box_degree_validated(self, dimension, degree):
+        # box(1, 2.5) used to give {0..3} and box(1, nan) a bare ValueError
+        with pytest.raises(DomainError):
+            MultiIndexSet.box(dimension, degree)
 
     def test_complement_minimal(self):
         box = MultiIndexSet.box(1, 3)
@@ -279,6 +307,38 @@ class TestCostModel:
             CostModel.from_json(blob)
 
 
+def _product_gram(spec, nodes):
+    """Test-local oracle: the Gram matrix as the product of d univariate kernel
+    matrices, as kernel_gram computed it before the block evaluator."""
+    kernel = gaussian_kernel if spec.is_gaussian else hermite_kernel
+    gram = np.ones((nodes.shape[0], nodes.shape[0]))
+    for j, param in enumerate(spec.params):
+        gram *= kernel(param, nodes[:, j, None], nodes[None, :, j])
+    return gram
+
+
+def _random_spec(rng, family, d):
+    if family == "gaussian":
+        return KernelSpec.gaussian(tuple(np.exp(rng.uniform(-1.5, 0.5, size=d))))
+    return KernelSpec.hermite(tuple(rng.uniform(0.05, 0.95, size=d)))
+
+
+class TestKernelGram:
+    # 300 nodes span several row blocks
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_product_of_kernels(self, family, d):
+        rng = np.random.default_rng(100 + d)
+        spec = _random_spec(rng, family, d)
+        for n in (1, 5, 300):
+            nodes = rng.normal(0.0, 1.5, size=(n, d))
+            want, got = _product_gram(spec, nodes), kernel_gram(spec, nodes)
+            if d == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 class TestWceIntegration:
     def test_zero_weights_hermite_initial(self):
         rule = QuadratureRule(np.array([[0.3], [1.0]]), np.zeros(2))
@@ -310,6 +370,20 @@ class TestWceIntegration:
         with pytest.raises(ShapeMismatchError):
             wce_integration(rule, GAUSS_ONE)
 
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("d, n", [(1, 40), (1, 700), (3, 500), (6, 260)])
+    def test_blocked_sum_matches_dense_quadratic_form(self, family, d, n):
+        rng = np.random.default_rng(7 * n + d)
+        spec = _random_spec(rng, family, d)
+        rule = QuadratureRule(rng.normal(size=(n, d)), rng.normal(size=n) / n)
+        w = rule.weights
+        e2 = (
+            double_integral(spec)
+            - 2.0 * float(w @ embedding_vector(spec, rule.nodes))
+            + float(w @ _product_gram(spec, rule.nodes) @ w)
+        )
+        assert wce_integration(rule, spec) ** 2 == pytest.approx(e2, rel=1e-12, abs=1e-15)
+
 
 class TestOptimalWeights:
     def test_hermite_single_node(self):
@@ -327,6 +401,17 @@ class TestOptimalWeights:
     def test_duplicate_node_conditioning_error(self):
         with pytest.raises(ConditioningError) as err:
             optimal_weights(np.array([[0.5], [0.5]]), GAUSS_ONE)
+        assert err.value.condition_estimate > 1e14
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian((1.0,) * 6), KernelSpec.hermite((0.8,) * 6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_duplicate_node_among_500(self, spec, seed):
+        # the Gram of the 500 distinct nodes has condition below 2e5; some seeds
+        # fail in Cholesky (estimate inf), others pass it and fail the estimate
+        nodes = np.random.default_rng(seed).standard_normal((500, 6))
+        nodes[7] = nodes[123]
+        with pytest.raises(ConditioningError) as err:
+            optimal_weights(nodes, spec)
         assert err.value.condition_estimate > 1e14
 
     def test_optimality_over_random_weights(self):
@@ -349,6 +434,46 @@ class TestOptimalWeights:
             m = embedding_vector(spec, nodes)
             lhs = wce_integration(opt, spec) ** 2 + float(opt.weights @ m)
             assert lhs == pytest.approx(double_integral(spec), rel=1e-9)
+
+
+class TestSolveSpd:
+    """The Cholesky-first solve against eigvalsh as the condition oracle."""
+
+    @staticmethod
+    def _system(n, family):
+        rng = np.random.default_rng(n)
+        spec = KernelSpec.gaussian((1.0,) * 6) if family == "gaussian" else KernelSpec.hermite((0.8,) * 6)
+        nodes = rng.standard_normal((n, 6))
+        return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("n", [401, 1000, 2000])
+    def test_condition_estimate_matches_eigvalsh(self, n, family):
+        gram, m = self._system(n, family)
+        w, cond = _solve_spd(gram, m)
+        eigs = np.linalg.eigvalsh(gram)
+        assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
+        assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
+
+    def test_arpack_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
+        gram, m = self._system(401, "gaussian")
+        w_lanczos, cond_lanczos = _solve_spd(gram, m)
+
+        def stall(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+        w, cond = _solve_spd(gram, m)
+        eigs = np.linalg.eigvalsh(gram)
+        assert cond == eigs[-1] / eigs[0]
+        assert cond == pytest.approx(cond_lanczos, rel=1e-6)
+        assert np.array_equal(w, w_lanczos)
+
+    def test_non_finite_gram_raises(self):
+        gram = np.eye(3)
+        gram[0, 2] = gram[2, 0] = np.inf
+        with pytest.raises(NumericalConsistencyError):
+            _solve_spd(gram, np.ones(3))
 
 
 class TestSpectralSystem:
@@ -534,7 +659,35 @@ class TestMatrixFreeNorm:
         assert abs(e_g - prefactor * e_h) <= tail_g + prefactor * tail_h + 1e-14
 
 
+def _raises_without_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalConsistencyError):
+            call()
+
+
 class TestFiniteOrRaise:
+    # k_0.5(100, 100) = exp(10^4 / 3) / sqrt(0.75) overflows
+    FAR_NODES = np.array([[0.0], [100.0]])
+
+    def test_wce_integration_kernel_overflow(self):
+        rule = QuadratureRule(self.FAR_NODES, np.array([0.5, 0.5]))
+        _raises_without_warning(lambda: wce_integration(rule, HERM_HALF))
+
+    def test_optimal_weights_kernel_overflow(self):
+        _raises_without_warning(lambda: optimal_weights(self.FAR_NODES, HERM_HALF))
+
+    def test_spline_method_kernel_overflow(self):
+        system = spectral_system(HERM_HALF, MultiIndexSet.box(1, 10))
+        _raises_without_warning(lambda: spline_method(self.FAR_NODES, system))
+
+    def test_spline_method_eigenfunction_overflow(self):
+        # the Gaussian Gram is finite, h_512(100 c) overflows
+        system = spectral_system(GAUSS_ONE, MultiIndexSet.box(1, 512))
+        nodes = self.FAR_NODES
+        assert np.all(np.isfinite(kernel_gram(GAUSS_ONE, nodes)))
+        _raises_without_warning(lambda: spline_method(nodes, system))
+
     def test_eigenfunction_overflow(self):
         # hermite_table(512, [100.0]) overflows to inf and NaN
         idx = MultiIndexSet.box(1, 512)
