@@ -57,12 +57,10 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import CostModel, QuadratureRule, hermite_wce_integration_spectral, rule_cost
+from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _spectral_errors, rule_cost
 
 TENSOR_BUDGET = 10**6
 ANCHOR_SET_GUARD = 20
-
-_BLOCK_CHUNK = 2**21  # max entries of one pairwise or table block slice
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +90,25 @@ def gh_error_on_space(n: int, spec: KernelSpec):
     Gaussian case goes through the exact transference identity (twin rule
     error times the Gaussian initial error).  Returns ``(value, tail)``.
     """
+    return _gh_errors_on_space([n], spec)[0]
+
+
+def _gh_errors_on_space(ns, spec: KernelSpec):
+    """:func:`gh_error_on_space` for every n in ``ns``, one Hermite
+    recurrence per table group of :func:`worst_case._spectral_errors`."""
     if spec.dimension != 1:
         raise ShapeMismatchError("gh_error_on_space expects a univariate kernel")
-    rule = gh_rule_on_space(n, spec)
-    if spec.is_gaussian:
-        rule = transfer_quadrature_to_hermite(rule, spec.params)
-    value, tail = hermite_wce_integration_spectral(
-        rule.nodes[:, 0], rule.weights, _integration_beta(spec)
-    )
+    rules = []
+    for n in ns:
+        rule = gh_rule_on_space(n, spec)
+        if spec.is_gaussian:
+            rule = transfer_quadrature_to_hermite(rule, spec.params)
+        rules.append((rule.nodes[:, 0], rule.weights))
     prefactor = initial_error(spec, INTEGRATION)
-    return prefactor * value, prefactor * tail
+    return [
+        (prefactor * value, prefactor * tail)
+        for value, tail in _spectral_errors(rules, _integration_beta(spec))
+    ]
 
 
 def integration_error_lower_bound(spec: KernelSpec, n: int) -> float:

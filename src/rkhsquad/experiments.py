@@ -15,7 +15,7 @@ import numpy as np
 
 from .algorithms import (
     KernelGenerator,
-    gh_error_on_space,
+    _gh_errors_on_space,
     integration_error_lower_bound,
     level_choice_for_eps,
     mdm_build,
@@ -123,7 +123,7 @@ def univariate_decay_curve(space: str, param: float, n_max: int):
     if n_max < 1:
         raise DomainError("n_max must be positive")
     spec = KernelSpec(space, (param,))
-    errors = [gh_error_on_space(n, spec)[0] for n in range(1, n_max + 1)]
+    errors = [value for value, _ in _gh_errors_on_space(range(1, n_max + 1), spec)]
     lower = [integration_error_lower_bound(spec, n) for n in range(1, n_max + 1)]
     slope = float(np.polyfit(np.arange(1, n_max + 1), np.log(errors), 1)[0]) if n_max >= 2 else 0.0
     return [

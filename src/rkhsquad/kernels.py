@@ -190,31 +190,47 @@ def hermite_kernel(beta: float, x, y):
     return np.exp(_mehler_exponent(beta, x, y)) / np.sqrt(1.0 - beta * beta)
 
 
-def hermite_kernel_series(beta: float, x: float, y: float, terms: int = 400):
+def hermite_kernel_series(beta: float, x, y, terms: int = 400):
     """Truncated-series oracle for the Hermite kernel.
 
     Returns ``(value, certified_error)`` where ``certified_error`` bounds
     the total deviation of ``value`` from the exact series: the Cramer tail
     bound for the dropped terms plus a floating-point summation bound
     proportional to the sum of absolute terms.
+
+    ``x`` and ``y`` are scalars or broadcastable arrays; one Hermite table
+    over the points of both serves every pair, and the results have the
+    broadcast shape (Python floats for two scalars).  Each pair's terms lie
+    on a contiguous last axis, so its sum is the pairwise summation of a
+    1D ``np.sum`` and an array call equals the scalar calls bit for bit.
+    A NaN or infinite point raises ``DomainError``.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
-    hx = hermite_table(terms, np.asarray([x], dtype=float))[:, 0]
-    hy = hermite_table(terms, np.asarray([y], dtype=float))[:, 0]
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("evaluation points must be finite")
+    table = hermite_table(terms, np.concatenate([x.ravel(), y.ravel()]))
+    hx, hy = table[:, : x.size], table[:, x.size :]
     powers = beta ** np.arange(terms + 1, dtype=float)
-    contributions = powers * hx * hy
-    value = float(np.sum(contributions))
+    # one row of terms per pair, nu along the contiguous last axis
+    contributions = np.ascontiguousarray((powers[:, None] * hx * hy).T)
+    value = contributions.sum(axis=-1).reshape(x.shape)
+    # libm's exp per pair, as in the scalar form; numpy's vector exp can
+    # differ from it in the last bit
     tail = (
         CRAMER_CONSTANT**2
-        * exp((x * x + y * y) / 4.0)
+        * np.vectorize(exp, otypes=[float])((x * x + y * y) / 4.0)
         * beta ** (terms + 1)
         / (1.0 - beta)
     )
     # pairwise summation: error grows with log2 of the term count
     eps = float(np.finfo(float).eps)
-    rounding = eps * (8.0 + 2.0 * np.log2(terms + 1)) * float(np.sum(np.abs(contributions)))
-    return value, tail + rounding
+    abs_sum = np.abs(contributions).sum(axis=-1).reshape(x.shape)
+    cert = tail + eps * (8.0 + 2.0 * np.log2(terms + 1)) * abs_sum
+    if value.ndim == 0:
+        return float(value), float(cert)
+    return value, cert
 
 
 def _univariate_kernel(family: str, param: float, x, y):

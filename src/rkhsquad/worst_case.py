@@ -73,6 +73,8 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # and 4000 (d = 6) was flat from 2**14 to 2**16 entries and twice as slow
 # from 2**17 on, once the block's temporaries leave the per-core L2 cache.
 _GRAM_BLOCK_ENTRIES = 2**15
+# Entries of one pairwise block slice or one shared Hermite table (16 MB).
+_BLOCK_CHUNK = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +214,11 @@ class MultiIndexSet:
     def box(cls, dimension: int, degree) -> "MultiIndexSet":
         """Full tensor box {0..deg_1} x ... x {0..deg_d}.
 
-        Degrees that are not non-negative integers raise ``DomainError``.
+        ``degree`` is one degree for every coordinate (a scalar or a 0-d
+        array) or a sequence of per-coordinate degrees.  Degrees that are
+        not non-negative integers raise ``DomainError``.
         """
-        degrees = [degree] * dimension if np.isscalar(degree) else list(degree)
+        degrees = [degree] * dimension if np.ndim(degree) == 0 else list(degree)
         if len(degrees) != dimension:
             raise ShapeMismatchError("one degree per coordinate required")
         top = _index_rows([degrees])[0]  # the degrees are the box's top multi-index
@@ -856,19 +860,57 @@ def hermite_wce_integration_spectral(
     All terms are non-negative, so tiny errors are resolvable far below the
     cancellation floor of the Gram identity.  Returns ``(value, tail)``
     where the dropped degrees contribute at most ``tail`` to the error.
+    ``max_degree`` defaults to min(2n + 400, 512).
+    """
+    return _spectral_errors([(nodes, weights)], beta, [max_degree])[0]
+
+
+def _spectral_errors(rules, beta: float, max_degrees=None):
+    """:func:`hermite_wce_integration_spectral` of several rules, one
+    Hermite recurrence per group of rules.
+
+    ``rules`` is a sequence of ``(nodes, weights)`` pairs and
+    ``max_degrees`` one degree per rule (``None`` for the default; an
+    omitted list means the default for every rule).  Consecutive rules
+    share one :func:`hermite_table` over their concatenated nodes while it
+    holds at most ``_BLOCK_CHUNK`` entries, to the largest degree of the
+    group.  The recurrence is elementwise, and each rule's
+    s = table[:deg+1, its columns] @ w is formed on a contiguous copy, the
+    product a one-rule table makes; so every ``(value, tail)`` in the
+    returned list equals the one-rule evaluation bit for bit.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
-    nodes = np.asarray(nodes, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    n = nodes.size
-    if max_degree is None:
-        max_degree = min(2 * n + 400, 512)
-    table = hermite_table(max_degree, nodes)
-    s = table @ weights
-    terms = beta ** np.arange(1, max_degree + 1) * s[1:] ** 2
-    e2 = (1.0 - float(weights.sum())) ** 2 + float(np.sum(terms))
-    amp = CRAMER_CONSTANT * float(np.abs(weights) @ np.exp(nodes * nodes / 4.0))
-    tail_e2 = amp * amp * beta ** (max_degree + 1) / (1.0 - beta)
-    value = sqrt(e2)
-    return value, sqrt(e2 + tail_e2) - value
+    rules = [
+        (np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel())
+        for x, w in rules
+    ]
+    if max_degrees is None:
+        max_degrees = [None] * len(rules)
+    degrees = [
+        min(2 * x.size + 400, 512) if deg is None else deg
+        for (x, _), deg in zip(rules, max_degrees)
+    ]
+    groups, top, width = [], 0, 0  # indices of the rules sharing one table
+    for i, ((x, _), deg) in enumerate(zip(rules, degrees)):
+        if not groups or (max(top, deg) + 1) * (width + x.size) > _BLOCK_CHUNK:
+            groups.append([])
+            top = width = 0
+        groups[-1].append(i)
+        top, width = max(top, deg), width + x.size
+    out = []
+    for group in groups:
+        top = max(degrees[i] for i in group)
+        table = hermite_table(top, np.concatenate([rules[i][0] for i in group]))
+        col = 0
+        for i in group:
+            (x, w), deg = rules[i], degrees[i]
+            s = np.ascontiguousarray(table[: deg + 1, col : col + x.size]) @ w
+            col += x.size
+            terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
+            e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
+            amp = CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0))
+            tail_e2 = amp * amp * beta ** (deg + 1) / (1.0 - beta)
+            value = sqrt(e2)
+            out.append((value, sqrt(e2 + tail_e2) - value))
+    return out

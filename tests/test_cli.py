@@ -138,6 +138,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_mehler_grid_is_one_series_call_per_beta(self, monkeypatch):
+        from rkhsquad import verify as verify_mod
+
+        shapes = []
+        original = verify_mod.hermite_kernel_series
+
+        def counted(beta, x, y, terms=400):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return original(beta, x, y, terms)
+
+        monkeypatch.setattr(verify_mod, "hermite_kernel_series", counted)
+        assert all(r.passed for r in verify_mod.suite_mehler())
+        assert shapes == [(9, 9)] * 3 + [()]  # three betas, then the spot value
+
     def test_exit_code_reflects_failures(self, monkeypatch, capsys):
         from rkhsquad import verify as verify_mod
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rkhsquad.algorithms import KernelGenerator, ParamRule
+from rkhsquad import worst_case
+from rkhsquad.algorithms import KernelGenerator, ParamRule, gh_error_on_space
 from rkhsquad.errors import DomainError, InsufficientDataError
 from rkhsquad.experiments import (
     decay_estimate,
@@ -15,7 +16,8 @@ from rkhsquad.experiments import (
     tensor_decay_curve,
     univariate_decay_curve,
 )
-from rkhsquad.worst_case import CostModel
+from rkhsquad.kernels import KernelSpec
+from rkhsquad.worst_case import _BLOCK_CHUNK, CostModel
 
 
 class TestDecayEstimate:
@@ -109,6 +111,27 @@ class TestCurves:
         rows = univariate_decay_curve("gaussian", 1.0, 6)
         assert [r[0] for r in rows] == list(range(1, 7))
         assert all(r[1] > 0 for r in rows)
+
+    @pytest.mark.parametrize("space, param", [("hermite", 0.5), ("gaussian", 1.0)])
+    def test_univariate_curve_one_table_per_group(self, space, param, monkeypatch):
+        # the curve shares one Hermite recurrence per table group, not one
+        # per n, and each error equals the one-rule gh_error_on_space
+        calls = []
+        original = worst_case.hermite_table
+
+        def counted(nu_max, x):
+            calls.append((nu_max, np.size(x)))
+            return original(nu_max, x)
+
+        monkeypatch.setattr(worst_case, "hermite_table", counted)
+        rows = univariate_decay_curve(space, param, 200)
+        assert sum(cols for _, cols in calls) == 200 * 201 // 2
+        assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in calls)
+        assert len(calls) == 6  # 20,100 nodes, at most 4,088 per 513-row table
+        calls.clear()
+        spec = KernelSpec(space, (param,))
+        assert [r[1] for r in rows] == [gh_error_on_space(n, spec)[0] for n in range(1, 201)]
+        assert len(calls) == 200
 
     def test_tensor_curve(self):
         rows = tensor_decay_curve([1.0, 1.0], [0.5, 0.1], "gaussian")

@@ -1,7 +1,8 @@
 """Golden CSV bytes for a fixed command set.
 
 Each command writes its CSV through ``cli.main``; the bytes must equal
-the committed file under ``tests/data/golden``.  A refactor that keeps
+the committed file under ``tests/data/golden``, as must the stdout of
+``verify --suite all``.  A refactor that keeps
 the library's outputs must keep these files unchanged.  The MDM errors
 are also checked against a 40-digit evaluation of the same plans.
 """
@@ -34,6 +35,10 @@ COMMANDS = {
     "univariate-decay-hermite-0.5": [
         "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "40",
     ],
+    # n > 56 reaches the 512-degree cap and several shared Hermite tables
+    "univariate-decay-hermite-0.5-n200": [
+        "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "200",
+    ],
     "tensor-decay": ["tensor-decay", "--sigma", "1,0.5,2", "--eps-list", "0.1,0.01"],
     **{name: ["mdm-run", "--sigma-rule", rule, *_MDM] for name, rule in _MDM_RULES.items()},
     # non-dyadic dollars: the cost column pins the order of the cost summation
@@ -50,6 +55,12 @@ def test_csv_bytes_match_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main([*COMMANDS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_verify_all_stdout_matches_golden(capsys):
+    # the detail digits of the mehler checks come from the series oracle
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-all.txt").read_text()
 
 
 def _mp_e2(rule, beta, mp):

@@ -85,6 +85,50 @@ class TestHermiteKernel:
                     assert abs(closed - series) <= 1e-12 * abs(series) + cert
 
 
+class TestSeriesOracleArrays:
+    GRID = np.arange(-4.0, 5.0)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_array_equals_scalar_calls_bitwise(self, beta):
+        x, y = self.GRID[:, None], self.GRID[None, :]
+        value, cert = hermite_kernel_series(beta, x, y, terms=400)
+        assert value.shape == cert.shape == (9, 9)
+        for i, a in enumerate(self.GRID):
+            for j, b in enumerate(self.GRID):
+                assert (value[i, j], cert[i, j]) == hermite_kernel_series(beta, a, b, terms=400)
+
+    @pytest.mark.parametrize("x, y", [
+        (GRID, 1.5),
+        (-2.0, GRID),
+        (GRID.reshape(3, 1, 3), GRID[:4].reshape(1, 4, 1)),
+        (np.array(0.5), np.array([[1.0], [-3.0]])),
+    ])
+    def test_broadcast_shapes(self, x, y):
+        value, cert = hermite_kernel_series(0.5, x, y, terms=120)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert value.shape == cert.shape == shape
+        bx, by = np.broadcast_arrays(x, y)
+        for idx in np.ndindex(shape):
+            scalar = hermite_kernel_series(0.5, float(bx[idx]), float(by[idx]), terms=120)
+            assert (value[idx], cert[idx]) == scalar
+
+    def test_scalars_give_floats(self):
+        value, cert = hermite_kernel_series(0.5, 1.0, np.float64(-1.0))
+        assert type(value) is float and type(cert) is float
+
+    @pytest.mark.parametrize("x, y", [
+        (np.nan, 0.0),
+        (0.0, np.inf),
+        (-np.inf, 1.0),
+        (np.array([0.0, np.nan]), 1.0),
+        (0.5, np.array([[1.0], [-np.inf]])),
+    ])
+    def test_non_finite_points_raise(self, x, y):
+        # these used to return (nan, nan)
+        with pytest.raises(DomainError):
+            hermite_kernel_series(0.5, x, y)
+
+
 class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -10,29 +10,39 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from rkhsquad import worst_case
 from rkhsquad.errors import (
     ConditioningError,
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    UnsupportedDegreeError,
 )
-from rkhsquad.hermite import gauss_hermite_rule
+from rkhsquad.hermite import gauss_hermite_rule, hermite_table
 from rkhsquad.kernels import (
     APPROXIMATION,
+    CRAMER_CONSTANT,
     KernelSpec,
     double_integral,
     gaussian_kernel,
     hermite_kernel,
     initial_error,
 )
-from rkhsquad.transference import spectral_pair, transfer_sampling_to_hermite
+from rkhsquad.transference import (
+    beta_from_sigma,
+    spectral_pair,
+    transfer_quadrature_to_hermite,
+    transfer_sampling_to_hermite,
+)
 from rkhsquad.worst_case import (
+    _BLOCK_CHUNK,
     CostModel,
     MultiIndexSet,
     QuadratureRule,
     SamplingMethod,
     _row_keys,
     _solve_spd,
+    _spectral_errors,
     concat_rules,
     embedding_vector,
     hermite_wce_integration_spectral,
@@ -99,11 +109,18 @@ class TestMultiIndexSet:
         (2, (np.nan, 1)),
         (2, (1, np.inf)),
         (2, (-1, 2)),
+        (1, np.array(2.5)),
+        (1, np.array(np.nan)),
     ])
     def test_box_degree_validated(self, dimension, degree):
         # box(1, 2.5) used to give {0..3} and box(1, nan) a bare ValueError
         with pytest.raises(DomainError):
             MultiIndexSet.box(dimension, degree)
+
+    @pytest.mark.parametrize("degree", [np.array(3), np.int64(3)])
+    def test_box_zero_dim_degree_is_scalar(self, degree):
+        # a 0-d array used to raise a bare TypeError from list(degree)
+        assert MultiIndexSet.box(2, degree).indices == MultiIndexSet.box(2, 3).indices
 
     def test_complement_minimal(self):
         box = MultiIndexSet.box(1, 3)
@@ -794,6 +811,91 @@ class TestTensorShortcuts:
             )
             assert value == pytest.approx(dense, rel=1e-10)
             assert tail <= 1e-13 * value
+
+
+def _one_rule_spectral(nodes, weights, beta, max_degree=None):
+    """The per-rule eigen-expansion error, one Hermite table per rule."""
+    n = nodes.size
+    if max_degree is None:
+        max_degree = min(2 * n + 400, 512)
+    s = hermite_table(max_degree, nodes) @ weights
+    terms = beta ** np.arange(1, max_degree + 1) * s[1:] ** 2
+    e2 = (1.0 - float(weights.sum())) ** 2 + float(np.sum(terms))
+    amp = CRAMER_CONSTANT * float(np.abs(weights) @ np.exp(nodes * nodes / 4.0))
+    tail_e2 = amp * amp * beta ** (max_degree + 1) / (1.0 - beta)
+    value = math.sqrt(e2)
+    return value, math.sqrt(e2 + tail_e2) - value
+
+
+def _gh_rules_on(spec, n_max):
+    """(nodes, weights) of the n-point Gauss-Hermite rules, n = 1..n_max, on
+    the Hermite side of a univariate space, and that side's beta."""
+    rules = []
+    for n in range(1, n_max + 1):
+        rule = gauss_hermite_rule(n)
+        nodes, weights = rule.nodes, rule.weights
+        if spec.is_gaussian:
+            twin = transfer_quadrature_to_hermite(
+                QuadratureRule(nodes[:, None], weights), spec.params
+            )
+            nodes, weights = twin.nodes[:, 0], twin.weights
+        rules.append((nodes, weights))
+    if spec.is_gaussian:
+        return rules, beta_from_sigma("integration", spec.params[0])
+    return rules, spec.params[0]
+
+
+class TestSpectralBatch:
+    """One Hermite table per group of rules, bit-identical to one per rule."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+
+        def counted(nu_max, x):
+            calls.append((nu_max, np.size(x)))
+            return hermite_table(nu_max, x)
+
+        monkeypatch.setattr(worst_case, "hermite_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("spec", [HERM_HALF, GAUSS_ONE])
+    def test_gauss_hermite_curve_bit_identical(self, spec, table_calls):
+        # n = 1..256 crosses the 2n + 400 -> 512 degree cap and spans
+        # several table groups
+        rules, beta = _gh_rules_on(spec, 256)
+        batch = _spectral_errors(rules, beta)
+        assert batch == [_one_rule_spectral(x, w, beta) for x, w in rules]
+        assert 1 < len(table_calls) < len(rules)
+        assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in table_calls)
+        assert sum(cols for _, cols in table_calls) == 256 * 257 // 2
+
+    def test_explicit_degrees_bit_identical(self):
+        rng = np.random.default_rng(8)
+        rules = []
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            rules.append((rng.normal(0.0, 1.5, size=n), rng.normal(0.0, 1.0 / n, size=n)))
+        degrees = [None, 0, 1, 7, 100, 512, 33, None] * 5
+        batch = _spectral_errors(rules, 0.6, degrees)
+        assert batch == [
+            _one_rule_spectral(x, w, 0.6, deg) for (x, w), deg in zip(rules, degrees)
+        ]
+
+    def test_one_rule_case_is_public_function(self):
+        g = gauss_hermite_rule(9)
+        for deg in (None, 5, 300):
+            assert hermite_wce_integration_spectral(g.nodes, g.weights, 0.7, deg) == (
+                _one_rule_spectral(g.nodes, g.weights, 0.7, deg)
+            )
+
+    def test_domain_and_degree_guards(self):
+        g = gauss_hermite_rule(3)
+        with pytest.raises(DomainError):
+            _spectral_errors([(g.nodes, g.weights)], 1.0)
+        with pytest.raises(UnsupportedDegreeError):
+            hermite_wce_integration_spectral(g.nodes, g.weights, 0.5, 513)
+        assert _spectral_errors([], 0.5) == []
 
 
 class TestNegativeVarianceGuard:
