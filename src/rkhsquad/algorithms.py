@@ -16,11 +16,12 @@ anchored component
 
     f_u(x) = sum_{v subset u} (-1)^(|u|-|v|) f(x_v, 0),
 
-flattened into a single quadrature rule over anchored points.  Set
-selection and per-set budgets follow a deterministic greedy scheme scored
-by the product surrogate prod_{j in u} beta_j: the candidate upgrade with
-the best predicted error decrease per unit cost is granted until the cost
-budget is exhausted.
+flattened into a single quadrature rule over anchored points.  A plan is
+its sets, their levels and its cost; the flattened rule is built on demand.
+Set selection and per-set levels follow a deterministic greedy scheme
+scored by the product surrogate prod_{j in u} beta_j: the candidate upgrade
+with the best predicted error decrease per unit cost is granted until the
+cost budget is exhausted.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _spectral_errors, rule_cost
+from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _spectral_errors
 
 TENSOR_BUDGET = 10**6
 ANCHOR_SET_GUARD = 20
@@ -281,13 +282,6 @@ def _smolyak_local(size: int, schedule, level: int):
     return _LOCAL_SMOLYAK_CACHE[key]
 
 
-def _embed_local(keys: np.ndarray, u, dim: int) -> np.ndarray:
-    """Local node rows on the coordinates u as ambient rows, zero elsewhere."""
-    nodes = np.zeros((keys.shape[0], dim))
-    nodes[:, list(u)] = keys
-    return nodes
-
-
 def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> QuadratureRule:
     """Sparse-grid rule over the coordinates in u, flattened and merged.
 
@@ -312,7 +306,9 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
     keys, weights = _smolyak_local(len(u), levels.schedule, q)
     if weights.size > TENSOR_BUDGET:
         raise BudgetError(f"sparse grid of {weights.size} nodes exceeds {TENSOR_BUDGET}")
-    return QuadratureRule(_embed_local(keys, u, dim), weights)
+    nodes = np.zeros((keys.shape[0], dim))
+    nodes[:, list(u)] = keys
+    return QuadratureRule(nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -515,107 +511,107 @@ def _is_count(v) -> bool:
 
 @dataclass(frozen=True)
 class MdmPlan:
-    """A finite family of active sets with their Smolyak levels, budgets and flattened rule.
+    """A finite family of active sets with their Smolyak levels and the plan's cost.
 
     The sets and ``levels`` determine the rest: ``budgets`` counts the
     function evaluations of each per-set sub-rule after anchored
-    flattening, and :func:`mdm_wce` evaluates the plan from its levels.
+    flattening, ``flattened`` is the whole rule, built on each access, and
+    :func:`mdm_wce` evaluates the plan from its levels.
     """
 
     active_sets: tuple
-    budgets: tuple
-    flattened: QuadratureRule
-    cost: float
     levels: tuple
+    cost: float
 
     def __post_init__(self):
         if not isfinite(self.cost):
             raise DomainError(f"plan cost {self.cost} is not finite")
-        count = len(self.active_sets)
-        for name, values in (("budget", self.budgets), ("level", self.levels)):
-            if len(values) != count or not all(map(_is_count, values)):
-                raise DomainError(f"need one non-negative int {name} per active set, got {values}")
-        dim = self.flattened.dimension
-        for u in self.active_sets:
-            if not (u and all(map(_is_count, u)) and u[-1] < dim and list(u) == sorted(set(u))):
-                raise DomainError(f"active set {u} is not strictly increasing in [0, {dim})")
+        sets = self.active_sets
+        if len(self.levels) != len(sets) or not all(map(_is_count, self.levels)):
+            raise DomainError(f"need one non-negative int level per active set, got {self.levels}")
+        for u in sets:
+            if not (u and all(map(_is_count, u)) and list(u) == sorted(set(u))):
+                raise DomainError(f"active set {u} is not a strictly increasing set of coordinates")
+        if any(b <= a for a, b in zip(sets, sets[1:])):
+            raise DomainError("active sets must be strictly increasing, without duplicates")
+        for u, q in zip(sets, self.levels):
+            if not _component_local(len(u), q)[1].size:
+                raise DomainError(f"the component of {u} at level {q} is empty")
+
+    @property
+    def budgets(self) -> tuple:
+        return tuple(_component_local(len(u), q)[1].size for u, q in zip(self.active_sets, self.levels))
+
+    @property
+    def flattened(self) -> QuadratureRule:
+        return _flatten_components(self.active_sets, self.levels)
 
     def to_json(self) -> dict:
-        return {
-            "active_sets": [list(u) for u in self.active_sets],
-            "levels": list(self.levels),
-            "budgets": list(self.budgets),
-            "flattened": self.flattened.to_json(),
-            "cost": self.cost,
-        }
+        return {"active_sets": [list(u) for u in self.active_sets], "levels": list(self.levels),
+                "cost": self.cost}
 
     @classmethod
     def from_json(cls, obj) -> "MdmPlan":
-        """Load a plan and check that its sets and levels rebuild its budgets and rule exactly."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if "levels" not in obj:
-            raise DomainError("plan JSON has no 'levels'; rebuild the plan to save it with them")
-        plan = cls(
-            tuple(tuple(u) for u in obj["active_sets"]),
-            tuple(obj["budgets"]),
-            QuadratureRule.from_json(obj["flattened"]),
-            float(obj["cost"]),
-            tuple(obj["levels"]),
-        )
-        sets, levels, budgets, rule = _flatten_components(zip(plan.active_sets, plan.levels))
-        if (sets, levels, budgets) != (plan.active_sets, plan.levels, plan.budgets) or not (
-            np.array_equal(rule.nodes, plan.flattened.nodes)
-            and np.array_equal(rule.weights, plan.flattened.weights)
-        ):
-            raise DomainError("plan budgets or rule differ from what its sets and levels build")
+        """Load a plan from its sets, levels and cost.
+
+        A file that also holds ``budgets`` and ``flattened`` loads only if
+        both equal what its sets and levels build.
+        """
+        try:
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            plan = cls(tuple(tuple(u) for u in obj["active_sets"]), tuple(obj["levels"]), float(obj["cost"]))
+            if "budgets" in obj or "flattened" in obj:
+                stored, rule = QuadratureRule.from_json(obj["flattened"]), plan.flattened
+                if tuple(obj["budgets"]) != plan.budgets or not (
+                    np.array_equal(rule.nodes, stored.nodes) and np.array_equal(rule.weights, stored.weights)
+                ):
+                    raise DomainError("plan budgets or rule differ from what its sets and levels build")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"invalid plan JSON: {exc!r}") from exc
         return plan
 
 
-def _flatten_components(active_levels):
-    """The model-free part of an MDM plan: ``(sets, levels, budgets, rule)``.
+def _flat_weights(sets, levels) -> np.ndarray:
+    """Weights of the flattened rule: the anchor evaluation f(0), into which
+    every component's anchor row folds, then each set's other rows."""
+    blocks = [(keys.any(axis=1), w) for keys, w in map(_component_local, map(len, sets), levels)]
+    anchor = 1.0 + sum(float(w[~live].sum()) for live, w in blocks)
+    return np.concatenate([[anchor]] + [w[live] for live, w in blocks])
 
-    ``active_levels`` yields (set, level) pairs.  The flattened rule starts
-    with the anchor evaluation f(0) of weight one; each set contributes its
-    anchored-flattened Smolyak rule, whose anchor row folds into that
-    single evaluation.  Sets whose component cancels entirely are dropped.
-    """
-    pairs = [(tuple(sorted(int(j) for j in u)), int(q)) for u, q in active_levels]
-    normalized = dict(pairs)
-    if len(normalized) != len(pairs):
-        raise DomainError("duplicate active sets")
-    contributing = []
-    for u, q in sorted(normalized.items()):
-        keys, weights = _component_local(len(u), q)
-        if weights.size:  # empty: every term cancelled
-            contributing.append((u, q, keys, weights))
-    dim = max((u[-1] + 1 for u, _, _, _ in contributing), default=1)
 
-    node_blocks = [np.zeros((1, dim))]
-    weight_blocks = [np.ones(1)]
-    anchor_weight_extra = 0.0
-    for u, _, keys, weights in contributing:
-        anchor = ~keys.any(axis=1)
-        anchor_weight_extra += float(weights[anchor].sum())
-        node_blocks.append(_embed_local(keys[~anchor], u, dim))
-        weight_blocks.append(weights[~anchor])
-    weight_blocks[0][0] += anchor_weight_extra
-    return (
-        tuple(u for u, _, _, _ in contributing),
-        tuple(q for _, q, _, _ in contributing),
-        tuple(weights.size for _, _, _, weights in contributing),
-        QuadratureRule(np.vstack(node_blocks), np.concatenate(weight_blocks)),
-    )
+def _flatten_components(sets, levels) -> QuadratureRule:
+    """The dense flattened rule of an MDM plan, rows in :func:`_flat_weights` order."""
+    weights = _flat_weights(sets, levels)
+    nodes = np.zeros((weights.size, max((u[-1] + 1 for u in sets), default=1)))
+    row = 1  # row 0 is the anchor
+    for u, (keys, _) in zip(sets, map(_component_local, map(len, sets), levels)):
+        live = keys[keys.any(axis=1)]
+        nodes[row : row + len(live), list(u)] = live
+        row += len(live)
+    return QuadratureRule(nodes, weights)
+
+
+def _component_counts(size: int, level: int) -> np.ndarray:
+    """Active coordinates of each row of :func:`_component_local` (0 on its anchor row)."""
+    return np.count_nonzero(_component_local(size, level)[0], axis=1)
 
 
 def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     """Build an MDM plan from explicit per-set Smolyak levels.
 
     ``active_levels`` maps coordinate sets (0-based tuples) to combination
-    levels; see :func:`_flatten_components` for the flattened rule.
+    levels.  Sets whose component cancels entirely are dropped.  The cost
+    is :func:`worst_case.rule_cost` of the flattened rule, summed over its
+    rows in their order without building it.
     """
-    sets, levels, budgets, flattened = _flatten_components(active_levels.items())
-    return MdmPlan(sets, budgets, flattened, rule_cost(flattened, model), levels)
+    pairs = sorted((tuple(sorted(int(j) for j in u)), int(q)) for u, q in active_levels.items())
+    if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+        raise DomainError("duplicate active sets")
+    pairs = [(u, q) for u, q in pairs if _component_local(len(u), q)[1].size]
+    counts = [0] + [int(a) for u, q in pairs for a in _component_counts(len(u), q) if a]
+    cost = float(sum(model.charge(a) for a in counts))
+    return MdmPlan(tuple(u for u, _ in pairs), tuple(q for _, q in pairs), cost)
 
 
 def _subset_pool(betas, max_coord: int, pool_size: int):
@@ -654,7 +650,8 @@ def mdm_build(
     decrease per unit of exact flattened cost; a candidate that no longer
     fits the remaining budget is dropped for good (costs only grow).
     Ties prefer the lexicographically smaller set.  The anchor evaluation
-    is always included and charged dollar(0).
+    is always included and charged dollar(0).  ``BudgetError`` is raised
+    once the granted components hold more than ``TENSOR_BUDGET`` nodes.
     """
     if not isfinite(budget):
         raise DomainError(f"budget {budget} is not finite")
@@ -667,39 +664,43 @@ def mdm_build(
     betas = gen.score_betas(max_coord).tolist()
     pool = _subset_pool(betas, max_coord, pool_size)
 
-    cost_cache: dict[tuple, float] = {}
+    cache: dict[tuple, tuple] = {}
 
-    def comp_cost(u: tuple, q: int) -> float:
-        # the anchored component is size-generic, hence so is its cost
+    def comp(u: tuple, q: int) -> tuple:
+        # (cost, size): the anchored component is size-generic, hence so are both
         key = (len(u), q)
-        if key not in cost_cache:
-            keys, _ = _component_local(len(u), q)
-            cost_cache[key] = sum(model.charge(int(a)) for a in np.count_nonzero(keys, axis=1))
-        return cost_cache[key]
+        if key not in cache:
+            counts = _component_counts(len(u), q)
+            cache[key] = sum(model.charge(int(a)) for a in counts), counts.size
+        return cache[key]
 
     remaining = budget - anchor_cost
+    granted = 0  # the sum of the chosen components' sizes, the plan's budgets
     chosen: dict[tuple, int] = {}
     options = []
 
-    def push(u, q, dcost, score, beta_u, dpe):
+    def push(u, q, dcost, dsize, score, beta_u, dpe):
         # a free upgrade (odd rules reuse the anchor node) is always worth taking
         ratio = inf if dcost <= 0 else dpe / dcost
-        heapq.heappush(options, (-ratio, u, q, dcost, score, beta_u))
+        heapq.heappush(options, (-ratio, u, q, dcost, dsize, score, beta_u))
 
     for u, score in pool:
         beta_u = max(betas[c] for c in u)
         q0 = len(u) + 1
-        push(u, q0, comp_cost(u, q0), score, beta_u, score * (1.0 - beta_u))
+        push(u, q0, *comp(u, q0), score, beta_u, score * (1.0 - beta_u))
 
     while options:
-        _, u, q, dcost, score, beta_u = heapq.heappop(options)
+        _, u, q, dcost, dsize, score, beta_u = heapq.heappop(options)
         if dcost > remaining:
             continue
         remaining -= dcost
+        granted += dsize
+        if granted > TENSOR_BUDGET:
+            raise BudgetError(f"granted MDM components hold {granted} nodes, beyond {TENSOR_BUDGET}")
         chosen[u] = q
-        nxt_cost = comp_cost(u, q + 1) - comp_cost(u, q)
+        (cost, size), (nxt_cost, nxt_size) = comp(u, q), comp(u, q + 1)
         dpe = score * beta_u ** (q - len(u)) * (1.0 - beta_u)
-        push(u, q + 1, nxt_cost, score, beta_u, dpe)
+        push(u, q + 1, nxt_cost - cost, nxt_size - size, score, beta_u, dpe)
 
     plan = assemble_mdm_plan(chosen, model)
     if plan.cost > budget:
@@ -828,11 +829,9 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     grows with the number of terms, not with the square of the node
     count.  Returns ``(value, tail_bound)``.
     """
-    rule = plan.flattened
-    if rule.dimension > trunc:
-        raise ShapeMismatchError(
-            f"plan touches coordinate {rule.dimension - 1}, beyond trunc = {trunc}"
-        )
+    dim = max((u[-1] + 1 for u in plan.active_sets), default=1)
+    if dim > trunc:
+        raise ShapeMismatchError(f"plan touches coordinate {dim - 1}, beyond trunc = {trunc}")
     params = gen.params(trunc)
     groups, grids = _term_rows(plan)
     quad_tables, lin_tables = _tables(grids, gen.measured_family, params)
@@ -854,7 +853,7 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
         s_tail = gen.sigma_tail_sq_bound(trunc + 1)
         delta = di * -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * abs(m0 * lin)
 
-    scale = max(1.0, float(np.abs(rule.weights).sum()) ** 2)
+    scale = max(1.0, float(np.abs(_flat_weights(plan.active_sets, plan.levels)).sum()) ** 2)
     if e2 < -1e-10 * scale:
         raise NumericalConsistencyError(f"squared error {e2:.3e} badly negative")
     e2 = max(e2, 0.0)

@@ -406,6 +406,8 @@ def _long_double_e2(rule, beta):
 PLAN_DEFECTS = {
     "cost-nan": lambda blob: blob.update(cost=math.nan),
     "cost-inf": lambda blob: blob.update(cost=math.inf),
+    "cost-missing": lambda blob: blob.pop("cost"),
+    "sets-missing": lambda blob: blob.pop("active_sets"),
     "budget-missing": lambda blob: blob["budgets"].pop(),
     "budget-negative": lambda blob: blob["budgets"].__setitem__(0, -1),
     "budget-float": lambda blob: blob["budgets"].__setitem__(0, 2.5),
@@ -417,10 +419,41 @@ PLAN_DEFECTS = {
     "levels-missing": lambda blob: blob.pop("levels"),
     "level-changed": lambda blob: blob["levels"].__setitem__(0, 4),
     "level-float": lambda blob: blob["levels"].__setitem__(0, 3.0),
+    "level-empty-component": lambda blob: blob["levels"].__setitem__(1, 3),
+    "sets-unordered": lambda blob: blob.update(
+        active_sets=blob["active_sets"][::-1], levels=blob["levels"][::-1]
+    ),
+    "set-duplicated": lambda blob: blob["active_sets"].__setitem__(0, [0, 1]),
     "node-changed": lambda blob: blob["flattened"]["nodes"][1].__setitem__(0, 0.5),
     "weight-changed": lambda blob: blob["flattened"]["weights"].__setitem__(1, 0.25),
     "budget-disagrees-with-level": lambda blob: blob["budgets"].__setitem__(0, 4),
+    "budgets-without-rule": lambda blob: blob.pop("flattened"),
+    "rule-without-budgets": lambda blob: blob.pop("budgets"),
+    # the rule, or the budgets and rule, of the plan at levels {(0,): 5, (0, 1): 6}
+    "rule-of-another-plan": lambda blob: blob.update(flattened=_legacy_blob(_OTHER_PLAN)["flattened"]),
+    "budgets-and-rule-of-another-plan": lambda blob: blob.update(
+        budgets=list(_OTHER_PLAN.budgets), flattened=_legacy_blob(_OTHER_PLAN)["flattened"]
+    ),
 }
+_OTHER_PLAN = assemble_mdm_plan({(0,): 5, (0, 1): 6}, CostModel.unit())
+# defects of the stored budgets and rule, which only the older files carry
+# (a changed level or set is a different, valid plan without them)
+LEGACY_DEFECTS = {
+    "budget-missing", "budget-negative", "budget-float", "budget-disagrees-with-level",
+    "node-changed", "weight-changed", "set-beyond-dimension", "level-changed",
+    "budgets-without-rule", "rule-without-budgets", "rule-of-another-plan",
+    "budgets-and-rule-of-another-plan",
+}
+FRACTIONAL_DOLLARS = CostModel.dollar(
+    [1.1, 1.7, 2.3, 3.1, 4.3, 5.9, 7.7, 9.1, 11.3, 13.7, 16.1, 19.3, 23.9, 29.7, 37.1, 45.3]
+)
+
+
+def _legacy_blob(plan):
+    """A plan as the older JSON format saved it: with its budgets and dense rule."""
+    blob = json.loads(json.dumps(plan.to_json()))
+    blob.update(budgets=list(plan.budgets), flattened=plan.flattened.to_json())
+    return blob
 
 
 class TestMdm:
@@ -449,10 +482,42 @@ class TestMdm:
         with pytest.raises(DomainError):
             mdm_build(self.gen, budget, self.model, max_coord=8, pool_size=16)
 
-    def test_cost_accounting_resums(self):
+    @pytest.mark.parametrize(
+        "model, max_coord, pool_size",
+        [(CostModel.unit(), 64, 256), (model, 64, 256), (FRACTIONAL_DOLLARS, 16, 64)],
+        ids=["unit", "dollar", "fractional-dollars"],
+    )
+    def test_cost_accounting_resums(self, model, max_coord, pool_size):
+        # the cost is summed without the dense rule, in the order of its rows
+        for budget in (10.0, 100.0, 1000.0):
+            plan = mdm_build(self.gen, budget, model, max_coord=max_coord, pool_size=pool_size)
+            assert plan.cost.hex() == rule_cost(plan.flattened, model).hex()
+            assert plan.cost <= budget
+
+    def test_size_guard(self, monkeypatch):
+        from rkhsquad import algorithms
+
         plan = mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
-        assert plan.cost == rule_cost(plan.flattened, self.model)
-        assert plan.cost <= 1000.0
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", sum(plan.budgets))
+        assert mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256) == plan
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", sum(plan.budgets) - 1)
+        with pytest.raises(BudgetError):
+            mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
+
+    def test_build_and_wce_never_flatten(self, monkeypatch):
+        from rkhsquad import algorithms
+
+        plan = mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
+        value = mdm_wce(plan, self.gen, trunc=256)
+
+        def refuse(*args):
+            raise AssertionError("the dense rule was built")
+
+        monkeypatch.setattr(algorithms, "_flatten_components", refuse)
+        again = mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
+        assert again == plan and mdm_wce(again, self.gen, trunc=256) == value
+        with pytest.raises(AssertionError):
+            again.flattened
 
     def test_equal_score_tie_breaks_lexicographically(self):
         # exact score ties order by the set tuple, smaller set first
@@ -532,23 +597,54 @@ class TestMdm:
     def test_json_contract(self):
         plan = mdm_build(self.gen, 30.0, self.model, max_coord=8, pool_size=16)
         blob = plan.to_json()
-        assert set(blob) == {"active_sets", "levels", "budgets", "flattened", "cost"}
+        assert set(blob) == {"active_sets", "levels", "cost"}
         again = MdmPlan.from_json(blob)
-        assert again.cost == plan.cost
+        assert again == plan
         assert np.array_equal(again.flattened.nodes, plan.flattened.nodes)
+        legacy = MdmPlan.from_json(_legacy_blob(plan))
+        assert legacy == plan
+
+    def test_json_holds_no_rule(self):
+        plan = mdm_build(self.gen, 1e4, self.model, max_coord=512, pool_size=2048)
+        assert len(json.dumps(plan.to_json())) < 10_000
 
     @pytest.mark.parametrize("defect", sorted(PLAN_DEFECTS))
     def test_from_json_rejects_bad_plans(self, defect):
-        blob = json.loads(json.dumps(assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model).to_json()))
+        plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
+        if defect in LEGACY_DEFECTS:
+            blob = _legacy_blob(plan)
+        else:
+            blob = json.loads(json.dumps(plan.to_json()))
         MdmPlan.from_json(blob)
         PLAN_DEFECTS[defect](blob)
         with pytest.raises(DomainError):
             MdmPlan.from_json(blob)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["5", "[]", '"plan"', "null", "{", '{"active_sets": 5, "levels": [], "cost": 1}'],
+    )
+    def test_from_json_rejects_malformed_input(self, text):
+        with pytest.raises(DomainError):
+            MdmPlan.from_json(text)
+        if text != "{":
+            with pytest.raises(DomainError):
+                MdmPlan.from_json(json.loads(text))
+
     def test_levels_match_active_sets(self):
         plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
         with pytest.raises(DomainError):
-            MdmPlan(plan.active_sets, plan.budgets, plan.flattened, plan.cost, plan.levels[:1])
+            MdmPlan(plan.active_sets, plan.levels[:1], plan.cost)
+
+    @pytest.mark.parametrize(
+        "sets, levels",
+        [(((0, 1),), (3,)), (((0,), (0,)), (3, 3)), (((1,), (0,)), (3, 3)), (((0,),), (-1,))],
+        ids=["empty-component", "duplicate", "unordered", "negative-level"],
+    )
+    def test_inconsistent_plan_cannot_be_constructed(self, sets, levels):
+        # level 3 is below 2|u| for u = (0, 1): every tensor term of its component is missing
+        with pytest.raises(DomainError):
+            MdmPlan(sets, levels, 1.0)
 
     def test_anchor_evaluated_once(self):
         levels = {(0,): 2, (1,): 2}
