@@ -27,9 +27,9 @@ cost budget is exhausted.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, exp, expm1, inf, isfinite, log, prod, sqrt
 
 import numpy as np
@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _json_input,
 )
 from .hermite import gauss_hermite_rule
 from .kernels import (
@@ -58,7 +59,7 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _spectral_errors
+from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _row_keys, _spectral_errors
 
 TENSOR_BUDGET = 10**6
 ANCHOR_SET_GUARD = 20
@@ -137,12 +138,17 @@ def tensor_rule(factors) -> QuadratureRule:
     size = prod(f.n for f in factors)
     if size > TENSOR_BUDGET:
         raise BudgetError(f"tensor grid of {size} nodes exceeds the budget {TENSOR_BUDGET}")
-    node_grids = np.meshgrid(*[f.nodes for f in factors], indexing="ij")
-    nodes = np.stack([g.ravel() for g in node_grids], axis=1)
-    weights = np.ones(size)
-    for g in np.meshgrid(*[f.weights for f in factors], indexing="ij"):
+    return QuadratureRule(*_product_grid([f.nodes for f in factors], [f.weights for f in factors]))
+
+
+def _product_grid(node_lists, weight_lists):
+    """Rows of the product grid of per-coordinate node lists, in lexicographic
+    position order, and the products of their weights."""
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*node_lists, indexing="ij")], axis=1)
+    weights = np.ones(nodes.shape[0])
+    for g in np.meshgrid(*weight_lists, indexing="ij"):
         weights *= g.ravel()
-    return QuadratureRule(nodes, weights)
+    return nodes, weights
 
 
 def level_choice_for_eps(eps: float, sigma) -> np.ndarray:
@@ -208,17 +214,22 @@ class SmolyakLevels:
         return cls(tuple(range(1, level + 1)), level)
 
 
-def _difference_block(schedule, k):
-    """Signed node/weight list of B_{m_k} - B_{m_{k-1}} (with B_{m_0} = 0)."""
-    hi = gauss_hermite_rule(schedule[k - 1])
-    entries: dict[float, float] = {}
-    for x, w in zip(hi.nodes, hi.weights):
-        entries[float(x)] = entries.get(float(x), 0.0) + float(w)
-    if k >= 2:
-        lo = gauss_hermite_rule(schedule[k - 2])
-        for x, w in zip(lo.nodes, lo.weights):
-            entries[float(x)] = entries.get(float(x), 0.0) - float(w)
-    return list(entries.items())
+@lru_cache(maxsize=None)
+def _difference_rules(schedule: tuple):
+    """The difference rules Delta_k = B_{m_k} - B_{m_{k-1}} (B_{m_0} = 0) of a schedule.
+
+    Returns ``(values, diff)``, both read-only: the distinct nodes of
+    B_{m_1}, B_{m_2}, ... in order of first appearance, so B_{m_1}..B_{m_k}
+    sit on a prefix, and row k - 1 of ``diff`` is Delta_k on them.
+    """
+    rules = [gauss_hermite_rule(m) for m in schedule]
+    position = {x: i for i, x in enumerate(dict.fromkeys(x for r in rules for x in r.nodes.tolist()))}
+    b = np.zeros((len(rules), len(position)))  # row k - 1: B_{m_k}
+    for k, rule in enumerate(rules):
+        b[k, [position[x] for x in rule.nodes.tolist()]] = rule.weights
+    values, diff = np.array(list(position), dtype=float), np.diff(b, axis=0, prepend=0.0)
+    values.flags.writeable = diff.flags.writeable = False
+    return values, diff
 
 
 def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
@@ -243,26 +254,23 @@ def _merged_terms(size: int, schedule, level: int, lowest: int):
 
     Returns ``(keys, weights)``: the distinct local node rows in
     lexicographic order and their non-zero merged weights (both read-only).
-    Duplicate nodes merge by exact coordinate equality; all node values
-    come from identical univariate rules, so collisions are exact.
+    Rows are coded by the ranks of their node values and keyed by
+    :func:`worst_case._row_keys`, so they merge on exact node equality.
     """
-    # (values, weights) of Delta_k for every k a level vector can hold
-    blocks = {
-        k: np.array(_difference_block(schedule, k)).T
-        for k in range(lowest, level - lowest * (size - 1) + 1)
-    }
-    node_parts, weight_parts = [np.zeros((0, size))], [np.zeros(0)]  # no terms: empty
-    for ks in _level_vectors(size, level, lowest):
-        grids = np.meshgrid(*[blocks[k][0] for k in ks], indexing="ij")
-        node_parts.append(np.stack([g.ravel() for g in grids], axis=1))
-        weights = np.ones(grids[0].size)
-        for g in np.meshgrid(*[blocks[k][1] for k in ks], indexing="ij"):
-            weights *= g.ravel()
-        weight_parts.append(weights)
-    keys, where = np.unique(np.vstack(node_parts), axis=0, return_inverse=True)
-    merged = np.bincount(where.ravel(), weights=np.concatenate(weight_parts))
+    top = level - lowest * (size - 1)  # the largest k a level vector can hold
+    values, diff = _difference_rules(tuple(schedule[: max(top, 0)]))  # top < 1: no level vector, no rules
+    sorted_values, rank = np.unique(values, return_inverse=True)
+    support = [np.flatnonzero(row) for row in diff]
+    terms = [(np.zeros((0, size), dtype=np.intp), np.zeros(0))] + [  # no level vector: empty
+        _product_grid([rank[support[k - 1]] for k in ks], [diff[k - 1, support[k - 1]] for k in ks])
+        for ks in _level_vectors(size, level, lowest)
+    ]
+    codes = np.vstack([rows for rows, _ in terms])
+    radix = (values.size,) * size
+    _, first, where = np.unique(_row_keys(codes, radix), return_index=True, return_inverse=True)
+    merged = np.bincount(where, weights=np.concatenate([w for _, w in terms]))
     keep = merged != 0.0
-    keys, merged = keys[keep], merged[keep]
+    keys, merged = sorted_values[codes[first[keep]]], merged[keep]
     keys.flags.writeable = merged.flags.writeable = False
     return keys, merged
 
@@ -287,9 +295,8 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
 
     Standard combination: the sum over multi-indices i >= 1 with
     |i|_1 <= level of tensor products of univariate difference rules.
-    Duplicate nodes merge by exact coordinate equality (all node values
-    come from identical univariate rules, so collisions are exact) and
-    exactly cancelled weights are dropped.  The returned rule lives in
+    Duplicate nodes merge exactly (:func:`_merged_terms`) and exactly
+    cancelled weights are dropped.  The returned rule lives in
     ``dim`` ambient coordinates (default max(u) + 1) with inactive
     coordinates pinned at zero.
     """
@@ -557,9 +564,7 @@ class MdmPlan:
         A file that also holds ``budgets`` and ``flattened`` loads only if
         both equal what its sets and levels build.
         """
-        try:
-            if isinstance(obj, str):
-                obj = json.loads(obj)
+        with _json_input(obj, "plan") as obj:
             plan = cls(tuple(tuple(u) for u in obj["active_sets"]), tuple(obj["levels"]), float(obj["cost"]))
             if "budgets" in obj or "flattened" in obj:
                 stored, rule = QuadratureRule.from_json(obj["flattened"]), plan.flattened
@@ -567,8 +572,6 @@ class MdmPlan:
                     np.array_equal(rule.nodes, stored.nodes) and np.array_equal(rule.weights, stored.weights)
                 ):
                     raise DomainError("plan budgets or rule differ from what its sets and levels build")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"invalid plan JSON: {exc!r}") from exc
         return plan
 
 
@@ -734,19 +737,7 @@ def _term_rows(plan: MdmPlan):
         rows.append((u, ks - 1, np.ones(ks.shape[0])))
         for c, k in zip(u, ks.max(axis=0).tolist()):
             top[c] = max(top.get(c, 1), k)
-    if not top:
-        return rows, {}
-    schedule = tuple(range(1, max(top.values()) + 1))
-    position = {}
-    diff = np.zeros((len(schedule), sum(schedule)))
-    width = []  # distinct values of B_1..B_k, which carry Delta_1..Delta_k
-    for k in schedule:
-        for x, w in _difference_block(schedule, k):
-            diff[k - 1, position.setdefault(x, len(position))] = w
-        width.append(len(position))
-    values = np.array(list(position))
-    grids = {c: (values[: width[k - 1]], diff[:k, : width[k - 1]]) for c, k in top.items()}
-    return rows, grids
+    return rows, {c: _difference_rules(tuple(range(1, k + 1))) for c, k in top.items()}
 
 
 def _tables(grids, family: str, params):

@@ -93,8 +93,6 @@ def _cmd_transfer(args) -> int:
         twin = transfer_quadrature_to_hermite(rule, sigma)
         e_gauss = wce_integration(rule, constants.gaussian_spec())
         e_herm = wce_integration(twin, constants.hermite_spec())
-        residual = abs(e_gauss - constants.gauss_prefactor * e_herm)
-        twin_json = twin.to_json()
     else:
         method = SamplingMethod.from_json(payload)
         constants = TransferConstants.approximation(sigma)
@@ -102,15 +100,14 @@ def _cmd_transfer(args) -> int:
         gauss_sys, herm_sys = spectral_pair(sigma, method.index_set)
         e_gauss, tail_g = wce_approximation(method, gauss_sys)
         e_herm, tail_h = wce_approximation(twin, herm_sys)
-        residual = abs(e_gauss - constants.gauss_prefactor * e_herm)
         print(f"tail_gaussian={_fmt(tail_g)}")
         print(f"tail_hermite={_fmt(tail_h)}")
-        twin_json = twin.to_json()
+    residual = abs(e_gauss - constants.gauss_prefactor * e_herm)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(twin_json, fh)
+            json.dump(twin.to_json(), fh)
     else:
-        print(json.dumps(twin_json))
+        print(json.dumps(twin.to_json()))
     print(f"error_gaussian={_fmt(e_gauss)}")
     print(f"error_hermite={_fmt(e_herm)}")
     print(f"prefactor={_fmt(constants.gauss_prefactor)}")

@@ -5,6 +5,9 @@ condition estimate, budget overrun); callers should not need to parse
 messages to branch on failure modes.
 """
 
+import json
+from contextlib import contextmanager
+
 
 class UnsupportedDegreeError(ValueError):
     """Polynomial degree above the supported guard."""
@@ -44,3 +47,16 @@ class EvaluationError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """Not enough data points for the requested estimate."""
+
+
+@contextmanager
+def _json_input(obj, what: str):
+    """Yield the JSON value ``obj``, parsed first if it is text.  Malformed input
+    (``5``, ``[]``, ``null``, a missing key) raising a KeyError, TypeError,
+    AttributeError or ValueError in the block raises DomainError instead."""
+    try:
+        yield json.loads(obj) if isinstance(obj, str) else obj
+    except (UnsupportedDegreeError, UnsupportedSizeError, ShapeMismatchError, DomainError, BudgetError):
+        raise  # a constructor's own error keeps its type
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DomainError(f"invalid {what} JSON: {exc!r}") from exc

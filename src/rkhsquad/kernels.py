@@ -44,14 +44,13 @@ validates shape parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import exp, sqrt
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, _json_input
 from .hermite import hermite_table
 
 GAUSSIAN = "gaussian"
@@ -146,9 +145,8 @@ class KernelSpec:
 
     @classmethod
     def from_json(cls, obj) -> "KernelSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["family"], tuple(obj["params"]))
+        with _json_input(obj, "kernel") as obj:
+            return cls(obj["family"], tuple(obj["params"]))
 
     def _point(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -35,7 +35,6 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import exp, prod, sqrt
 from typing import Sequence
@@ -49,6 +48,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _json_input,
 )
 from .hermite import QuadratureRule1D, hermite_table
 from .kernels import (
@@ -124,9 +124,8 @@ class QuadratureRule:
 
     @classmethod
     def from_json(cls, obj) -> "QuadratureRule":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
+        with _json_input(obj, "rule") as obj:
+            return cls(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
 
 
 def concat_rules(a: QuadratureRule, b: QuadratureRule) -> QuadratureRule:
@@ -343,11 +342,10 @@ class CostModel:
 
     @classmethod
     def from_json(cls, obj) -> "CostModel":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if obj.get("mode") == "unit":
-            return cls.unit()
-        return cls(obj.get("mode"), tuple(obj.get("table", ())))
+        with _json_input(obj, "cost model") as obj:
+            if obj.get("mode") == "unit":
+                return cls.unit()
+            return cls(obj.get("mode"), tuple(obj.get("table", ())))
 
 
 @dataclass(frozen=True)
@@ -404,13 +402,12 @@ class SamplingMethod:
 
     @classmethod
     def from_json(cls, obj) -> "SamplingMethod":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(
-            np.asarray(obj["nodes"], dtype=float),
-            np.asarray(obj["coeffs"], dtype=float),
-            MultiIndexSet(obj["index_set"]),
-        )
+        with _json_input(obj, "sampling method") as obj:
+            return cls(
+                np.asarray(obj["nodes"], dtype=float),
+                np.asarray(obj["coeffs"], dtype=float),
+                MultiIndexSet(obj["index_set"]),
+            )
 
 
 @dataclass(frozen=True)

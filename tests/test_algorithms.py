@@ -9,6 +9,9 @@ import pytest
 from rkhsquad.algorithms import (
     KernelGenerator,
     _component_local,
+    _difference_rules,
+    _level_vectors,
+    _merged_terms,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -293,6 +296,26 @@ def test_smolyak_rule_matches_recursive_reference(size, schedule):
         _assert_terms_match(rule.nodes, rule.weights, want, (size, schedule, level))
 
 
+def _float_row_merge(size, schedule, level, lowest):
+    """Test-local oracle: the tensor terms over the level vectors merged by
+    ``np.unique(axis=0)`` over float node rows, as the library did before it
+    keyed rows by the ranks of their node values."""
+    top = level - lowest * (size - 1)
+    blocks = {k: np.array(_reference_difference(schedule, k)).T for k in range(lowest, top + 1)}
+    node_parts, weight_parts = [np.zeros((0, size))], [np.zeros(0)]
+    for ks in _level_vectors(size, level, lowest):
+        grids = np.meshgrid(*[blocks[k][0] for k in ks], indexing="ij")
+        node_parts.append(np.stack([g.ravel() for g in grids], axis=1))
+        weights = np.ones(grids[0].size)
+        for g in np.meshgrid(*[blocks[k][1] for k in ks], indexing="ij"):
+            weights *= g.ravel()
+        weight_parts.append(weights)
+    keys, where = np.unique(np.vstack(node_parts), axis=0, return_inverse=True)
+    merged = np.bincount(where.ravel(), weights=np.concatenate(weight_parts))
+    keep = merged != 0.0
+    return keys[keep], merged[keep]
+
+
 def _anchored_smolyak(size, level):
     """Anchored component from the reference Smolyak rule and the 2^size anchoring signs."""
     if level < size:
@@ -324,6 +347,43 @@ class TestComponentTerms:
         for level in range(1, 13):
             keys, weights = _component_local(size, level)
             _assert_terms_match(keys, weights, _anchored_smolyak(size, level), (size, level))
+
+    @pytest.mark.parametrize("size, level", [(2, 30), (3, 18), (5, 14), (10, 20)])
+    def test_component_matches_float_row_merge(self, size, level):
+        keys, weights = _component_local(size, level)
+        want_keys, want_weights = _float_row_merge(size, tuple(range(1, level + 1)), level, 2)
+        assert np.array_equal(keys, want_keys) and np.array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize(
+        "size, schedule, level",
+        [
+            (3, SCHEDULES["odd"] + (25, 27), 14),
+            (2, SCHEDULES["growing"] + (69, 81), 14),
+            # 131 distinct nodes in 10 coordinates: 131**10 >= 2**63, so the
+            # rows are keyed as byte strings instead of int64
+            (10, (1, 2, 128), 12),
+        ],
+    )
+    def test_smolyak_matches_float_row_merge(self, size, schedule, level):
+        top = level - (size - 1)
+        wide = len(_difference_rules(schedule[:top])[0]) ** size >= 2**63
+        assert wide == (size == 10)
+        keys, weights = _merged_terms(size, schedule, level, lowest=1)
+        want_keys, want_weights = _float_row_merge(size, schedule, level, 1)
+        assert np.array_equal(keys, want_keys) and np.array_equal(weights, want_weights)
+
+    def test_difference_rules_share_prefixes(self):
+        values, diff = _difference_rules(SCHEDULES["growing"])
+        assert np.unique(values).size == values.size
+        for k in range(1, len(SCHEDULES["growing"]) + 1):
+            head_values, head_diff = _difference_rules(SCHEDULES["growing"][:k])
+            assert np.array_equal(head_values, values[: head_values.size])
+            assert np.array_equal(head_diff, diff[:k, : head_values.size])
+            assert not diff[:k, head_values.size :].any()
+            row = dict(zip(values.tolist(), diff[k - 1].tolist()))
+            want = dict(_reference_difference(SCHEDULES["growing"], k))
+            assert {x: w for x, w in row.items() if x in want} == want
+            assert not any(w for x, w in row.items() if x not in want)
 
     def test_acceptance_curve_costs(self):
         gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))

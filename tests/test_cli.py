@@ -203,6 +203,19 @@ class TestUsageErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["e0", "--kernel", "{path}", "--problem", "int"],
+        ["transfer", "--rule", "{path}", "--sigma", "1.0", "--problem", "int"],
+        ["transfer", "--rule", "{path}", "--sigma", "1.0", "--problem", "approx"],
+    ], ids=["e0", "transfer-int", "transfer-approx"])
+    @pytest.mark.parametrize("payload", ["5", "[]", "null", "{}"])
+    def test_malformed_json_file(self, tmp_path, capfd, argv, payload):
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        assert main([str(path) if arg == "{path}" else arg for arg in argv]) == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_non_finite_budget(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "nan,10,100",

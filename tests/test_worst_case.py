@@ -1,6 +1,7 @@
 """Worst-case errors, optimal weights, spectral systems, cost accounting."""
 
 import itertools
+import json
 import math
 
 import warnings
@@ -322,6 +323,45 @@ class TestCostModel:
     def test_from_json_rejects_bad_models(self, blob):
         with pytest.raises(DomainError):
             CostModel.from_json(blob)
+
+
+# one valid blob per JSON loader; malformed variants of each must raise DomainError
+JSON_LOADERS = {
+    "kernel": (KernelSpec, {"family": "hermite", "params": [0.5]}),
+    "rule": (QuadratureRule, {"nodes": [[0.0]], "weights": [1.0]}),
+    "sampling-method": (SamplingMethod, {"nodes": [[0.0]], "index_set": [[0]], "coeffs": [[1.0]]}),
+    "cost-model": (CostModel, {"mode": "dollar", "table": [1.0, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(JSON_LOADERS))
+@pytest.mark.parametrize("text", ["5", "[]", "null", '"text"', "{", '{"nodes": 5, "params": 5, "table": 5}'])
+def test_json_loaders_reject_malformed_input(loader, text):
+    cls, good = JSON_LOADERS[loader]
+    cls.from_json(json.dumps(good))
+    with pytest.raises(DomainError):
+        cls.from_json(text)
+    if text != "{":
+        with pytest.raises(DomainError):
+            cls.from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("loader", sorted(JSON_LOADERS))
+def test_json_loaders_reject_missing_keys(loader):
+    cls, good = JSON_LOADERS[loader]
+    for key in good:
+        with pytest.raises(DomainError):
+            cls.from_json({k: v for k, v in good.items() if k != key})
+
+
+@pytest.mark.parametrize("loader, blob", [
+    (QuadratureRule, {"nodes": [[0.0], [1.0]], "weights": [1.0]}),
+    (SamplingMethod, {"nodes": [[0.0]], "index_set": [[0], [1]], "coeffs": [[1.0]]}),
+    (SamplingMethod, {"nodes": [[0.0]], "index_set": [[0], [0, 1]], "coeffs": [[1.0, 0.0]]}),
+])
+def test_json_loaders_keep_constructor_errors(loader, blob):
+    with pytest.raises(ShapeMismatchError):
+        loader.from_json(blob)
 
 
 def _product_gram(spec, nodes):
