@@ -48,13 +48,12 @@ from .kernels import (
     INTEGRATION,
     KernelSpec,
     check_sigma,
-    gaussian_kernel,
-    gaussian_mean_embedding_1d,
     hermite_kernel,
     initial_error,
     matched_parameters,
 )
 from .transference import (
+    TransferConstants,
     beta_from_sigma,
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
@@ -436,7 +435,8 @@ class KernelGenerator:
     rule.  ``hermite_twin``: the Hermite space matched to a Gaussian
     sigma rule through the integration correspondence, on which
     worst-case errors equal the normalized errors of the transferred
-    Gaussian algorithms.
+    Gaussian algorithms.  A Gaussian generator is measured through its
+    twins on the Hermite space of its ``score_betas``.
     """
 
     family: str
@@ -463,10 +463,6 @@ class KernelGenerator:
     def hermite_twin_of_gaussian(cls, rule: ParamRule) -> "KernelGenerator":
         return cls("hermite_twin", rule)
 
-    @property
-    def measured_family(self) -> str:
-        return GAUSSIAN if self.family == GAUSSIAN else HERMITE
-
     def _twin_betas(self, d: int) -> np.ndarray:
         """Integration twins of the first d sigma_j of the rule."""
         sigma = self.rule.values(d)
@@ -486,18 +482,15 @@ class KernelGenerator:
             raise DomainError("hermite rule produced beta >= 1")
         return raw
 
-    def spec(self, d: int) -> KernelSpec:
-        return KernelSpec(self.measured_family, tuple(self.params(d)))
-
     def score_betas(self, d: int) -> np.ndarray:
-        """Base parameters of coordinates 1..d feeding the greedy surrogate score."""
+        """Base parameters of coordinates 1..d: of the greedy score and of the space :func:`mdm_wce` uses."""
         if self.family == HERMITE:
             return self.rule.values(d)
         return self._twin_betas(d)
 
     def param_tail_sq_bound(self, start: int) -> float:
-        """Upper bound for the tail sum of squared parameters from ``start`` on."""
-        if self.family in (GAUSSIAN, HERMITE):
+        """Upper bound for the tail sum of squared base parameters from ``start`` on."""
+        if self.family == HERMITE:
             return self.rule.tail_power_sum(start, 2.0)
         # beta_j <= 2 sigma_j^2, hence beta_j^2 <= 4 sigma_j^4
         return 4.0 * self.rule.tail_power_sum(start, 4.0)
@@ -612,8 +605,8 @@ def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
         raise DomainError("duplicate active sets")
     pairs = [(u, q) for u, q in pairs if _component_local(len(u), q)[1].size]
-    counts = [0] + [int(a) for u, q in pairs for a in _component_counts(len(u), q) if a]
-    cost = float(sum(model.charge(a) for a in counts))
+    live = (a[a > 0] for a in (_component_counts(len(u), q) for u, q in pairs))
+    cost = model.charge_rows(np.concatenate([[0], *live]))  # the anchor row, then the others
     return MdmPlan(tuple(u for u, _ in pairs), tuple(q for _, q in pairs), cost)
 
 
@@ -674,7 +667,7 @@ def mdm_build(
         key = (len(u), q)
         if key not in cache:
             counts = _component_counts(len(u), q)
-            cache[key] = sum(model.charge(int(a)) for a in counts), counts.size
+            cache[key] = model.charge_rows(counts), counts.size
         return cache[key]
 
     remaining = budget - anchor_cost
@@ -718,12 +711,13 @@ def mdm_apply(plan: MdmPlan, f) -> float:
 
 # -- exact worst-case error of the flattened rule on the infinite-variate space
 #
-# Both forms of the Gram identity run over the plan's tensor terms, grouped
-# by support.  A row holds, for each coordinate of its group's support, the
-# index k - 1 of the factor Delta_k on that coordinate; tables are
-# Delta_k^T K_c Delta_l and Delta_k^T m_c.  Index 0 stands for Delta_1 =
-# delta_0, the anchor value x_c = 0, where every normalized kernel and
-# embedding table is 1, so only active coordinates enter a product.
+# The Gram identity runs on the Hermite side over the plan's tensor terms,
+# grouped by support.  A row holds, for each coordinate of its group's
+# support, the index k - 1 of the factor Delta_k on that coordinate; tables
+# are Delta_k^T K_c Delta_l / K_c(0, 0) and Delta_k^T 1.  Index 0 stands for
+# Delta_1 = delta_0, the anchor value x_c = 0, where both tables are 1, so
+# only active coordinates enter a product.  A Gaussian generator's Delta_k
+# become their twins: nodes e_c x and weights damped by phi(x) / phi(0).
 
 
 def _term_rows(plan: MdmPlan):
@@ -740,25 +734,20 @@ def _term_rows(plan: MdmPlan):
     return rows, {c: _difference_rules(tuple(range(1, k + 1))) for c, k in top.items()}
 
 
-def _tables(grids, family: str, params):
-    """Per-coordinate quadratic tables K_c / K_c(0, 0) and linear tables m_c / m_c(0)
-    (m_c = 1 on the Hermite side), mapped through the difference rules Delta_k."""
-    kernel = gaussian_kernel if family == GAUSSIAN else hermite_kernel
+def _tables(grids, betas):
+    """Per-coordinate quadratic tables K_c / K_c(0, 0) and linear tables Delta_k^T 1
+    of the Hermite kernels with base parameters ``betas``."""
     quad, lin = {}, {}
     for c, (values, diff) in grids.items():
-        p = params[c]
-        k00 = float(kernel(p, 0.0, 0.0))
-        if family == GAUSSIAN:
-            m = gaussian_mean_embedding_1d(p, values) / gaussian_mean_embedding_1d(p, 0.0)
-        else:
-            m = np.ones(values.size)
+        p = betas[c]
+        k00 = float(hermite_kernel(p, 0.0, 0.0))
         step = max(1, _BLOCK_CHUNK // values.size)
         blocks = (
-            (diff[:, lo : lo + step], kernel(p, values[lo : lo + step, None], values[None, :]) / k00)
+            (diff[:, lo : lo + step], hermite_kernel(p, values[lo : lo + step, None], values[None, :]) / k00)
             for lo in range(0, values.size, step)
         )
         quad[c] = sum(part @ block @ diff.T for part, block in blocks)
-        lin[c] = diff @ m
+        lin[c] = diff @ np.ones(values.size)
     return quad, lin
 
 
@@ -818,37 +807,44 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     sums.  Both the quadratic and the linear form of the Gram identity
     run over the tensor terms of the plan's per-set levels, so the cost
     grows with the number of terms, not with the square of the node
-    count.  Returns ``(value, tail_bound)``.
+    count.  A Gaussian generator's error is its initial error times that
+    of the twin rule, E = prod_c e_c times the twins of the tensor terms,
+    on the Hermite space of its ``score_betas``.  Returns ``(value, tail_bound)``.
     """
     dim = max((u[-1] + 1 for u in plan.active_sets), default=1)
     if dim > trunc:
         raise ShapeMismatchError(f"plan touches coordinate {dim - 1}, beyond trunc = {trunc}")
-    params = gen.params(trunc)
     groups, grids = _term_rows(plan)
-    quad_tables, lin_tables = _tables(grids, gen.measured_family, params)
+    betas = gen.score_betas(trunc) if gen.family == GAUSSIAN else gen.params(trunc)
+    twin, prefactor = 1.0, 1.0  # E and the Gaussian initial error
+    if gen.family == GAUSSIAN:
+        sigma = gen.params(trunc)
+        for c, (x, diff) in grids.items():
+            rule = transfer_quadrature_to_hermite(QuadratureRule(x[:, None], np.ones_like(x)), [sigma[c]])
+            grids[c] = rule.nodes[:, 0], diff * (rule.weights / rule.weights[0])  # e_c goes into E
+        constants = TransferConstants.integration(sigma[sigma > 0.0])  # e_c = 1 where sigma_j underflows
+        twin, prefactor = float(np.prod(constants.e)), constants.gauss_prefactor
+    quad_tables, lin_tables = _tables(grids, betas)
     quad = _pairwise_quadratic(groups, quad_tables)
-    lin = _linear_form(groups, lin_tables)
+    lin = twin * _linear_form(groups, lin_tables)
 
-    if gen.measured_family == HERMITE:
-        g0 = exp(-0.5 * float(np.sum(np.log1p(-params * params))))
-        e2 = 1.0 - 2.0 * lin + g0 * quad
-        s_tail = gen.param_tail_sq_bound(trunc + 1)
-        beta_next = params[-1]  # rules are non-increasing in j
-        delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
-    else:
-        s2 = params * params
-        di = float(np.prod((1.0 + 4.0 * s2) ** -0.5))
-        m0 = float(np.prod((1.0 + 2.0 * s2) ** -0.5))
-        e2 = di - 2.0 * m0 * lin + quad
-        # the tail scales di by at most exp(-2 s) and w.m by at most exp(-s)
+    g0 = exp(-0.5 * float(np.sum(np.log1p(-betas * betas))))
+    e2 = 1.0 - 2.0 * lin + g0 * twin * twin * quad
+    if gen.family == GAUSSIAN:
+        # with II the Gaussian initial error squared, II g0 E^2 = 1 holds past
+        # trunc too: the tail scales II by at least exp(-2 s) and II E lin by exp(-s)
         s_tail = gen.sigma_tail_sq_bound(trunc + 1)
-        delta = di * -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * abs(m0 * lin)
+        delta = -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * abs(lin)
+    else:
+        s_tail = gen.param_tail_sq_bound(trunc + 1)
+        beta_next = betas[-1]  # rules are non-increasing in j
+        delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
 
-    scale = max(1.0, float(np.abs(_flat_weights(plan.active_sets, plan.levels)).sum()) ** 2)
+    scale = max(1.0, (twin * float(np.abs(_flat_weights(plan.active_sets, plan.levels)).sum())) ** 2)
     if e2 < -1e-10 * scale:
         raise NumericalConsistencyError(f"squared error {e2:.3e} badly negative")
     e2 = max(e2, 0.0)
     value = sqrt(e2)
     upper = sqrt(e2 + delta)
     lower = sqrt(max(e2 - delta, 0.0))
-    return value, max(upper - value, value - lower)
+    return prefactor * value, prefactor * max(upper - value, value - lower)

@@ -327,13 +327,18 @@ class CostModel:
         return model
 
     def charge(self, active: int) -> float:
+        return self.charge_rows([active])
+
+    def charge_rows(self, active) -> float:
+        """Total charge of rows with the given activities: one table lookup,
+        summed as Python floats in row order, as :meth:`charge` row by row."""
+        active = np.asarray(active, dtype=np.intp)
         if self.mode == "unit":
-            return 1.0
-        if active >= len(self.table):
-            raise DomainError(
-                f"dollar table covers activity up to {len(self.table) - 1}, queried {active}"
-            )
-        return self.table[active]
+            return float(active.size)
+        top = len(self.table) - 1
+        if active.size and active.max() > top:
+            raise DomainError(f"dollar table covers activity up to {top}, queried {active.max()}")
+        return float(sum(np.array(self.table)[active].tolist()))
 
     def to_json(self) -> dict:
         if self.mode == "unit":
@@ -789,10 +794,7 @@ def active_counts(nodes: np.ndarray) -> np.ndarray:
 
 def rule_cost(rule_or_method, model: CostModel) -> float:
     """Worst-case information cost of a rule or sampling method."""
-    nodes = rule_or_method.nodes
-    if model.mode == "unit":
-        return float(nodes.shape[0])
-    return float(sum(model.charge(int(a)) for a in active_counts(nodes)))
+    return model.charge_rows(active_counts(rule_or_method.nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -635,12 +635,14 @@ class TestMdm:
         slope = np.polyfit(ns[resolvable], np.log(errors[resolvable]), 1)[0]
         assert slope <= -0.35  # close to the true rate ln(3/2) for sigma = 1
 
-    def test_wce_tail_decreases_in_trunc(self):
-        plan = mdm_build(self.gen, 100.0, self.model, max_coord=16, pool_size=64)
-        v1, t1 = mdm_wce(plan, self.gen, trunc=128)
-        v2, t2 = mdm_wce(plan, self.gen, trunc=1024)
-        assert t2 < t1
-        assert abs(v1 - v2) <= t1
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_wce_tail_decreases_in_trunc(self, gen):
+        # geometric rules reach a tail of exactly 0 from trunc 128 on
+        plan = mdm_build(gen, 100.0, self.model, max_coord=8, pool_size=64)
+        (v1, t1), (_, t2), (v3, t3) = (mdm_wce(plan, gen, trunc=t) for t in (12, 128, 1024))
+        assert t1 > 0.0
+        assert t3 <= t2 <= t1
+        assert abs(v1 - v3) <= t1
 
     def test_single_active_set_beats_anchor_only(self):
         anchor_only = assemble_mdm_plan({}, self.model)
@@ -732,7 +734,8 @@ class TestMdm:
         padded[:, : plan.flattened.dimension] = plan.flattened.nodes
         from rkhsquad.worst_case import QuadratureRule
 
-        dense = wce_integration(QuadratureRule(padded, plan.flattened.weights), gen.spec(trunc))
+        spec = KernelSpec(gen.family if gen.family == "gaussian" else "hermite", tuple(gen.params(trunc)))
+        dense = wce_integration(QuadratureRule(padded, plan.flattened.weights), spec)
         assert value == pytest.approx(dense, rel=1e-11)
 
     @pytest.mark.parametrize("budget", [60.0, 300.0, 1000.0])

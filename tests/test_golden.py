@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkhsquad import CostModel, KernelGenerator, ParamRule, mdm_build
+from rkhsquad import CostModel, KernelGenerator, ParamRule, mdm_build, mdm_wce
 from rkhsquad.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -85,6 +85,30 @@ def _mp_e2(rule, beta, mp):
     return 1 - 2 * mp.fsum(w) + g0 * quad
 
 
+def _mp_gaussian_e2(rule, sigma, mp):
+    """II - 2 sum w m + w^T K w of a rule on a Gaussian space, node pair by node pair.
+
+    Built from the Gaussian kernel, its mean embedding and its double
+    integral II directly, not through the transference.
+    """
+    nodes = rule.nodes
+    w = [mp.mpf(float(v)) for v in rule.weights]
+    s2 = [mp.mpf(float(s)) ** 2 for s in sigma]
+    x = [[mp.mpf(float(v)) for v in row] for row in nodes]
+    supp = [set(np.flatnonzero(row).tolist()) for row in nodes]
+    quad = mp.fsum(
+        w[i] * w[j] * mp.exp(-mp.fsum(s2[c] * (x[i][c] - x[j][c]) ** 2 for c in supp[i] | supp[j]))
+        for i in range(len(w)) for j in range(len(w))
+    )
+    m0 = mp.fprod(1 / mp.sqrt(1 + 2 * t) for t in s2)  # the embedding at the anchor
+    lin = m0 * mp.fsum(
+        w[i] * mp.exp(-mp.fsum(s2[c] * x[i][c] ** 2 / (1 + 2 * s2[c]) for c in supp[i]))
+        for i in range(len(w))
+    )
+    ii = mp.fprod(1 / mp.sqrt(1 + 4 * t) for t in s2)
+    return ii - 2 * lin + quad
+
+
 @pytest.mark.parametrize("name", sorted(_MDM_RULES))
 def test_mdm_errors_match_40_digit_reference(name):
     # golden errors sit within 16 times the Gram identity's rounding scale
@@ -103,3 +127,19 @@ def test_mdm_errors_match_40_digit_reference(name):
             reference = _mp_e2(plan.flattened, gen.params(_TRUNC), mp)
         w1 = float(np.abs(plan.flattened.weights).sum())
         assert abs(float(row["error"]) ** 2 - float(reference)) <= 16.0 * eps * w1 * w1, budget
+
+
+@pytest.mark.parametrize("budget", [60.0, 400.0])
+@pytest.mark.parametrize("rule", ["0.6^j", "0.5^j"])
+def test_gaussian_mdm_errors_match_40_digit_reference(rule, budget):
+    # a Gaussian generator is measured through its Hermite twin; its error
+    # sits within 16 eps |w|_1^2 (in e^2) of the Gaussian-side 40-digit value
+    mp = pytest.importorskip("mpmath")
+    gen = KernelGenerator.gaussian(ParamRule.parse(rule))
+    trunc = 256
+    plan = mdm_build(gen, budget, CostModel.dollar([float(m) for m in range(1, 13)]), max_coord=64, pool_size=256)
+    value, _ = mdm_wce(plan, gen, trunc=trunc)
+    with mp.workdps(40):
+        reference = _mp_gaussian_e2(plan.flattened, gen.params(trunc), mp)
+    w1 = float(np.abs(plan.flattened.weights).sum())
+    assert abs(value**2 - float(reference)) <= 16.0 * float(np.finfo(float).eps) * w1 * w1

@@ -308,6 +308,18 @@ class TestCostModel:
         model = CostModel.dollar([1.0, 2.0])
         with pytest.raises(DomainError):
             model.charge(2)
+        with pytest.raises(DomainError, match="queried 2"):
+            model.charge_rows([0, 1, 2, 1])
+
+    def test_charge_rows_is_the_row_order_sum(self):
+        # plan costs are compared bit for bit, so the lookup keeps the
+        # Python float sum of the per-row charges in row order
+        model = CostModel.dollar([1.1, 1.7, 2.3, 3.1, 4.3])
+        active = np.random.default_rng(3).integers(0, 5, size=1000)
+        per_row = sum(model.table[a] for a in active.tolist())
+        assert model.charge_rows(active).hex() == per_row.hex()
+        assert model.charge_rows([]) == 0.0
+        assert CostModel.unit().charge_rows(active) == 1000.0
 
     def test_json_round_trip(self):
         assert CostModel.from_json({"mode": "unit"}) == CostModel.unit()
