@@ -19,9 +19,10 @@ anchored component
 flattened into a single quadrature rule over anchored points.  A plan is
 its sets, their levels and its cost; the flattened rule is built on demand.
 Set selection and per-set levels follow a deterministic greedy scheme
-scored by the product surrogate prod_{j in u} beta_j: the candidate upgrade
-with the best predicted error decrease per unit cost is granted until the
-cost budget is exhausted.
+scored by the product surrogate prod_{j in u} beta_j: each set u enters
+at level 2|u|, and the candidate upgrade with the best predicted error
+decrease per unit cost is granted until the budget is exhausted or the
+next level would need more than 256 Gauss-Hermite points.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     ShapeMismatchError,
     _json_input,
 )
+from . import hermite
 from .hermite import gauss_hermite_rule
 from .kernels import (
     GAUSSIAN,
@@ -213,22 +215,37 @@ class SmolyakLevels:
         return cls(tuple(range(1, level + 1)), level)
 
 
-@lru_cache(maxsize=None)
+_DIFFERENCE_TABLES: dict = {}  # schedule -> (values, diff, ends); no key is a prefix of another
+
+
 def _difference_rules(schedule: tuple):
     """The difference rules Delta_k = B_{m_k} - B_{m_{k-1}} (B_{m_0} = 0) of a schedule.
 
     Returns ``(values, diff)``, both read-only: the distinct nodes of
     B_{m_1}, B_{m_2}, ... in order of first appearance, so B_{m_1}..B_{m_k}
-    sit on a prefix, and row k - 1 of ``diff`` is Delta_k on them.
+    sit on a prefix, and row k - 1 of ``diff`` is Delta_k on them.  Only
+    the table of the longest schedule asked for is kept; its prefixes get
+    views of its top-left block.
     """
-    rules = [gauss_hermite_rule(m) for m in schedule]
-    position = {x: i for i, x in enumerate(dict.fromkeys(x for r in rules for x in r.nodes.tolist()))}
-    b = np.zeros((len(rules), len(position)))  # row k - 1: B_{m_k}
-    for k, rule in enumerate(rules):
-        b[k, [position[x] for x in rule.nodes.tolist()]] = rule.weights
-    values, diff = np.array(list(position), dtype=float), np.diff(b, axis=0, prepend=0.0)
-    values.flags.writeable = diff.flags.writeable = False
-    return values, diff
+    full = next((key for key in _DIFFERENCE_TABLES if key[: len(schedule)] == schedule), schedule)
+    if full not in _DIFFERENCE_TABLES:
+        for key in [key for key in _DIFFERENCE_TABLES if schedule[: len(key)] == key]:
+            del _DIFFERENCE_TABLES[key]
+        rules = [gauss_hermite_rule(m) for m in schedule]
+        position, ends = {}, []  # ends[k - 1]: the number of distinct nodes of B_{m_1}..B_{m_k}
+        for rule in rules:
+            for x in rule.nodes.tolist():
+                position.setdefault(x, len(position))
+            ends.append(len(position))
+        b = np.zeros((len(rules), len(position)))  # row k - 1: B_{m_k}
+        for k, rule in enumerate(rules):
+            b[k, [position[x] for x in rule.nodes.tolist()]] = rule.weights
+        values, diff = np.array(list(position), dtype=float), np.diff(b, axis=0, prepend=0.0)
+        values.flags.writeable = diff.flags.writeable = False
+        _DIFFERENCE_TABLES[full] = values, diff, ends
+    values, diff, ends = _DIFFERENCE_TABLES[full]
+    n = ends[len(schedule) - 1] if schedule else 0
+    return values[:n], diff[: len(schedule), :n]
 
 
 def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
@@ -431,12 +448,12 @@ class ParamRule:
 class KernelGenerator:
     """Infinite-variate tensor kernel described by a parameter rule.
 
-    ``gaussian``: sigma_j from the rule.  ``hermite``: beta_j from the
-    rule.  ``hermite_twin``: the Hermite space matched to a Gaussian
-    sigma rule through the integration correspondence, on which
-    worst-case errors equal the normalized errors of the transferred
-    Gaussian algorithms.  A Gaussian generator is measured through its
-    twins on the Hermite space of its ``score_betas``.
+    ``gaussian``: sigma_j from the rule.  ``hermite``: beta_j from a
+    geometric rule (a power rule gives beta_1 = 1).  ``hermite_twin``: the
+    Hermite space matched to a Gaussian sigma rule through the integration
+    correspondence, on which worst-case errors equal the normalized errors
+    of the transferred Gaussian algorithms.  A Gaussian generator is
+    measured through its twins on the Hermite space of its ``score_betas``.
     """
 
     family: str
@@ -445,11 +462,11 @@ class KernelGenerator:
     def __post_init__(self):
         if self.family not in (GAUSSIAN, HERMITE, "hermite_twin"):
             raise DomainError(f"unknown generator family {self.family!r}")
-        if self.family in (GAUSSIAN, "hermite_twin"):
-            if self.rule.kind == "power" and 2 * self.rule.a <= 1:
-                raise DomainError("sigma_j^2 must be summable: need p > 1/2 in j^-p")
-        elif self.rule.kind == "power" and self.rule.a <= 1:
-            raise DomainError("beta_j must be summable: need p > 1 in j^-p")
+        if self.family == HERMITE:
+            if self.rule.kind == "power":
+                raise DomainError("a power rule gives beta_1 = 1: a Hermite generator needs 'r^j'")
+        elif self.rule.kind == "power" and 2 * self.rule.a <= 1:
+            raise DomainError("sigma_j^2 must be summable: need p > 1/2 in j^-p")
 
     @classmethod
     def gaussian(cls, rule: ParamRule) -> "KernelGenerator":
@@ -463,30 +480,20 @@ class KernelGenerator:
     def hermite_twin_of_gaussian(cls, rule: ParamRule) -> "KernelGenerator":
         return cls("hermite_twin", rule)
 
-    def _twin_betas(self, d: int) -> np.ndarray:
-        """Integration twins of the first d sigma_j of the rule."""
-        sigma = self.rule.values(d)
-        # far out a geometric rule underflows to sigma_j = 0, whose twin is beta_j = 0
-        beta = np.zeros(d)
-        live = sigma > 0.0
-        beta[live] = matched_parameters(INTEGRATION, sigma[live])[0]
-        return beta
-
     def params(self, d: int) -> np.ndarray:
-        if self.family == GAUSSIAN:
-            return self.rule.values(d)
-        if self.family == "hermite_twin":
-            return self._twin_betas(d)
-        raw = self.rule.values(d)
-        if np.any(raw >= 1.0):
-            raise DomainError("hermite rule produced beta >= 1")
-        return raw
+        """sigma_j of a Gaussian generator, else :meth:`score_betas`."""
+        return self.rule.values(d) if self.family == GAUSSIAN else self.score_betas(d)
 
     def score_betas(self, d: int) -> np.ndarray:
         """Base parameters of coordinates 1..d: of the greedy score and of the space :func:`mdm_wce` uses."""
         if self.family == HERMITE:
             return self.rule.values(d)
-        return self._twin_betas(d)
+        sigma = self.rule.values(d)  # integration twins of the sigma_j
+        # far out a geometric rule underflows to sigma_j = 0, whose twin is beta_j = 0
+        beta = np.zeros(d)
+        live = sigma > 0.0
+        beta[live] = matched_parameters(INTEGRATION, sigma[live])[0]
+        return beta
 
     def param_tail_sq_bound(self, start: int) -> float:
         """Upper bound for the tail sum of squared base parameters from ``start`` on."""
@@ -641,10 +648,12 @@ def mdm_build(
     """Greedy cost-aware MDM plan within an evaluation-cost budget.
 
     Candidate sets are the ``pool_size`` best product-surrogate scores
-    over coordinates below ``max_coord``.  Each greedy step grants one
-    more Smolyak level to the candidate with the best predicted error
-    decrease per unit of exact flattened cost; a candidate that no longer
-    fits the remaining budget is dropped for good (costs only grow).
+    over coordinates below ``max_coord``; a set u enters at level 2|u|,
+    its first with a tensor term.  Each greedy step grants one more level
+    to the candidate with the best predicted error decrease per unit of
+    exact flattened cost.  A candidate is dropped for good once its next
+    level no longer fits the remaining budget (costs only grow) or needs a
+    rule beyond ``hermite.MAX_RULE_SIZE`` points.
     Ties prefer the lexicographically smaller set.  The anchor evaluation
     is always included and charged dollar(0).  ``BudgetError`` is raised
     once the granted components hold more than ``TENSOR_BUDGET`` nodes.
@@ -660,30 +669,29 @@ def mdm_build(
     betas = gen.score_betas(max_coord).tolist()
     pool = _subset_pool(betas, max_coord, pool_size)
 
-    cache: dict[tuple, tuple] = {}
-
-    def comp(u: tuple, q: int) -> tuple:
-        # (cost, size): the anchored component is size-generic, hence so are both
-        key = (len(u), q)
-        if key not in cache:
-            counts = _component_counts(len(u), q)
-            cache[key] = model.charge_rows(counts), counts.size
-        return cache[key]
+    @lru_cache(maxsize=None)
+    def comp(size: int, q: int) -> tuple:
+        # (cost, size) of the anchored component, which depends on |u| only
+        counts = _component_counts(size, q)
+        return model.charge_rows(counts), counts.size
 
     remaining = budget - anchor_cost
     granted = 0  # the sum of the chosen components' sizes, the plan's budgets
     chosen: dict[tuple, int] = {}
     options = []
 
-    def push(u, q, dcost, dsize, score, beta_u, dpe):
+    def push(u, q, score, beta_u):
+        # level q of u: the step from q - 1, unless its top rule is past the largest one
+        if q - 2 * (len(u) - 1) > hermite.MAX_RULE_SIZE:
+            return
+        (cost, size), (prev_cost, prev_size) = comp(len(u), q), comp(len(u), q - 1)
+        dcost, dpe = cost - prev_cost, score * beta_u ** (q - 1 - len(u)) * (1.0 - beta_u)
         # a free upgrade (odd rules reuse the anchor node) is always worth taking
         ratio = inf if dcost <= 0 else dpe / dcost
-        heapq.heappush(options, (-ratio, u, q, dcost, dsize, score, beta_u))
+        heapq.heappush(options, (-ratio, u, q, dcost, size - prev_size, score, beta_u))
 
     for u, score in pool:
-        beta_u = max(betas[c] for c in u)
-        q0 = len(u) + 1
-        push(u, q0, *comp(u, q0), score, beta_u, score * (1.0 - beta_u))
+        push(u, 2 * len(u), score, max(betas[c] for c in u))
 
     while options:
         _, u, q, dcost, dsize, score, beta_u = heapq.heappop(options)
@@ -694,9 +702,7 @@ def mdm_build(
         if granted > TENSOR_BUDGET:
             raise BudgetError(f"granted MDM components hold {granted} nodes, beyond {TENSOR_BUDGET}")
         chosen[u] = q
-        (cost, size), (nxt_cost, nxt_size) = comp(u, q), comp(u, q + 1)
-        dpe = score * beta_u ** (q - len(u)) * (1.0 - beta_u)
-        push(u, q + 1, nxt_cost - cost, nxt_size - size, score, beta_u, dpe)
+        push(u, q + 1, score, beta_u)
 
     plan = assemble_mdm_plan(chosen, model)
     if plan.cost > budget:
@@ -815,7 +821,7 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     if dim > trunc:
         raise ShapeMismatchError(f"plan touches coordinate {dim - 1}, beyond trunc = {trunc}")
     groups, grids = _term_rows(plan)
-    betas = gen.score_betas(trunc) if gen.family == GAUSSIAN else gen.params(trunc)
+    betas = gen.score_betas(trunc)
     twin, prefactor = 1.0, 1.0  # E and the Gaussian initial error
     if gen.family == GAUSSIAN:
         sigma = gen.params(trunc)

@@ -35,7 +35,7 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, prod, sqrt
 from typing import Sequence
 
@@ -419,21 +419,38 @@ class SamplingMethod:
 class SpectralSystem:
     """Eigen-decomposition of a kernel's embedding into L2(mu) over an index set.
 
-    Hermite family: eigenvalues prod_j beta_j^{nu_j}, eigenfunctions the
-    tensor Hermite polynomials.  Gaussian family: with beta_j and c_j from
-    the approximation parameter correspondence, eigenvalues
-    prod_j (1-beta_j) beta_j^{nu_j} and eigenfunctions
+    Gaussian family: with beta_j and c_j from the approximation parameter
+    correspondence, eigenvalues prod_j (1-beta_j) beta_j^{nu_j} and
+    eigenfunctions
 
         E_nu(x) = prod_j c_j^{1/2} exp(-(c_j^2-1) x_j^2 / 4) h_{nu_j}(c_j x_j),
 
-    orthonormal in L2(mu) in both cases.
+    orthonormal in L2(mu).  The Hermite family is the case c_j = 1 with
+    the factors 1 - beta_j replaced by 1: eigenvalues prod_j beta_j^{nu_j}
+    and the tensor Hermite polynomials.  Everything else is derived from
+    the kernel and the index set, here and nowhere else.
     """
 
     spec: KernelSpec
     index_set: MultiIndexSet
-    eigenvalues: np.ndarray
-    beta: np.ndarray
-    scale_c: np.ndarray | None
+    eigenvalues: np.ndarray = field(init=False)
+    beta: np.ndarray = field(init=False)
+    scale_c: np.ndarray = field(init=False)
+    factor: np.ndarray = field(init=False)  # per coordinate: 1 - beta_j (Gaussian) or 1 (Hermite)
+
+    def __post_init__(self):
+        if self.index_set.dimension != self.spec.dimension:
+            raise ShapeMismatchError("index set dimension does not match kernel dimension")
+        if self.spec.is_gaussian:
+            beta, scale_c = matched_parameters(APPROXIMATION, self.spec.params)
+            factor = 1.0 - beta
+        else:
+            beta = np.asarray(self.spec.params, dtype=float)
+            scale_c, factor = np.ones_like(beta), np.ones_like(beta)
+        lam = np.prod(factor[None, :] * beta[None, :] ** self.index_set.array(), axis=1)
+        lam.flags.writeable = False
+        for name, value in (("eigenvalues", lam), ("beta", beta), ("scale_c", scale_c), ("factor", factor)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -446,26 +463,16 @@ class SpectralSystem:
             raise ShapeMismatchError("node dimension does not match system dimension")
         idx = self.index_set.array()
         max_deg = int(idx.max())
-        per_coord = []
-        for j in range(self.dimension):
-            x = nodes[:, j]
-            if self.scale_c is None:
-                tab = hermite_table(max_deg, x)
-            else:
-                c = self.scale_c[j]
-                tab = hermite_table(max_deg, c * x)
-                tab = tab * (sqrt(c) * np.exp(-(c * c - 1.0) * x * x / 4.0))[None, :]
-            per_coord.append(tab)
         out = np.ones((idx.shape[0], nodes.shape[0]))
-        for j in range(self.dimension):
-            out *= per_coord[j][idx[:, j], :]
+        for j, c in enumerate(self.scale_c.tolist()):
+            x = nodes[:, j]
+            tab = hermite_table(max_deg, c * x) * (sqrt(c) * np.exp(-(c * c - 1.0) * x * x / 4.0))[None, :]
+            out *= tab[idx[:, j], :]
         return out
 
     def total_eigenvalue_sum(self) -> float:
         """Sum of lambda_nu over all of N_0^d (closed form)."""
-        if self.scale_c is None:
-            return float(np.prod(1.0 / (1.0 - self.beta)))
-        return 1.0
+        return float(np.prod(self.factor / (1.0 - self.beta)))
 
     def tail_eigenvalue_sum(self) -> float:
         """Upper bound for the eigenvalue mass outside the index set.
@@ -497,9 +504,7 @@ class SpectralSystem:
     def _eigenvalue_of(self, nu) -> float:
         lam = 1.0
         for j, v in enumerate(nu):
-            lam *= self.beta[j] ** v
-            if self.scale_c is not None:
-                lam *= 1.0 - self.beta[j]
+            lam = lam * self.beta[j] ** v * self.factor[j]
         return lam
 
     def node_amplitude_bound(self, node: np.ndarray) -> float:
@@ -508,8 +513,7 @@ class SpectralSystem:
             bound = CRAMER_CONSTANT**self.dimension * exp(float(np.dot(node, node)) / 4.0)
         except OverflowError:
             bound = float("inf")
-        if self.scale_c is not None:
-            bound *= float(np.prod(np.sqrt(self.scale_c)))
+        bound *= float(np.prod(np.sqrt(self.scale_c)))
         if not np.isfinite(bound):
             raise NumericalConsistencyError(f"amplitude bound at node {node} overflows")
         return bound
@@ -517,18 +521,7 @@ class SpectralSystem:
 
 def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSystem:
     """Build the spectral system of a kernel over a downward-closed index set."""
-    if index_set.dimension != spec.dimension:
-        raise ShapeMismatchError("index set dimension does not match kernel dimension")
-    idx = index_set.array()
-    if spec.is_gaussian:
-        beta, scale_c = matched_parameters(APPROXIMATION, spec.params)
-        lam = np.prod((1.0 - beta)[None, :] * beta[None, :] ** idx, axis=1)
-    else:
-        beta = np.asarray(spec.params, dtype=float)
-        scale_c = None
-        lam = np.prod(beta[None, :] ** idx, axis=1)
-    lam.flags.writeable = False
-    return SpectralSystem(spec, index_set, lam, beta, scale_c)
+    return SpectralSystem(spec, index_set)
 
 
 # ---------------------------------------------------------------------------

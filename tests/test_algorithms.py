@@ -1,17 +1,22 @@
 """Constructive families: GH rules, tensor/Smolyak grids, anchoring, MDM."""
 
+import heapq
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rkhsquad import algorithms, hermite
 from rkhsquad.algorithms import (
     KernelGenerator,
+    _component_counts,
     _component_local,
     _difference_rules,
     _level_vectors,
     _merged_terms,
+    _subset_pool,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -372,11 +377,18 @@ class TestComponentTerms:
         want_keys, want_weights = _float_row_merge(size, schedule, level, 1)
         assert np.array_equal(keys, want_keys) and np.array_equal(weights, want_weights)
 
+    def test_component_is_empty_below_twice_its_size(self):
+        # every factor Delta_k of a component term has k >= 2, so |k|_1 >= 2 |u|
+        for size in range(1, 6):
+            for level in range(1, 17):
+                assert (_component_local(size, level)[1].size > 0) == (level >= 2 * size), (size, level)
+
     def test_difference_rules_share_prefixes(self):
         values, diff = _difference_rules(SCHEDULES["growing"])
         assert np.unique(values).size == values.size
         for k in range(1, len(SCHEDULES["growing"]) + 1):
             head_values, head_diff = _difference_rules(SCHEDULES["growing"][:k])
+            assert not (head_diff.flags.owndata or head_diff.flags.writeable)  # a view of a kept table
             assert np.array_equal(head_values, values[: head_values.size])
             assert np.array_equal(head_diff, diff[:k, : head_values.size])
             assert not diff[:k, head_values.size :].any()
@@ -423,6 +435,12 @@ class TestParamRule:
             KernelGenerator.gaussian(ParamRule.parse("j^-0.4"))
         with pytest.raises(DomainError):
             KernelGenerator.hermite(ParamRule.parse("j^-1.0"))
+
+    @pytest.mark.parametrize("text", ["j^-1.5", "j^-3"])
+    def test_hermite_generator_rejects_power_rules(self, text):
+        # every power rule gives beta_1 = 1^-p = 1, outside the Hermite spaces (beta < 1)
+        with pytest.raises(DomainError):
+            KernelGenerator.hermite(ParamRule.parse(text))
 
 
 GENERATORS = [
@@ -514,6 +532,105 @@ def _legacy_blob(plan):
     blob = json.loads(json.dumps(plan.to_json()))
     blob.update(budgets=list(plan.budgets), flattened=plan.flattened.to_json())
     return blob
+
+
+def _reference_greedy(gen, budget, model, max_coord, pool_size):
+    """The greedy loop that grants every level from |u| + 1 on, the empty
+    components of levels below 2|u| included, one heap pop each.
+
+    Returns the plan and the number of grants of an empty component.
+    """
+    betas = gen.score_betas(max_coord).tolist()
+
+    def comp(u, q):
+        counts = _component_counts(len(u), q)
+        return model.charge_rows(counts), counts.size
+
+    remaining, chosen, options, empty = budget - model.charge(0), {}, [], 0
+
+    def push(u, q, dcost, dsize, score, beta_u, dpe):
+        ratio = math.inf if dcost <= 0 else dpe / dcost
+        heapq.heappush(options, (-ratio, u, q, dcost, dsize, score, beta_u))
+
+    for u, score in _subset_pool(betas, max_coord, pool_size):
+        beta_u = max(betas[c] for c in u)
+        push(u, len(u) + 1, *comp(u, len(u) + 1), score, beta_u, score * (1.0 - beta_u))
+    while options:
+        _, u, q, dcost, dsize, score, beta_u = heapq.heappop(options)
+        if dcost > remaining:
+            continue
+        remaining -= dcost
+        chosen[u] = q
+        (cost, size), (nxt_cost, nxt_size) = comp(u, q), comp(u, q + 1)
+        empty += size == 0
+        dpe = score * beta_u ** (q - len(u)) * (1.0 - beta_u)
+        push(u, q + 1, nxt_cost - cost, nxt_size - size, score, beta_u, dpe)
+    return assemble_mdm_plan(chosen, model), empty
+
+
+class _CountingHeap:
+    """``heapq`` for :func:`mdm_build` that records the (set, level) of every popped upgrade."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.popped = []
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        if len(item) > 2:  # not a candidate-pool entry
+            self.popped.append(item[1:3])
+        return item
+
+
+class TestGreedyPlanner:
+    @pytest.mark.parametrize("model", [CostModel.unit(), CostModel.dollar([float(1 + m) for m in range(24)]),
+                                       FRACTIONAL_DOLLARS], ids=["unit", "dollar", "fractional-dollars"])
+    @pytest.mark.parametrize("gen", [
+        KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),
+        KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("0.5^j")),
+        KernelGenerator.gaussian(ParamRule.parse("0.6^j")),
+        KernelGenerator.hermite(ParamRule.parse("0.4^j")),
+    ], ids=["twin-power", "twin-geometric", "gaussian", "hermite"])
+    def test_sets_enter_at_twice_their_size(self, gen, model, monkeypatch):
+        # entering at level 2|u| skips only free grants of empty components,
+        # so the plan equals that of the loop that grants them one by one
+        heap = _CountingHeap()
+        monkeypatch.setattr(algorithms, "heapq", heap)
+        for budget in (12.0, 150.0, 2000.0):
+            want, empty = _reference_greedy(gen, budget, model, 16, 64)
+            plan = mdm_build(gen, budget, model, max_coord=16, pool_size=64)
+            assert (plan.active_sets, plan.levels, plan.cost.hex()) == (
+                want.active_sets, want.levels, want.cost.hex()
+            )
+            assert empty > 0
+        assert heap.popped and all(_component_local(len(u), q)[1].size for u, q in heap.popped)
+
+    def test_levels_stop_at_the_largest_rule(self, monkeypatch):
+        # a set whose next level needs a rule beyond MAX_RULE_SIZE points is done
+        monkeypatch.setattr(hermite, "MAX_RULE_SIZE", 20)
+        gen = KernelGenerator.hermite(ParamRule.parse("0.5^j"))
+        plan = mdm_build(gen, 1e4, CostModel.unit(), max_coord=2, pool_size=3)
+        assert plan.active_sets == ((0,), (0, 1), (1,))
+        assert plan.levels == (20, 22, 20)  # top rule q - 2 (|u| - 1) = 20
+        assert plan.cost <= 1e4
+
+    def test_one_coordinate_climb_keeps_one_difference_table(self, monkeypatch):
+        # the levels of a climb share the table of the longest schedule, so the
+        # memory held grows like the last table, not like the sum of all of them
+        monkeypatch.setattr(algorithms, "_DIFFERENCE_TABLES", {})
+        monkeypatch.setattr(algorithms, "_LOCAL_COMPONENT_CACHE", {})
+        gen = KernelGenerator.hermite(ParamRule.parse("0.5^j"))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = mdm_build(gen, 120.0, CostModel.unit(), max_coord=1, pool_size=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plan.levels == (119,)
+        assert len(algorithms._DIFFERENCE_TABLES) == 1
+        assert held < 30e6
 
 
 class TestMdm:

@@ -570,6 +570,17 @@ class TestSpectralSystem:
             gram = (E * rule.weights[None, :]) @ E.T
             assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
 
+    def test_hermite_is_the_unit_scale_case(self):
+        # c = 1: the Hermite eigenfunctions are the products of hermite_table rows, bit for bit
+        system = spectral_system(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 6))
+        assert system.scale_c.tolist() == system.factor.tolist() == [1.0, 1.0]
+        nodes = np.random.default_rng(3).normal(scale=4.0, size=(40, 2))
+        nodes[:3] = [[0.0, -0.0], [1e3, -1e3], [-37.5, 1e-300]]
+        idx = system.index_set.array()
+        want = hermite_table(6, nodes[:, 0])[idx[:, 0]] * hermite_table(6, nodes[:, 1])[idx[:, 1]]
+        assert np.array_equal(system.eigenfunction_matrix(nodes), want)
+        assert system.total_eigenvalue_sum() == float(np.prod(1.0 / (1.0 - np.array([0.3, 0.8]))))
+
     def test_axis_monotonicity(self):
         system = spectral_system(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 3))
         idx = {nu: k for k, nu in enumerate(system.index_set.indices)}
