@@ -117,8 +117,15 @@ def hermite_table(nu_max: int, x: np.ndarray) -> np.ndarray:
     out[0] = 1.0
     if nu_max >= 1:
         out[1] = x
+    # the recurrence runs in place on flat rows, which stay views for any shape
+    rows, x = out.reshape(nu_max + 1, x.size), x.reshape(-1)
+    root = np.sqrt(np.arange(nu_max + 1.0)).tolist()
+    term = np.empty(x.size)
     for nu in range(1, nu_max):
-        out[nu + 1] = (x * out[nu] - np.sqrt(nu) * out[nu - 1]) / np.sqrt(nu + 1.0)
+        prev, cur, nxt = rows[nu - 1], rows[nu], rows[nu + 1]
+        np.multiply(x, cur, out=nxt)
+        np.subtract(nxt, np.multiply(root[nu], prev, out=term), out=nxt)
+        np.divide(nxt, root[nu + 1], out=nxt)
     return out
 
 

@@ -157,20 +157,37 @@ class KernelSpec:
         return x
 
 
-def _gaussian_exponent(sigma: float, x, y):
-    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return -(sigma * sigma) * d * d
+def _gaussian_exponent(sigma: float, x, y, out=None, scratch=None):
+    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel.
+
+    The result is written into ``out`` and x - y into ``scratch``, each of
+    the broadcast shape; either is allocated when it is None.  The in-place
+    steps also rebind scalars, so scalar inputs give a scalar.
+    """
+    d = np.subtract(x, y, out=scratch, dtype=float)
+    t = np.multiply(d, -(sigma * sigma), out=out)
+    t *= d
+    return t
 
 
-def _mehler_exponent(beta: float, x, y):
-    """-(beta^2 (x^2+y^2) - 2 beta x y) / (2 (1-beta^2)), the exponent of the
-    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2)."""
+def _mehler_exponent(beta: float, x, y, out=None, scratch=None):
+    """(2 beta x y - beta^2 (x^2+y^2)) / (2 (1-beta^2)), the exponent of the
+    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2).
+
+    ``out`` and ``scratch`` work as in :func:`_gaussian_exponent`; the
+    scratch holds beta^2 (x^2+y^2).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     b2 = beta * beta
-    cross = x * y  # single commutative product keeps k(x,y) == k(y,x) bitwise
-    return -(b2 * (x * x + y * y) - 2.0 * beta * cross) / (2.0 * (1.0 - b2))
+    # single commutative product keeps k(x,y) == k(y,x) bitwise
+    c = np.multiply(x, y, out=out)
+    c *= 2.0 * beta
+    s = np.add(x * x, y * y, out=scratch)
+    s *= b2
+    c -= s
+    c /= 2.0 * (1.0 - b2)
+    return c
 
 
 def gaussian_kernel(sigma: float, x, y):

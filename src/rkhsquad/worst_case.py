@@ -9,11 +9,13 @@ identity
 with m the mean embedding and II the double integral of M.  Optimal
 weights for fixed nodes solve the Gram system G w = m.  Gram entries come
 in blocks of rows, each one exp of the summed per-coordinate kernel
-exponents; the error sums w^T G w block by block without holding G.  The
-system is solved by Cholesky with a condition estimate from eigvalsh up to
-400 nodes and from Lanczos on G and on G^{-1} above; a failed factorization
-or an estimate above 1e14 raises ConditioningError, and non-finite kernel
-values raise NumericalConsistencyError.
+exponents, filled in place in buffers reused from block to block (in the
+rows of G itself when G is built); the error sums w^T G w block by block
+without holding G.  The system is solved by Cholesky with a condition
+estimate from eigvalsh up to 400 nodes and from Lanczos on G and on G^{-1}
+above, with G^{-1} applied as two triangular solves with the factor; a
+failed factorization or an estimate above 1e14 raises ConditioningError,
+and non-finite kernel values raise NumericalConsistencyError.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -72,6 +74,8 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # Gram entries per block of rows.  Timing wce_integration at n = 1000, 2000
 # and 4000 (d = 6) was flat from 2**14 to 2**16 entries and twice as slow
 # from 2**17 on, once the block's temporaries leave the per-core L2 cache.
+# The blocks also fix the summation order of w^T G w, so changing this
+# constant changes the last bits of every wce_integration result.
 _GRAM_BLOCK_ENTRIES = 2**15
 # Entries of one pairwise block slice or one shared Hermite table (16 MB).
 _BLOCK_CHUNK = 2**21
@@ -528,26 +532,33 @@ def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSyste
 # integration
 
 
-def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
+def _gram_rows(spec: KernelSpec, nodes: np.ndarray, gram: np.ndarray | None = None):
     """Yield ``(rows, block)``: the Gram matrix of ``nodes`` as slices of rows
     of at most ``_GRAM_BLOCK_ENTRIES`` entries.
 
     Each block is one exp of the summed per-coordinate kernel exponents,
     divided by prod_j (1-beta_j^2)^(1/2) for the Hermite family; with one
     coordinate its entries are bitwise those of :func:`gaussian_kernel` and
-    :func:`hermite_kernel`.
+    :func:`hermite_kernel`.  Blocks are written into ``gram[rows]`` when it
+    is given and otherwise into one buffer reused for every block, so a
+    block must be consumed before the next one is asked for.
     """
     exponent = _gaussian_exponent if spec.is_gaussian else _mehler_exponent
     scale = 1.0 if spec.is_gaussian else prod(sqrt(1.0 - b * b) for b in spec.params)
     n = nodes.shape[0]
-    step = max(1, _GRAM_BLOCK_ENTRIES // n)
+    step = min(n, max(1, _GRAM_BLOCK_ENTRIES // n))
+    part, scratch = np.empty((2, step, n))
+    buffer = np.empty((step, n)) if gram is None else None
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        total = None
+        size = min(step, n - lo)
+        total = buffer[:size] if gram is None else gram[rows]
         for j, param in enumerate(spec.params):
             col = nodes[:, j]
-            part = exponent(param, col[rows, None], col[None, :])
-            total = part if total is None else np.add(total, part, out=total)
+            target = total if j == 0 else part[:size]
+            exponent(param, col[rows, None], col[None, :], out=target, scratch=scratch[:size])
+            if j > 0:
+                np.add(total, target, out=total)
         block = np.exp(total, out=total)
         if not spec.is_gaussian:
             block /= scale
@@ -561,9 +572,11 @@ def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"nodes have dimension {nodes.shape[1]}, kernel has {spec.dimension}"
         )
+    if nodes.shape[0] == 0:
+        raise ShapeMismatchError("a Gram matrix needs at least one node")
     gram = np.empty((nodes.shape[0], nodes.shape[0]))
-    for rows, block in _gram_rows(spec, nodes):
-        gram[rows] = block
+    for _ in _gram_rows(spec, nodes, gram):
+        pass
     return gram
 
 
@@ -614,13 +627,20 @@ def _dense_extremes(gram: np.ndarray):
 
 def _lanczos_extremes(gram: np.ndarray, factor):
     """(lambda_min, lambda_max) of G by Lanczos: lambda_max from G itself,
-    lambda_min as 1 / lambda_max(G^-1) with G^-1 applied through the factor."""
+    lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
+    BLAS triangular solves on the lower factor L (its upper triangle is
+    never read)."""
     n = gram.shape[0]
     v0 = np.full(n, 1.0 / sqrt(n))
     hi = scipy.sparse.linalg.eigsh(gram, k=1, v0=v0, return_eigenvectors=False)[0]
-    inverse = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False), dtype=float
-    )
+    lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
+    trsv = scipy.linalg.get_blas_funcs("trsv", (lower,))
+
+    def solve(x):
+        y = trsv(lower, np.ravel(x), lower=1)
+        return trsv(lower, y, lower=1, trans=1, overwrite_x=1)
+
+    inverse = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
     inv_hi = scipy.sparse.linalg.eigsh(inverse, k=1, v0=v0, return_eigenvectors=False)[0]
     return float(1.0 / inv_hi), float(hi)
 
@@ -653,7 +673,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
         )
     if factor is None:
         factor = _cholesky(gram)
-    return scipy.linalg.cho_solve(factor, rhs), cond
+    # the Gram was checked finite on entry
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False), cond
 
 
 def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:

@@ -75,6 +75,19 @@ class TestHermiteRow:
         for k, x in enumerate(xs):
             assert np.array_equal(table[:, k], hermite_row(12, float(x)))
 
+    @pytest.mark.parametrize("nu_max", [0, 1, 2, 64, 512])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_in_place_table_equals_allocating_reference(self, nu_max, shape):
+        # test-local copy of the recurrence with a fresh array per step
+        x = np.random.default_rng(nu_max).normal(0.0, 3.0, size=shape)
+        want = np.empty((nu_max + 1,) + shape)
+        want[0] = 1.0
+        if nu_max >= 1:
+            want[1] = x
+        for nu in range(1, nu_max):
+            want[nu + 1] = (x * want[nu] - np.sqrt(nu) * want[nu - 1]) / np.sqrt(nu + 1.0)
+        assert np.array_equal(hermite_table(nu_max, x), want)
+
 
 class TestGaussHermiteRule:
     def test_one_point(self):

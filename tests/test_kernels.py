@@ -1,5 +1,6 @@
 """Gaussian/Hermite kernels, mean embeddings, double integrals, initial errors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from rkhsquad.kernels import (
     APPROXIMATION,
     INTEGRATION,
     KernelSpec,
+    _gaussian_exponent,
+    _mehler_exponent,
     double_integral,
     gaussian_kernel,
     hermite_kernel,
@@ -292,3 +295,33 @@ class TestInitialError:
     def test_problem_validation(self):
         with pytest.raises(DomainError):
             initial_error(KernelSpec.hermite((0.5,)), "interpolation")
+
+
+# Zeros of both signs, a product below the subnormal range, large exponents
+# and squares that overflow.
+EDGE_POINTS = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 1e154, -1e154, 0.7, -1.3])
+
+
+def _reference_exponent(family, param, x, y):
+    """Test-local copies of the allocating exponent forms."""
+    if family == "gaussian":
+        d = x - y
+        return -(param * param) * d * d
+    b2 = param * param
+    return -(b2 * (x * x + y * y) - 2.0 * param * (x * y)) / (2.0 * (1.0 - b2))
+
+
+@pytest.mark.parametrize(
+    "family, param", [("gaussian", 0.3), ("gaussian", 2.0), ("hermite", 0.2), ("hermite", 0.9)]
+)
+def test_exponent_buffers_give_the_same_kernel_bits(family, param):
+    # the exponents may differ in the sign of a zero; their exp may not
+    exponent = _gaussian_exponent if family == "gaussian" else _mehler_exponent
+    x, y = EDGE_POINTS[:, None], EDGE_POINTS[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.exp(_reference_exponent(family, param, x, y))
+        out, scratch = np.empty((2,) + want.shape)
+        for got in (exponent(param, x, y), exponent(param, x, y, out=out, scratch=scratch)):
+            assert np.array_equal(np.exp(got), want, equal_nan=True)
+        for (i, a), (j, b) in itertools.product(enumerate(EDGE_POINTS), repeat=2):
+            assert np.array_equal(np.exp(exponent(param, a, b)), want[i, j], equal_nan=True)

@@ -392,6 +392,45 @@ def _random_spec(rng, family, d):
     return KernelSpec.hermite(tuple(rng.uniform(0.05, 0.95, size=d)))
 
 
+def _reference_gram_rows(spec, nodes):
+    """Test-local oracle: the block evaluator as it was before it reused its
+    buffers, with a fresh array for every exponent, part and block."""
+
+    def gaussian(sigma, x, y):
+        d = x - y
+        return -(sigma * sigma) * d * d
+
+    def mehler(beta, x, y):
+        b2 = beta * beta
+        return -(b2 * (x * x + y * y) - 2.0 * beta * (x * y)) / (2.0 * (1.0 - b2))
+
+    exponent = gaussian if spec.is_gaussian else mehler
+    scale = 1.0 if spec.is_gaussian else math.prod(math.sqrt(1.0 - b * b) for b in spec.params)
+    n = nodes.shape[0]
+    step = max(1, worst_case._GRAM_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        total = None
+        for j, param in enumerate(spec.params):
+            col = nodes[:, j]
+            part = exponent(param, col[rows, None], col[None, :])
+            total = part if total is None else np.add(total, part, out=total)
+        block = np.exp(total, out=total)
+        if not spec.is_gaussian:
+            block /= scale
+        yield rows, block
+
+
+def _reference_wce(rule, spec):
+    w = rule.weights
+    wg = np.zeros(rule.n)
+    for rows, block in _reference_gram_rows(spec, rule.nodes):
+        wg += w[rows] @ block
+    m = embedding_vector(spec, rule.nodes)
+    e2 = double_integral(spec) - 2.0 * float(w @ m) + float(wg @ w)
+    return math.sqrt(max(e2, 0.0))
+
+
 class TestKernelGram:
     # 300 nodes span several row blocks
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
@@ -406,6 +445,36 @@ class TestKernelGram:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_in_place_blocks_equal_allocating_reference(self, family, d):
+        # bit for bit, for one block (n = 1, 5), blocks of 109 rows with a
+        # shorter last one (300) and 125 blocks of 16 rows (2000)
+        rng = np.random.default_rng(200 + d)
+        spec = _random_spec(rng, family, d)
+        for n in (1, 5, 300, 2000):
+            rule = QuadratureRule(rng.normal(0.0, 1.5, size=(n, d)), rng.normal(size=n) / n)
+            want = np.empty((n, n))
+            for rows, block in _reference_gram_rows(spec, rule.nodes):
+                want[rows] = block
+            assert np.array_equal(kernel_gram(spec, rule.nodes), want)
+            assert wce_integration(rule, spec) == _reference_wce(rule, spec)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nodes: kernel_gram(KernelSpec.gaussian((1.0, 0.5)), nodes),
+            lambda nodes: optimal_weights(nodes, KernelSpec.hermite((0.5, 0.3))),
+            lambda nodes: spline_method(
+                nodes, spectral_system(KernelSpec.gaussian((1.0, 0.5)), MultiIndexSet.box(2, 2))
+            ),
+        ],
+        ids=["kernel_gram", "optimal_weights", "spline_method"],
+    )
+    def test_empty_nodes_raise(self, call):
+        with pytest.raises(ShapeMismatchError, match="at least one node"):
+            call(np.empty((0, 2)))
 
 
 class TestWceIntegration:
@@ -537,6 +606,17 @@ class TestSolveSpd:
         assert cond == eigs[-1] / eigs[0]
         assert cond == pytest.approx(cond_lanczos, rel=1e-6)
         assert np.array_equal(w, w_lanczos)
+
+    def test_lanczos_reads_only_the_lower_factor(self):
+        # cho_factor leaves Gram entries above the diagonal; NaN there must not
+        # reach the triangular solves, in either memory order of the factor
+        gram, _ = self._system(401, "hermite")
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        want = worst_case._lanczos_extremes(gram, factor)
+        dirty = factor[0].copy()
+        dirty[np.triu_indices(401, 1)] = np.nan
+        for c in (np.asfortranarray(dirty), np.ascontiguousarray(dirty)):
+            assert worst_case._lanczos_extremes(gram, (c, True)) == want
 
     def test_non_finite_gram_raises(self):
         gram = np.eye(3)
