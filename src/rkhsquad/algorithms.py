@@ -170,6 +170,8 @@ def tensor_rule_for_eps(eps: float, sigma, space: str = GAUSSIAN) -> QuadratureR
     for ``space="gaussian"`` it is mapped through the integration
     transference (cost preserved, error scaled by the initial error).
     """
+    if space not in (GAUSSIAN, HERMITE):
+        raise DomainError(f"unknown space {space!r}")
     ns = level_choice_for_eps(eps, sigma)
     size = prod(int(n) for n in ns)
     if size > TENSOR_BUDGET:
@@ -179,11 +181,7 @@ def tensor_rule_for_eps(eps: float, sigma, space: str = GAUSSIAN) -> QuadratureR
             f"largest factor n_{worst + 1} = {ns[worst]}"
         )
     rule = tensor_rule([gauss_hermite_rule(int(n)) for n in ns])
-    if space == GAUSSIAN:
-        return transfer_quadrature_to_gaussian(rule, sigma)
-    if space == HERMITE:
-        return rule
-    raise DomainError(f"unknown space {space!r}")
+    return transfer_quadrature_to_gaussian(rule, sigma) if space == GAUSSIAN else rule
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +559,13 @@ class MdmPlan:
     def from_json(cls, obj) -> "MdmPlan":
         """Load a plan from its sets, levels and cost.
 
-        A file that also holds ``budgets`` and ``flattened`` loads only if
-        both equal what its sets and levels build.
+        A file in the older format, which also stored ``budgets`` or
+        ``flattened``, raises ``DomainError``: rebuild the plan.
         """
         with _json_input(obj, "plan") as obj:
-            plan = cls(tuple(tuple(u) for u in obj["active_sets"]), tuple(obj["levels"]), float(obj["cost"]))
             if "budgets" in obj or "flattened" in obj:
-                stored, rule = QuadratureRule.from_json(obj["flattened"]), plan.flattened
-                if tuple(obj["budgets"]) != plan.budgets or not (
-                    np.array_equal(rule.nodes, stored.nodes) and np.array_equal(rule.weights, stored.weights)
-                ):
-                    raise DomainError("plan budgets or rule differ from what its sets and levels build")
-        return plan
+                raise DomainError("plan is in the older format with budgets and a flattened rule; rebuild it")
+            return cls(tuple(tuple(u) for u in obj["active_sets"]), tuple(obj["levels"]), float(obj["cost"]))
 
 
 def _flat_weights(sets, levels) -> np.ndarray:
@@ -631,9 +624,7 @@ def _subset_pool(betas, max_coord: int, pool_size: int):
         last = u[-1]
         if last + 1 < max_coord:
             heapq.heappush(heap, (neg * betas[last + 1], u + (last + 1,)))
-            shifted = u[:-1] + (last + 1,)
-            if len(u) == 1 or shifted[-1] > u[-2]:
-                heapq.heappush(heap, (neg / betas[last] * betas[last + 1], shifted))
+            heapq.heappush(heap, (neg / betas[last] * betas[last + 1], u[:-1] + (last + 1,)))
     return out
 
 

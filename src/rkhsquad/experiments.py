@@ -43,16 +43,16 @@ def decay_estimate(pairs) -> DecayEstimate:
     """Least-squares decay exponent of ln(error) against ln(cost).
 
     Fits the largest-cost half of the curve (never fewer than three
-    points), which must hold at least two distinct costs.  Errors must be
-    positive; the exponent is the negated slope.
+    points), which must hold at least two distinct costs.  Costs and errors
+    must be finite and positive; the exponent is the negated slope.
     """
     pairs = [(float(c), float(e)) for c, e in pairs]
     if len(pairs) < 3:
         raise InsufficientDataError(f"need at least 3 points, got {len(pairs)}")
-    if any(c <= 0 for c, _ in pairs):
-        raise DomainError("costs must be positive")
-    if any(e <= 0 for _, e in pairs):
-        raise DomainError("errors must be positive")
+    if not all(math.isfinite(c) and c > 0 for c, _ in pairs):
+        raise DomainError("costs must be finite and positive")
+    if not all(math.isfinite(e) and e > 0 for _, e in pairs):
+        raise DomainError("errors must be finite and positive")
     pairs.sort(key=lambda p: p[0])
     k = max(3, (len(pairs) + 1) // 2)
     window = pairs[-k:]
@@ -71,33 +71,43 @@ def decay_estimate(pairs) -> DecayEstimate:
 def empirical_info_complexity(curve, eps: float, e0: float, criterion: str = "absolute") -> float:
     """Smallest recorded cost reaching error <= eps (or eps * e0, normalized).
 
-    Returns ``math.inf`` when no curve point reaches the target.
+    Returns ``math.inf`` when no curve point reaches the target.  An eps
+    (or, normalized, an e0) that is not finite and positive, or a curve
+    point that is not finite, raises ``DomainError``.
     """
     if criterion not in ("absolute", "normalized"):
         raise DomainError(f"criterion must be 'absolute' or 'normalized', got {criterion!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
+    if criterion == "normalized" and not (math.isfinite(e0) and e0 > 0):
+        raise DomainError(f"e0 must be finite and positive, got {e0}")
     if not curve:
         raise InsufficientDataError("empty curve")
+    curve = [(float(c), float(e)) for c, e in curve]
+    if not all(map(math.isfinite, (v for point in curve for v in point))):
+        raise DomainError("curve costs and errors must be finite")
     target = eps if criterion == "absolute" else eps * e0
-    costs = [float(c) for c, e in curve if float(e) <= target]
+    costs = [c for c, e in curve if e <= target]
     return min(costs) if costs else math.inf
 
 
-def fit_stretched_exponent(ns, errors, p_grid=None):
+def fit_stretched_exponent(ns, errors):
     """Best exponent p for the model error ~ C * exp(-c * n^p).
 
-    Deterministic grid search: for each candidate p, ordinary least
-    squares of ln(error) on n^p; returns (p, c, ln C) of the smallest
-    residual.
+    Deterministic grid search over p = 0.100, 0.105, ..., 1.200: for each
+    candidate p, ordinary least squares of ln(error) on n^p; returns
+    (p, c, ln C) of the smallest residual.  ns must be finite and errors
+    finite and positive.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if np.any(errors <= 0):
-        raise DomainError("errors must be positive")
-    if p_grid is None:
-        p_grid = np.arange(0.10, 1.2001, 0.005)
+    if not np.all(np.isfinite(ns)):
+        raise DomainError("ns must be finite")
+    if not np.all(np.isfinite(errors) & (errors > 0)):
+        raise DomainError("errors must be finite and positive")
     y = np.log(errors)
     best = None
-    for p in p_grid:
+    for p in np.arange(0.10, 1.2001, 0.005):
         x = ns**p
         slope, intercept = np.polyfit(x, y, 1)
         res = float(np.sum((slope * x + intercept - y) ** 2))

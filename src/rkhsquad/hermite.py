@@ -147,8 +147,6 @@ def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     """
     if not 1 <= n <= MAX_RULE_SIZE:
         raise UnsupportedSizeError(f"rule size {n} outside [1, {MAX_RULE_SIZE}]")
-    if n == 1:
-        return QuadratureRule1D(np.zeros(1), np.ones(1))
     diag = np.zeros(n)
     offdiag = np.sqrt(np.arange(1.0, n))
     try:

@@ -124,12 +124,12 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, sigma: Iterable[float]) -> "KernelSpec":
-        sigma = (sigma,) if np.isscalar(sigma) else tuple(sigma)
+        sigma = (sigma,) if np.ndim(sigma) == 0 else tuple(sigma)
         return cls(GAUSSIAN, sigma)
 
     @classmethod
     def hermite(cls, beta: Iterable[float]) -> "KernelSpec":
-        beta = (beta,) if np.isscalar(beta) else tuple(beta)
+        beta = (beta,) if np.ndim(beta) == 0 else tuple(beta)
         return cls(HERMITE, beta)
 
     @property

@@ -11,7 +11,7 @@ weights for fixed nodes solve the Gram system G w = m.  Gram entries come
 in blocks of rows, each one exp of the summed per-coordinate kernel
 exponents, filled in place in buffers reused from block to block (in the
 rows of G itself when G is built); the error sums w^T G w block by block
-without holding G.  The system is solved by Cholesky with a condition
+without holding G.  The system is factored by Cholesky, with a condition
 estimate from eigvalsh up to 400 nodes and from Lanczos on G and on G^{-1}
 above, with G^{-1} applied as two triangular solves with the factor; a
 failed factorization or an estimate above 1e14 raises ConditioningError,
@@ -28,8 +28,8 @@ computed error; the contribution of indices outside the set is controlled
 by a rigorous tail bound (Cramer envelope for the eigenfunctions plus the
 eigenvalue tail mass), so the true error lies in [value, value + tail].
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
-index sets above 400 indices get a matrix-free ARPACK norm at O(|Lambda| n)
-time and memory per product, smaller ones a dense SVD.
+its norm comes from ARPACK on a matrix-free operator at O(|Lambda| n) time
+and memory per product, with a dense SVD only when ARPACK fails.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -67,8 +67,8 @@ from .kernels import (
 NEGATIVE_VARIANCE_TOL = 1e-12
 MAX_GRAM_CONDITION = 1e14
 
-# Up to this many indices (error operator) or nodes (Gram matrix) a dense
-# decomposition is cheap; above it ARPACK works on matrix products.
+# Up to this many Gram nodes the condition estimate takes the dense
+# eigvalsh; above it Lanczos works on products with G and G^-1.
 _DENSE_LIMIT = 400
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # Gram entries per block of rows.  Timing wce_integration at n = 1000, 2000
@@ -143,6 +143,13 @@ def concat_rules(a: QuadratureRule, b: QuadratureRule) -> QuadratureRule:
 _MAX_INDEX_ENTRY = 2**62
 
 
+def _integral(raw: np.ndarray) -> bool:
+    """Whether every entry of an array is an integer (finite if float)."""
+    return raw.dtype.kind in "biu" or (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw)) and np.array_equal(raw, np.floor(raw))
+    )
+
+
 def _index_rows(indices) -> np.ndarray:
     """Validated (n, d) int64 copy of a collection of multi-indices."""
     try:
@@ -153,10 +160,7 @@ def _index_rows(indices) -> np.ndarray:
         raise DomainError("index set must be non-empty")
     if raw.ndim != 2 or raw.shape[1] == 0:
         raise ShapeMismatchError("multi-indices must be non-empty rows of one length")
-    integral = raw.dtype.kind in "biu" or (
-        raw.dtype.kind == "f" and np.all(np.isfinite(raw)) and np.array_equal(raw, np.floor(raw))
-    )
-    if not integral:
+    if not _integral(raw):
         raise DomainError("multi-indices must have integer entries")
     if np.any(raw < 0):
         raise DomainError("multi-indices must be non-negative")
@@ -316,33 +320,26 @@ class CostModel:
         return cls("unit")
 
     @classmethod
-    def dollar(cls, table: Sequence[float], c1: float | None = None, c2: float | None = None) -> "CostModel":
-        """Dollar model from a table of dollar(0), ..., dollar(m_max).
-
-        If ``c1``/``c2`` are supplied, the sanity bounds
-        c1*m <= dollar(m) <= exp(c2*m) are verified over the table range.
-        """
-        model = cls("dollar", tuple(table))
-        for m, v in enumerate(model.table):
-            if c1 is not None and v < c1 * m:
-                raise DomainError(f"dollar({m})={v} violates lower sanity bound {c1}*m")
-            if c2 is not None and v > exp(c2 * m):
-                raise DomainError(f"dollar({m})={v} violates upper sanity bound exp({c2}*m)")
-        return model
+    def dollar(cls, table: Sequence[float]) -> "CostModel":
+        """Dollar model from a non-decreasing table of dollar(0), ..., dollar(m_max), each >= 1."""
+        return cls("dollar", tuple(table))
 
     def charge(self, active: int) -> float:
         return self.charge_rows([active])
 
     def charge_rows(self, active) -> float:
         """Total charge of rows with the given activities: one table lookup,
-        summed as Python floats in row order, as :meth:`charge` row by row."""
-        active = np.asarray(active, dtype=np.intp)
+        summed as Python floats in row order, as :meth:`charge` row by row.
+        An activity that is not a non-negative integer raises ``DomainError``."""
+        active = np.asarray(active)
+        if not _integral(active) or (active.size and active.min() < 0):
+            raise DomainError("activities must be non-negative integers")
         if self.mode == "unit":
             return float(active.size)
         top = len(self.table) - 1
         if active.size and active.max() > top:
             raise DomainError(f"dollar table covers activity up to {top}, queried {active.max()}")
-        return float(sum(np.array(self.table)[active].tolist()))
+        return float(sum(np.array(self.table)[active.astype(np.intp, copy=False)].tolist()))
 
     def to_json(self) -> dict:
         if self.mode == "unit":
@@ -499,11 +496,9 @@ class SpectralSystem:
         return hull_tail + inner + 8.0 * np.finfo(float).eps * total
 
     def max_tail_eigenvalue(self) -> float:
-        """Largest eigenvalue outside the index set."""
-        border = self.index_set.complement_minimal()
-        if not border:
-            return 0.0
-        return max(self._eigenvalue_of(nu) for nu in border)
+        """Largest eigenvalue outside the index set (whose complement in
+        N_0^d is never empty)."""
+        return max(self._eigenvalue_of(nu) for nu in self.index_set.complement_minimal())
 
     def _eigenvalue_of(self, nu) -> float:
         lam = 1.0
@@ -648,19 +643,18 @@ def _lanczos_extremes(gram: np.ndarray, factor):
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     """Cholesky solve with an explicit condition estimate; no regularization.
 
-    Up to ``_DENSE_LIMIT`` nodes the extreme eigenvalues come from
-    ``eigvalsh``.  Larger Grams are factored first and the extremes found by
-    Lanczos (``eigvalsh`` again if ARPACK does not converge).  A non-finite
-    Gram raises ``NumericalConsistencyError``; a failed factorization or an
+    The Gram is factored first.  The extreme eigenvalues then come from
+    ``eigvalsh`` up to ``_DENSE_LIMIT`` nodes and from Lanczos above
+    (``eigvalsh`` again if ARPACK does not converge).  A non-finite Gram
+    raises ``NumericalConsistencyError``; a failed factorization or an
     estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
     """
     if not np.all(np.isfinite(gram)):
         raise NumericalConsistencyError("Gram matrix entries are not finite")
-    factor = None
+    factor = _cholesky(gram)
     if gram.shape[0] <= _DENSE_LIMIT:
         lo, hi = _dense_extremes(gram)
     else:
-        factor = _cholesky(gram)
         try:
             lo, hi = _lanczos_extremes(gram, factor)
         except scipy.sparse.linalg.ArpackNoConvergence:
@@ -671,8 +665,6 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
             f"Gram matrix condition estimate {cond:.3e} exceeds {MAX_GRAM_CONDITION:.1e}",
             cond,
         )
-    if factor is None:
-        factor = _cholesky(gram)
     # the Gram was checked finite on entry
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False), cond
 
@@ -706,14 +698,12 @@ def _error_operator(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> n
 def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> float:
     """Spectral norm of the error operator diag(s) - A B^T, A = C^T, B = s * P.
 
-    Small index sets take the dense SVD.  Larger ones hand ARPACK a
-    matrix-free operator whose products cost O(|Lambda| n); the dense matrix
-    is built only if ARPACK fails, and only up to ``_DENSE_FALLBACK_LIMIT``
+    ARPACK gets a matrix-free operator whose products cost O(|Lambda| n) at
+    every size.  The dense matrix is built only if ARPACK fails or refuses
+    (it refuses a single index), and only up to ``_DENSE_FALLBACK_LIMIT``
     indices, past which the failure raises ``NumericalConsistencyError``.
     """
     size = sqrt_lam.size
-    if size <= _DENSE_LIMIT:
-        return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
     A = coeff.T
     B = P * sqrt_lam[:, None]
 
@@ -733,7 +723,8 @@ def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> fl
         s = scipy.sparse.linalg.svds(op, k=1, v0=v0, return_singular_vectors=False)
         return float(s[0])
     except (scipy.sparse.linalg.ArpackError, ValueError) as err:
-        # iterative solver can stall on (near-)degenerate matrices
+        # iterative solver can stall on (near-)degenerate matrices; svds
+        # raises ValueError on a 1 x 1 operator
         if size > _DENSE_FALLBACK_LIMIT:
             raise NumericalConsistencyError(
                 f"ARPACK failed on the {size}-index error operator ({err}) and a dense"

@@ -155,6 +155,14 @@ class TestTensorRuleForEps:
             tensor_rule_for_eps(1e-6, [3.0, 3.0, 3.0])
         assert "largest factor" in str(err.value)
 
+    def test_unknown_space_rejected_before_the_grid(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("tensor_rule called for an unknown space")
+
+        monkeypatch.setattr(algorithms, "tensor_rule", build)
+        with pytest.raises(DomainError, match="unknown space 'nope'"):
+            tensor_rule_for_eps(1e-3, [1.0] * 4, space="nope")
+
 
 class TestSmolyak:
     def test_univariate_telescoping(self):
@@ -502,22 +510,25 @@ PLAN_DEFECTS = {
         active_sets=blob["active_sets"][::-1], levels=blob["levels"][::-1]
     ),
     "set-duplicated": lambda blob: blob["active_sets"].__setitem__(0, [0, 1]),
+    "older-format": lambda blob: None,
     "node-changed": lambda blob: blob["flattened"]["nodes"][1].__setitem__(0, 0.5),
     "weight-changed": lambda blob: blob["flattened"]["weights"].__setitem__(1, 0.25),
     "budget-disagrees-with-level": lambda blob: blob["budgets"].__setitem__(0, 4),
     "budgets-without-rule": lambda blob: blob.pop("flattened"),
     "rule-without-budgets": lambda blob: blob.pop("budgets"),
     # the rule, or the budgets and rule, of the plan at levels {(0,): 5, (0, 1): 6}
-    "rule-of-another-plan": lambda blob: blob.update(flattened=_legacy_blob(_OTHER_PLAN)["flattened"]),
+    "rule-of-another-plan": lambda blob: blob.update(flattened=_older_blob(_OTHER_PLAN)["flattened"]),
     "budgets-and-rule-of-another-plan": lambda blob: blob.update(
-        budgets=list(_OTHER_PLAN.budgets), flattened=_legacy_blob(_OTHER_PLAN)["flattened"]
+        budgets=list(_OTHER_PLAN.budgets), flattened=_older_blob(_OTHER_PLAN)["flattened"]
     ),
 }
 _OTHER_PLAN = assemble_mdm_plan({(0,): 5, (0, 1): 6}, CostModel.unit())
-# defects of the stored budgets and rule, which only the older files carry
-# (a changed level or set is a different, valid plan without them)
-LEGACY_DEFECTS = {
-    "budget-missing", "budget-negative", "budget-float", "budget-disagrees-with-level",
+# defects applied to the older format, which also stored the budgets and the
+# dense rule: such a file is refused whether or not they match, with budgets
+# alone ("budgets-without-rule"), the rule alone ("rule-without-budgets"),
+# or both, as the exact older output of a valid plan ("older-format")
+OLDER_FORMAT = {
+    "older-format", "budget-missing", "budget-negative", "budget-float", "budget-disagrees-with-level",
     "node-changed", "weight-changed", "set-beyond-dimension", "level-changed",
     "budgets-without-rule", "rule-without-budgets", "rule-of-another-plan",
     "budgets-and-rule-of-another-plan",
@@ -527,7 +538,7 @@ FRACTIONAL_DOLLARS = CostModel.dollar(
 )
 
 
-def _legacy_blob(plan):
+def _older_blob(plan):
     """A plan as the older JSON format saved it: with its budgets and dense rule."""
     blob = json.loads(json.dumps(plan.to_json()))
     blob.update(budgets=list(plan.budgets), flattened=plan.flattened.to_json())
@@ -780,8 +791,6 @@ class TestMdm:
         again = MdmPlan.from_json(blob)
         assert again == plan
         assert np.array_equal(again.flattened.nodes, plan.flattened.nodes)
-        legacy = MdmPlan.from_json(_legacy_blob(plan))
-        assert legacy == plan
 
     def test_json_holds_no_rule(self):
         plan = mdm_build(self.gen, 1e4, self.model, max_coord=512, pool_size=2048)
@@ -790,13 +799,12 @@ class TestMdm:
     @pytest.mark.parametrize("defect", sorted(PLAN_DEFECTS))
     def test_from_json_rejects_bad_plans(self, defect):
         plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
-        if defect in LEGACY_DEFECTS:
-            blob = _legacy_blob(plan)
-        else:
-            blob = json.loads(json.dumps(plan.to_json()))
+        blob = json.loads(json.dumps(plan.to_json()))
         MdmPlan.from_json(blob)
+        if defect in OLDER_FORMAT:
+            blob = _older_blob(plan)
         PLAN_DEFECTS[defect](blob)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="older format" if defect in OLDER_FORMAT else None):
             MdmPlan.from_json(blob)
 
     @pytest.mark.parametrize(

@@ -48,6 +48,15 @@ class TestDecayEstimate:
         with pytest.raises(DomainError):
             decay_estimate([(1.0, 0.5), (2.0, 0.0), (3.0, 0.1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a NaN error gave exponent NaN with r^2 = 1; a NaN or inf cost made
+        # LAPACK fail inside polyfit
+        with pytest.raises(DomainError, match="errors must be finite"):
+            decay_estimate([(1, 0.5), (2, bad), (3, 0.1), (4, 0.05)])
+        with pytest.raises(DomainError, match="costs must be finite"):
+            decay_estimate([(1, 0.5), (bad, 0.2), (3, 0.1), (4, 0.05)])
+
     def test_window_is_largest_cost_half(self):
         # a transient on the small-cost side must not bias the estimate
         pairs = [(c, 3.0) for c in (1, 2, 4)] + [(c, 100.0 * c**-1.5) for c in (64, 256, 1024, 4096)]
@@ -88,6 +97,20 @@ class TestInfoComplexity:
         with pytest.raises(DomainError):
             empirical_info_complexity([(1.0, 0.5)], 0.1, 1.0, "relative")
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(DomainError, match="eps must be finite and positive"):
+            empirical_info_complexity([(1.0, 0.5)], eps, 1.0)
+        # a normalized target eps * e0 needs the same of e0
+        with pytest.raises(DomainError, match="e0 must be finite and positive"):
+            empirical_info_complexity([(1.0, 0.5)], 0.1, eps, "normalized")
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.01), (2.0, math.nan), (math.inf, 0.01), (2.0, math.inf)])
+    def test_non_finite_curve_points_rejected(self, point):
+        # a NaN cost reaching the target was returned as the complexity
+        with pytest.raises(DomainError, match="must be finite"):
+            empirical_info_complexity([(1.0, 0.5), point], 0.1, 1.0)
+
 
 class TestStretchedExponentFit:
     def test_recovers_planted_exponent(self):
@@ -97,6 +120,16 @@ class TestStretchedExponentFit:
             p, c, _ = fit_stretched_exponent(ns, errors)
             assert abs(p - p_true) <= 0.01
             assert c == pytest.approx(1.1, rel=0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        # a NaN or inf error gave (0.1, nan, nan)
+        ns = np.arange(1.0, 9.0)
+        errors = np.exp(-ns)
+        with pytest.raises(DomainError, match="errors must be finite"):
+            fit_stretched_exponent(ns, np.where(ns == 4.0, bad, errors))
+        with pytest.raises(DomainError, match="ns must be finite"):
+            fit_stretched_exponent(np.where(ns == 4.0, bad, ns), errors)
 
 
 class TestCurves:

@@ -91,8 +91,9 @@ class TestHermiteRow:
 
 class TestGaussHermiteRule:
     def test_one_point(self):
+        # the general path: the eigenvalue of the 1 x 1 zero matrix, weight 1/h_0^2
         rule = gauss_hermite_rule(1)
-        assert rule.nodes.tolist() == [0.0]
+        assert rule.nodes.tolist() == [0.0] and not np.signbit(rule.nodes[0])
         assert rule.weights.tolist() == [1.0]
 
     def test_two_points(self):

@@ -143,6 +143,10 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             KernelSpec("sobolev", (1.0,))
 
+    def test_scalar_and_0d_parameters(self):
+        assert KernelSpec.gaussian(np.array(1.0)) == KernelSpec.gaussian(1.0) == KernelSpec.gaussian((1.0,))
+        assert KernelSpec.hermite(np.array(0.5)) == KernelSpec.hermite(0.5) == KernelSpec.hermite((0.5,))
+
     def test_json_round_trip(self):
         spec = KernelSpec.gaussian((1.0, 0.25))
         again = KernelSpec.from_json(spec.to_json())

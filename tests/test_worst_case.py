@@ -298,11 +298,7 @@ class TestCostModel:
             CostModel.dollar([math.nan, 2.0])
         with pytest.raises(DomainError):
             CostModel.dollar([1.0, math.inf])
-        with pytest.raises(DomainError):
-            CostModel.dollar([1.0, 1.5], c1=2.0)  # 1.5 < 2*1
-        with pytest.raises(DomainError):
-            CostModel.dollar([1.0, 4.0], c2=1.0)  # 4 > e^1
-        CostModel.dollar([1.0, 2.0, 3.0], c1=1.0, c2=2.0)
+        assert CostModel.dollar([1.0, 2.0, 3.0]).table == (1.0, 2.0, 3.0)
 
     def test_table_range(self):
         model = CostModel.dollar([1.0, 2.0])
@@ -310,6 +306,16 @@ class TestCostModel:
             model.charge(2)
         with pytest.raises(DomainError, match="queried 2"):
             model.charge_rows([0, 1, 2, 1])
+        # a table lookup would wrap a negative activity around and truncate a fractional one
+        for model in (CostModel.dollar([1.0, 2.0, 4.0]), CostModel.unit()):
+            for active in (-1, -3, 1.7, math.nan):
+                with pytest.raises(DomainError, match="non-negative integers"):
+                    model.charge(active)
+            with pytest.raises(DomainError, match="non-negative integers"):
+                model.charge_rows([0, -1])
+            with pytest.raises(DomainError, match="non-negative integers"):
+                model.charge_rows(np.array([0.0, 0.5]))
+        assert CostModel.dollar([1.0, 2.0, 4.0]).charge_rows(np.array([0.0, 2.0])) == 5.0
 
     def test_charge_rows_is_the_row_order_sum(self):
         # plan costs are compared bit for bit, so the lookup keeps the
@@ -750,7 +756,20 @@ def _dense_error_norm(method, system):
 
 
 class TestMatrixFreeNorm:
-    """wce_approximation above the dense limit against the dense operator."""
+    """wce_approximation's matrix-free norm against the dense operator."""
+
+    @pytest.mark.parametrize("degree", [0, 40, (19, 19)])  # |Lambda| = 1, 41, 400
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    def test_small_index_sets_match_dense(self, family, degree):
+        # |Lambda| = 1 takes the dense fallback: svds refuses a 1 x 1 operator
+        idx = MultiIndexSet.box(np.ndim(degree) + 1, degree)
+        spec = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.hermite)((0.5, 0.3)[: idx.dimension])
+        system = spectral_system(spec, idx)
+        rng = np.random.default_rng(idx.size)
+        spline = spline_method(rng.normal(size=(min(5, idx.size), idx.dimension)), system)
+        for method in (SamplingMethod.zero(idx.dimension, idx), spline):
+            value, _ = wce_approximation(method, system)
+            assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d, deg, n", [(2, 40, 8), (3, 16, 6)])
     def test_spline_pair_matches_dense(self, d, deg, n):
