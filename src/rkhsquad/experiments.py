@@ -84,7 +84,7 @@ def empirical_info_complexity(curve, eps: float, e0: float, criterion: str = "ab
     if not curve:
         raise InsufficientDataError("empty curve")
     curve = [(float(c), float(e)) for c, e in curve]
-    if not all(map(math.isfinite, (v for point in curve for v in point))):
+    if not all(math.isfinite(c) and math.isfinite(e) for c, e in curve):
         raise DomainError("curve costs and errors must be finite")
     target = eps if criterion == "absolute" else eps * e0
     costs = [c for c, e in curve if e <= target]
