@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, exp, expm1, inf, isfinite, log, prod, sqrt
 
 import numpy as np
@@ -145,11 +145,8 @@ def tensor_rule(factors) -> QuadratureRule:
 def _product_grid(node_lists, weight_lists):
     """Rows of the product grid of per-coordinate node lists, in lexicographic
     position order, and the products of their weights."""
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*node_lists, indexing="ij")], axis=1)
-    weights = np.ones(nodes.shape[0])
-    for g in np.meshgrid(*weight_lists, indexing="ij"):
-        weights *= g.ravel()
-    return nodes, weights
+    nodes = np.stack(np.broadcast_arrays(*np.ix_(*node_lists)), axis=-1).reshape(-1, len(node_lists))
+    return nodes, reduce(np.multiply.outer, weight_lists).ravel()
 
 
 def level_choice_for_eps(eps: float, sigma) -> np.ndarray:
@@ -213,37 +210,24 @@ class SmolyakLevels:
         return cls(tuple(range(1, level + 1)), level)
 
 
-_DIFFERENCE_TABLES: dict = {}  # schedule -> (values, diff, ends); no key is a prefix of another
+@lru_cache(maxsize=None)
+def _difference_rule(prev: int, m: int):
+    """The difference rule B_m - B_prev of Gauss-Hermite rules (B_0 = 0).
 
-
-def _difference_rules(schedule: tuple):
-    """The difference rules Delta_k = B_{m_k} - B_{m_{k-1}} (B_{m_0} = 0) of a schedule.
-
-    Returns ``(values, diff)``, both read-only: the distinct nodes of
-    B_{m_1}, B_{m_2}, ... in order of first appearance, so B_{m_1}..B_{m_k}
-    sit on a prefix, and row k - 1 of ``diff`` is Delta_k on them.  Only
-    the table of the longest schedule asked for is kept; its prefixes get
-    views of its top-left block.
+    Returns read-only ``(nodes, weights)``: the nodes of B_m in their
+    order, then those of B_prev that B_m lacks.  Equal nodes merge exactly
+    and exactly cancelled weights are dropped.
     """
-    full = next((key for key in _DIFFERENCE_TABLES if key[: len(schedule)] == schedule), schedule)
-    if full not in _DIFFERENCE_TABLES:
-        for key in [key for key in _DIFFERENCE_TABLES if schedule[: len(key)] == key]:
-            del _DIFFERENCE_TABLES[key]
-        rules = [gauss_hermite_rule(m) for m in schedule]
-        position, ends = {}, []  # ends[k - 1]: the number of distinct nodes of B_{m_1}..B_{m_k}
-        for rule in rules:
-            for x in rule.nodes.tolist():
-                position.setdefault(x, len(position))
-            ends.append(len(position))
-        b = np.zeros((len(rules), len(position)))  # row k - 1: B_{m_k}
-        for k, rule in enumerate(rules):
-            b[k, [position[x] for x in rule.nodes.tolist()]] = rule.weights
-        values, diff = np.array(list(position), dtype=float), np.diff(b, axis=0, prepend=0.0)
-        values.flags.writeable = diff.flags.writeable = False
-        _DIFFERENCE_TABLES[full] = values, diff, ends
-    values, diff, ends = _DIFFERENCE_TABLES[full]
-    n = ends[len(schedule) - 1] if schedule else 0
-    return values[:n], diff[: len(schedule), :n]
+    entries = {}
+    for n, sign in ((m, 1.0), (prev, -1.0)):
+        if n:
+            rule = gauss_hermite_rule(n)
+            for x, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+                entries[x] = entries.get(x, 0.0) + sign * w
+    nodes = np.array([x for x, w in entries.items() if w != 0.0])
+    weights = np.array([w for w in entries.values() if w != 0.0])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
@@ -268,15 +252,17 @@ def _merged_terms(size: int, schedule, level: int, lowest: int):
 
     Returns ``(keys, weights)``: the distinct local node rows in
     lexicographic order and their non-zero merged weights (both read-only).
-    Rows are coded by the ranks of their node values and keyed by
-    :func:`worst_case._row_keys`, so they merge on exact node equality.
+    Rows are coded by the ranks of their node values among the nodes of the
+    :func:`_difference_rule` factors and keyed by :func:`worst_case._row_keys`,
+    so they merge on exact node equality.
     """
     top = level - lowest * (size - 1)  # the largest k a level vector can hold
-    values, diff = _difference_rules(tuple(schedule[: max(top, 0)]))  # top < 1: no level vector, no rules
-    sorted_values, rank = np.unique(values, return_inverse=True)
-    support = [np.flatnonzero(row) for row in diff]
+    schedule = tuple(schedule[: max(top, 0)])  # top < 1: no level vector, no rules
+    rules = [_difference_rule(prev, m) for prev, m in zip((0,) + schedule, schedule)]
+    values = np.unique(np.concatenate([np.zeros(0)] + [nodes for nodes, _ in rules]))
+    ranks = [np.searchsorted(values, nodes) for nodes, _ in rules]
     terms = [(np.zeros((0, size), dtype=np.intp), np.zeros(0))] + [  # no level vector: empty
-        _product_grid([rank[support[k - 1]] for k in ks], [diff[k - 1, support[k - 1]] for k in ks])
+        _product_grid([ranks[k - 1] for k in ks], [rules[k - 1][1] for k in ks])
         for ks in _level_vectors(size, level, lowest)
     ]
     codes = np.vstack([rows for rows, _ in terms])
@@ -284,7 +270,7 @@ def _merged_terms(size: int, schedule, level: int, lowest: int):
     _, first, where = np.unique(_row_keys(codes, radix), return_index=True, return_inverse=True)
     merged = np.bincount(where, weights=np.concatenate([w for _, w in terms]))
     keep = merged != 0.0
-    keys, merged = sorted_values[codes[first[keep]]], merged[keep]
+    keys, merged = values[codes[first[keep]]], merged[keep]
     keys.flags.writeable = merged.flags.writeable = False
     return keys, merged
 
@@ -364,6 +350,27 @@ def anchored_component_eval(f, u, x) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _component_rows(size: int, level: int) -> int:
+    """Rows the tensor terms of :func:`_component_local` stack before their merge,
+    the sum over its level vectors of prod_j |Delta_{k_j}|, counted without building
+    a term: coordinate by coordinate, rows[l] = sum_k |Delta_k| rows'[l - k]."""
+    top = level - 2 * (size - 1)
+    sizes = np.array([0, 0] + [_difference_rule(k - 1, k)[1].size for k in range(2, top + 1)], dtype=object)
+    rows = np.ones(1, dtype=object)  # Python integers, which do not overflow
+    for _ in range(size):
+        rows = np.convolve(rows, sizes)[: level + 1]
+    return int(rows.sum())
+
+
+def _check_component_rows(size: int, level: int) -> None:
+    rows = _component_rows(size, level)
+    if rows > TENSOR_BUDGET:
+        raise BudgetError(
+            f"the component of {size} coordinates at level {level} stacks {rows} rows, beyond {TENSOR_BUDGET}"
+        )
+
+
 _LOCAL_COMPONENT_CACHE: dict = {}
 
 
@@ -372,10 +379,13 @@ def _component_local(size: int, level: int):
 
     The tensor terms with every k_j >= 2 on the unit schedule, as
     ``(keys, weights)``.  Identical for every coordinate set of one size,
-    so the greedy planner shares it across all pooled candidates.
+    so the greedy planner shares it across all pooled candidates.  A
+    component whose terms stack more than ``TENSOR_BUDGET`` rows raises
+    ``BudgetError`` before any is built.
     """
     key = (size, level)
     if key not in _LOCAL_COMPONENT_CACHE:
+        _check_component_rows(size, level)
         _LOCAL_COMPONENT_CACHE[key] = _merged_terms(size, tuple(range(1, level + 1)), level, lowest=2)
     return _LOCAL_COMPONENT_CACHE[key]
 
@@ -540,8 +550,10 @@ class MdmPlan:
         if any(b <= a for a, b in zip(sets, sets[1:])):
             raise DomainError("active sets must be strictly increasing, without duplicates")
         for u, q in zip(sets, self.levels):
-            if not _component_local(len(u), q)[1].size:
+            if q < 2 * len(u):  # every factor Delta_k of a component term has k >= 2
                 raise DomainError(f"the component of {u} at level {q} is empty")
+            if (len(u), q) not in _LOCAL_COMPONENT_CACHE:  # a built component has passed the check
+                _check_component_rows(len(u), q)
 
     @property
     def budgets(self) -> tuple:
@@ -604,7 +616,7 @@ def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     pairs = sorted((tuple(sorted(int(j) for j in u)), int(q)) for u, q in active_levels.items())
     if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
         raise DomainError("duplicate active sets")
-    pairs = [(u, q) for u, q in pairs if _component_local(len(u), q)[1].size]
+    pairs = [(u, q) for u, q in pairs if q >= 2 * len(u)]
     live = (a[a > 0] for a in (_component_counts(len(u), q) for u, q in pairs))
     cost = model.charge_rows(np.concatenate([[0], *live]))  # the anchor row, then the others
     return MdmPlan(tuple(u for u, _ in pairs), tuple(q for _, q in pairs), cost)
@@ -718,9 +730,10 @@ def mdm_apply(plan: MdmPlan, f) -> float:
 
 
 def _term_rows(plan: MdmPlan):
-    """Tensor-term rows of a plan: the anchor, then per set the
-    level vectors of its component; every coordinate gets the values of
-    B_1..B_top and the rows Delta_1..Delta_top on them (top: its largest level)."""
+    """Tensor-term rows of a plan: the anchor, then per set the level vectors
+    of its component; every coordinate gets the values of B_1..B_top (top: its
+    largest level), in order of first appearance, and the rows Delta_1..Delta_top
+    on them, the top-left block of one table for the largest top of the plan."""
     rows = [((), np.zeros((1, 0), dtype=np.intp), np.ones(1))]
     top = {}
     for u, q in zip(plan.active_sets, plan.levels):
@@ -728,7 +741,16 @@ def _term_rows(plan: MdmPlan):
         rows.append((u, ks - 1, np.ones(ks.shape[0])))
         for c, k in zip(u, ks.max(axis=0).tolist()):
             top[c] = max(top.get(c, 1), k)
-    return rows, {c: _difference_rules(tuple(range(1, k + 1))) for c, k in top.items()}
+    rules = [_difference_rule(k - 1, k) for k in range(1, max(top.values(), default=0) + 1)]
+    position, ends = {}, []  # ends[k - 1]: the number of distinct nodes of B_1..B_k
+    for nodes, _ in rules:
+        for x in nodes.tolist():
+            position.setdefault(x, len(position))
+        ends.append(len(position))
+    values, diff = np.array(list(position), dtype=float), np.zeros((len(rules), len(position)))
+    for k, (nodes, weights) in enumerate(rules):
+        diff[k, [position[x] for x in nodes.tolist()]] = weights
+    return rows, {c: (values[: ends[k - 1]], diff[:k, : ends[k - 1]]) for c, k in top.items()}
 
 
 def _tables(grids, betas):

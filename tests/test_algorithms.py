@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,12 @@ from rkhsquad.algorithms import (
     KernelGenerator,
     _component_counts,
     _component_local,
-    _difference_rules,
+    _component_rows,
+    _difference_rule,
     _level_vectors,
     _merged_terms,
     _subset_pool,
+    _term_rows,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -379,7 +382,8 @@ class TestComponentTerms:
     )
     def test_smolyak_matches_float_row_merge(self, size, schedule, level):
         top = level - (size - 1)
-        wide = len(_difference_rules(schedule[:top])[0]) ** size >= 2**63
+        values = {x for m in schedule[:top] for x in gauss_hermite_rule(m).nodes.tolist()}
+        wide = len(values) ** size >= 2**63
         assert wide == (size == 10)
         keys, weights = _merged_terms(size, schedule, level, lowest=1)
         want_keys, want_weights = _float_row_merge(size, schedule, level, 1)
@@ -391,19 +395,38 @@ class TestComponentTerms:
             for level in range(1, 17):
                 assert (_component_local(size, level)[1].size > 0) == (level >= 2 * size), (size, level)
 
-    def test_difference_rules_share_prefixes(self):
-        values, diff = _difference_rules(SCHEDULES["growing"])
-        assert np.unique(values).size == values.size
-        for k in range(1, len(SCHEDULES["growing"]) + 1):
-            head_values, head_diff = _difference_rules(SCHEDULES["growing"][:k])
-            assert not (head_diff.flags.owndata or head_diff.flags.writeable)  # a view of a kept table
-            assert np.array_equal(head_values, values[: head_values.size])
-            assert np.array_equal(head_diff, diff[:k, : head_values.size])
-            assert not diff[:k, head_values.size :].any()
-            row = dict(zip(values.tolist(), diff[k - 1].tolist()))
-            want = dict(_reference_difference(SCHEDULES["growing"], k))
-            assert {x: w for x, w in row.items() if x in want} == want
-            assert not any(w for x, w in row.items() if x not in want)
+    def test_difference_rules_are_cached_sparse_rules(self):
+        for schedule in SCHEDULES.values():
+            for k, (prev, m) in enumerate(zip((0,) + schedule, schedule), start=1):
+                nodes, weights = _difference_rule(prev, m)
+                assert not (nodes.flags.writeable or weights.flags.writeable)
+                assert _difference_rule(prev, m)[0] is nodes
+                assert np.unique(nodes).size == nodes.size
+                want = {x: w for x, w in _reference_difference(schedule, k) if w != 0.0}
+                assert dict(zip(nodes.tolist(), weights.tolist())) == want
+        # the dense table of mdm_wce: the distinct nodes of B_1..B_top in order of
+        # first appearance and B_k - B_{k-1} on them, each coordinate its top-left block
+        _, grids = _term_rows(MdmPlan(((0,), (1,)), (24, 10), 1.0))
+        position = {}
+        for m in range(1, 25):
+            for x in gauss_hermite_rule(m).nodes.tolist():
+                position.setdefault(x, len(position))
+        b = np.zeros((24, len(position)))
+        for m in range(1, 25):
+            b[m - 1, [position[x] for x in gauss_hermite_rule(m).nodes.tolist()]] = gauss_hermite_rule(m).weights
+        want_values, want_diff = np.array(list(position)), np.diff(b, axis=0, prepend=0.0)
+        for c, top in ((0, 24), (1, 10)):
+            values, diff = grids[c]
+            assert np.array_equal(values, want_values[: values.size])
+            assert np.array_equal(diff, want_diff[:top, : values.size])
+            assert not want_diff[:top, values.size :].any()
+
+    def test_component_rows_count_the_stacked_terms(self):
+        for size in range(1, 5):
+            for level in range(0, 15):
+                sizes = {k: len(_reference_difference(tuple(range(1, level + 1)), k)) for k in range(2, level + 1)}
+                want = sum(math.prod(sizes[k] for k in ks) for ks in _level_vectors(size, level))
+                assert _component_rows(size, level) == want, (size, level)
 
     def test_acceptance_curve_costs(self):
         gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
@@ -522,6 +545,7 @@ PLAN_DEFECTS = {
         budgets=list(_OTHER_PLAN.budgets), flattened=_older_blob(_OTHER_PLAN)["flattened"]
     ),
 }
+OVERSIZED_PLAN = '{"active_sets": [[0, 1, 2, 3, 4, 5]], "levels": [40], "cost": 1.0}'
 _OTHER_PLAN = assemble_mdm_plan({(0,): 5, (0, 1): 6}, CostModel.unit())
 # defects applied to the older format, which also stored the budgets and the
 # dense rule: such a file is refused whether or not they match, with budgets
@@ -626,11 +650,11 @@ class TestGreedyPlanner:
         assert plan.levels == (20, 22, 20)  # top rule q - 2 (|u| - 1) = 20
         assert plan.cost <= 1e4
 
-    def test_one_coordinate_climb_keeps_one_difference_table(self, monkeypatch):
-        # the levels of a climb share the table of the longest schedule, so the
-        # memory held grows like the last table, not like the sum of all of them
-        monkeypatch.setattr(algorithms, "_DIFFERENCE_TABLES", {})
+    def test_one_coordinate_climb_builds_each_difference_rule_once(self, monkeypatch):
+        # the levels of a climb share the cached rules Delta_k, which hold their
+        # 2k - 1 nodes only, so the memory held stays far below one dense table
         monkeypatch.setattr(algorithms, "_LOCAL_COMPONENT_CACHE", {})
+        algorithms._difference_rule.cache_clear()
         gen = KernelGenerator.hermite(ParamRule.parse("0.5^j"))
         tracemalloc.start()
         try:
@@ -640,8 +664,10 @@ class TestGreedyPlanner:
         finally:
             tracemalloc.stop()
         assert plan.levels == (119,)
-        assert len(algorithms._DIFFERENCE_TABLES) == 1
-        assert held < 30e6
+        info = algorithms._difference_rule.cache_info()
+        # Delta_1..Delta_120: the level-120 upgrade is costed, then does not fit
+        assert info.misses == info.currsize == 120
+        assert held < 5e6
 
 
 class TestMdm:
@@ -817,6 +843,23 @@ class TestMdm:
         if text != "{":
             with pytest.raises(DomainError):
                 MdmPlan.from_json(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MdmPlan.from_json(OVERSIZED_PLAN),
+            lambda: MdmPlan(((0, 1, 2, 3, 4, 5),), (40,), 1.0),
+            lambda: assemble_mdm_plan({(0, 1, 2, 3, 4, 5): 40}, CostModel.unit()),
+        ],
+        ids=["from_json", "constructor", "assemble"],
+    )
+    def test_oversized_component_raises_before_it_is_built(self, make):
+        # the component's tensor terms stack 814,619,723,352 rows: counted, never built
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="814619723352 rows"):
+            make()
+        assert time.perf_counter() - start < 1.0
+        assert (6, 40) not in algorithms._LOCAL_COMPONENT_CACHE
 
     def test_levels_match_active_sets(self):
         plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
