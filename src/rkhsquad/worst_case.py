@@ -8,14 +8,15 @@ identity
 
 with m the mean embedding and II the double integral of M.  Optimal
 weights for fixed nodes solve the Gram system G w = m.  Gram entries come
-in blocks of rows, each one exp of the summed per-coordinate kernel
-exponents, filled in place in buffers reused from block to block (in the
-rows of G itself when G is built); the error sums w^T G w block by block
-without holding G.  The system is factored by Cholesky, with a condition
-estimate from eigvalsh up to 400 nodes and from Lanczos on G and on G^{-1}
-above, with G^{-1} applied as two triangular solves with the factor; a
-failed factorization or an estimate above 1e14 raises ConditioningError,
-and non-finite kernel values raise NumericalConsistencyError.
+in row blocks of the lower triangle (the kernel is symmetric bit for bit),
+each one exp of the summed per-coordinate kernel exponents, filled in place
+in buffers reused from block to block (and copied into G and its mirror
+when G is built); the error sums w^T G w block by block without holding G.
+Cholesky factors the system, with a condition estimate from eigvalsh up to
+400 nodes and from Lanczos to 1e-10 on G and G^{-1} above, G^{-1} applied
+as two triangular solves with the factor; a failed factorization or an
+estimate above 1e14 raises ConditioningError, and non-finite kernel values
+raise NumericalConsistencyError.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -70,12 +71,16 @@ MAX_GRAM_CONDITION = 1e14
 # Up to this many Gram nodes the condition estimate takes the dense
 # eigvalsh; above it Lanczos works on products with G and G^-1.
 _DENSE_LIMIT = 400
+# ARPACK's relative stopping accuracy for the Lanczos extremes.  The estimate
+# only meets MAX_GRAM_CONDITION, which 2e-10 in the ratio cannot decide; 0
+# (machine precision) costs a second restart on most n = 2000 Grams.
+_LANCZOS_TOL = 1e-10
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
-# Gram entries per block of rows.  Timing wce_integration at n = 1000, 2000
-# and 4000 (d = 6) was flat from 2**14 to 2**16 entries and twice as slow
-# from 2**17 on, once the block's temporaries leave the per-core L2 cache.
-# The blocks also fix the summation order of w^T G w, so changing this
-# constant changes the last bits of every wce_integration result.
+# Gram entries per block of full rows (only its lower triangle is built).
+# Timing wce_integration at n = 1000, 2000 and 4000 (d = 6) was flat from
+# 2**14 to 2**16 entries and twice as slow from 2**17 on, once the block's
+# temporaries leave the per-core L2 cache.  The blocks also fix the order of
+# w^T G w, so changing this changes wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
 # Entries of one pairwise block slice or one shared Hermite table (16 MB).
 _BLOCK_CHUNK = 2**21
@@ -527,41 +532,47 @@ def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSyste
 # integration
 
 
-def _gram_rows(spec: KernelSpec, nodes: np.ndarray, gram: np.ndarray | None = None):
-    """Yield ``(rows, block)``: the Gram matrix of ``nodes`` as slices of rows
-    of at most ``_GRAM_BLOCK_ENTRIES`` entries.
+def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
+    """Yield ``(lo, hi, block)``: rows lo..hi-1, columns 0..hi-1 of the Gram
+    matrix of ``nodes``, the lower triangle (every kernel form is symmetric
+    bit for bit) in blocks of ``_GRAM_BLOCK_ENTRIES // n`` rows.
 
     Each block is one exp of the summed per-coordinate kernel exponents,
     divided by prod_j (1-beta_j^2)^(1/2) for the Hermite family; with one
     coordinate its entries are bitwise those of :func:`gaussian_kernel` and
-    :func:`hermite_kernel`.  Blocks are written into ``gram[rows]`` when it
-    is given and otherwise into one buffer reused for every block, so a
-    block must be consumed before the next one is asked for.
+    :func:`hermite_kernel`.  The block is a contiguous buffer reused for
+    every block, so it must be consumed before the next one is asked for.  A
+    block that is not finite raises ``NumericalConsistencyError``, with no
+    warning.
     """
     exponent = _gaussian_exponent if spec.is_gaussian else _mehler_exponent
     scale = 1.0 if spec.is_gaussian else prod(sqrt(1.0 - b * b) for b in spec.params)
     n = nodes.shape[0]
     step = min(n, max(1, _GRAM_BLOCK_ENTRIES // n))
-    part, scratch = np.empty((2, step, n))
-    buffer = np.empty((step, n)) if gram is None else None
+    buffers = np.empty((3, step * n))
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        size = min(step, n - lo)
-        total = buffer[:size] if gram is None else gram[rows]
-        for j, param in enumerate(spec.params):
-            col = nodes[:, j]
-            target = total if j == 0 else part[:size]
-            exponent(param, col[rows, None], col[None, :], out=target, scratch=scratch[:size])
-            if j > 0:
-                np.add(total, target, out=total)
-        block = np.exp(total, out=total)
-        if not spec.is_gaussian:
-            block /= scale
-        yield rows, block
+        hi = min(lo + step, n)
+        total, part, work = (b[: (hi - lo) * hi].reshape(hi - lo, hi) for b in buffers)
+        # overflowing kernel values are caught by the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, param in enumerate(spec.params):
+                col = nodes[:, j]
+                target = total if j == 0 else part
+                exponent(param, col[lo:hi, None], col[None, :hi], out=target, scratch=work)
+                if j > 0:
+                    np.add(total, part, out=total)
+            block = np.exp(total, out=total)
+            if not spec.is_gaussian:
+                block /= scale
+            finite = np.isfinite(block).all()
+        if not finite:
+            raise NumericalConsistencyError("kernel values at the nodes are not finite")
+        yield lo, hi, block
 
 
 def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
-    """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel."""
+    """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel,
+    its lower triangle mirrored; raises on a non-finite kernel value."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != spec.dimension:
         raise ShapeMismatchError(
@@ -570,31 +581,34 @@ def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     if nodes.shape[0] == 0:
         raise ShapeMismatchError("a Gram matrix needs at least one node")
     gram = np.empty((nodes.shape[0], nodes.shape[0]))
-    for _ in _gram_rows(spec, nodes, gram):
-        pass
+    # copied from contiguous blocks: ufuncs writing straight into the strided
+    # triangle of G ran about 20% slower
+    for lo, hi, block in _gram_rows(spec, nodes):
+        gram[lo:hi, :hi] = block
+        gram[:lo, lo:hi] = block[:, :lo].T
     return gram
 
 
 def wce_integration(rule: QuadratureRule, spec: KernelSpec) -> float:
     """Exact worst-case integration error of a rule on the kernel's unit ball.
 
-    w^T G w is summed block of rows by block of rows, so the n x n Gram
-    matrix is never held.  Raises ``NumericalConsistencyError`` when a
-    kernel value at the nodes is not finite.
+    w^T G w sums 2 w_I^T (G_{I,<I} w_{<I}) + w_I^T G_II w_I over the row
+    blocks I of the lower triangle (one block up to 181 nodes), never holding
+    G.  Raises ``NumericalConsistencyError`` if a kernel value is not finite.
     """
     if rule.dimension != spec.dimension:
         raise ShapeMismatchError(
             f"rule dimension {rule.dimension} does not match kernel dimension {spec.dimension}"
         )
     w = rule.weights
-    wg = np.zeros(rule.n)  # w^T G
-    # overflowing kernel values are caught by the finiteness check below
+    quad = 0.0
+    # an overflowing sum of finite kernel values is caught by the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, block in _gram_rows(spec, rule.nodes):
-            wg += w[rows] @ block
-        quad = float(wg @ w)
+        for lo, hi, block in _gram_rows(spec, rule.nodes):
+            wi = w[lo:hi]
+            quad += 2.0 * float(block[:, :lo] @ w[:lo] @ wi) + float(wi @ block[:, lo:hi] @ wi)
     if not np.isfinite(quad):
-        raise NumericalConsistencyError("kernel values at the nodes are not finite")
+        raise NumericalConsistencyError("w^T G w of the rule is not finite")
     m = embedding_vector(spec, rule.nodes)
     e2 = double_integral(spec) - 2.0 * float(w @ m) + quad
     if e2 < -NEGATIVE_VARIANCE_TOL:
@@ -627,7 +641,8 @@ def _lanczos_extremes(gram: np.ndarray, factor):
     never read)."""
     n = gram.shape[0]
     v0 = np.full(n, 1.0 / sqrt(n))
-    hi = scipy.sparse.linalg.eigsh(gram, k=1, v0=v0, return_eigenvectors=False)[0]
+    opts = {"k": 1, "v0": v0, "tol": _LANCZOS_TOL, "return_eigenvectors": False}
+    hi = scipy.sparse.linalg.eigsh(gram, **opts)[0]
     lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
     trsv = scipy.linalg.get_blas_funcs("trsv", (lower,))
 
@@ -636,7 +651,7 @@ def _lanczos_extremes(gram: np.ndarray, factor):
         return trsv(lower, y, lower=1, trans=1, overwrite_x=1)
 
     inverse = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
-    inv_hi = scipy.sparse.linalg.eigsh(inverse, k=1, v0=v0, return_eigenvectors=False)[0]
+    inv_hi = scipy.sparse.linalg.eigsh(inverse, **opts)[0]
     return float(1.0 / inv_hi), float(hi)
 
 
@@ -677,9 +692,7 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
     ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    # overflowing kernel values are caught by _solve_spd's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = kernel_gram(spec, nodes)
+    gram = kernel_gram(spec, nodes)
     m = embedding_vector(spec, nodes)
     w, _ = _solve_spd(gram, m)
     return QuadratureRule(nodes, w)
@@ -777,9 +790,9 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
     nodes raise ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    # overflow is caught by the finiteness checks here and in _solve_spd
+    gram = kernel_gram(system.spec, nodes)
+    # overflow in the Hermite recurrence is caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = kernel_gram(system.spec, nodes)
         P = system.eigenfunction_matrix(nodes)  # [nu, j]
     if not np.all(np.isfinite(P)):
         raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")

@@ -30,6 +30,7 @@ from rkhsquad.kernels import (
     initial_error,
 )
 from rkhsquad.transference import (
+    TransferConstants,
     beta_from_sigma,
     spectral_pair,
     transfer_quadrature_to_hermite,
@@ -437,6 +438,23 @@ def _reference_wce(rule, spec):
     return math.sqrt(max(e2, 0.0))
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit round-off of float64."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def _square_gram(spec, nodes):
+    """Test-local: all n^2 entries through the library's own exponent chain,
+    with no triangle and no mirror."""
+    exponent = worst_case._gaussian_exponent if spec.is_gaussian else worst_case._mehler_exponent
+    total = sum(exponent(p, nodes[:, j, None], nodes[None, :, j]) for j, p in enumerate(spec.params))
+    gram = np.exp(total)
+    if not spec.is_gaussian:
+        gram /= math.prod(math.sqrt(1.0 - b * b) for b in spec.params)
+    return gram
+
+
 class TestKernelGram:
     # 300 nodes span several row blocks
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
@@ -455,8 +473,8 @@ class TestKernelGram:
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_in_place_blocks_equal_allocating_reference(self, family, d):
-        # bit for bit, for one block (n = 1, 5), blocks of 109 rows with a
-        # shorter last one (300) and 125 blocks of 16 rows (2000)
+        # the Gram bit for bit, for one block (n = 1, 5), blocks of 109 rows
+        # with a shorter last one (300) and 125 blocks of 16 rows (2000)
         rng = np.random.default_rng(200 + d)
         spec = _random_spec(rng, family, d)
         for n in (1, 5, 300, 2000):
@@ -465,7 +483,39 @@ class TestKernelGram:
             for rows, block in _reference_gram_rows(spec, rule.nodes):
                 want[rows] = block
             assert np.array_equal(kernel_gram(spec, rule.nodes), want)
-            assert wce_integration(rule, spec) == _reference_wce(rule, spec)
+            got = wce_integration(rule, spec)
+            if n * n <= worst_case._GRAM_BLOCK_ENTRIES:
+                # one block: the same expression as the full-row reference
+                assert got == _reference_wce(rule, spec)
+                continue
+            # the lower triangle sums w^T G w in another order: compare e^2
+            # with an exactly rounded sum over the reference Gram, within the
+            # summation bound of each term's depth (at most n + 2 roundings)
+            # plus two roundings of the oracle's own products
+            w, m, ii = rule.weights, embedding_vector(spec, rule.nodes), double_integral(spec)
+            terms = w[:, None] * want * w[None, :]
+            e2 = math.fsum(itertools.chain([ii], -2.0 * w * m, terms.ravel()))
+            scale = ii + 2.0 * float(np.abs(w * m).sum()) + float(np.abs(terms).sum())
+            tol = (_gamma(n + 2) + _gamma(2)) * scale + _gamma(3) * e2
+            assert e2 > 0.0 and abs(got * got - e2) <= tol
+
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_kernel_is_symmetric_bit_for_bit(self, family, d):
+        # kernel_gram evaluates only the lower triangle and mirrors it, which
+        # is exact only because k(x, y) == k(y, x) in floating point; exact
+        # duplicate nodes and coordinates of +0.0 and -0.0 included
+        rng = np.random.default_rng(300 + d)
+        spec = _random_spec(rng, family, d)
+        for n in (1, 5, 181, 182, 300, 2000):
+            nodes = rng.normal(0.0, 1.5, size=(n, d))
+            nodes[rng.random((n, d)) < 0.2] = 0.0
+            nodes[rng.random((n, d)) < 0.2] = -0.0
+            dup = np.arange(n // 2, n, 7)
+            nodes[dup] = nodes[dup - n // 2]
+            square = _square_gram(spec, nodes)
+            assert np.array_equal(square, square.T)
+            assert np.array_equal(kernel_gram(spec, nodes), square)
 
     @pytest.mark.parametrize(
         "call",
@@ -586,12 +636,24 @@ class TestSolveSpd:
     @staticmethod
     def _system(n, family):
         rng = np.random.default_rng(n)
-        spec = KernelSpec.gaussian((1.0,) * 6) if family == "gaussian" else KernelSpec.hermite((0.8,) * 6)
-        nodes = rng.standard_normal((n, 6))
+        if family.endswith("-d4"):
+            # the benchmark's Gram regime: Gaussian sigma = 1, d = 4, standard
+            # normal nodes (condition about 5e8), and its Hermite twin (about 1.3e13)
+            nodes = rng.standard_normal((n, 4))
+            constants = TransferConstants.integration((1.0,) * 4)
+            spec = constants.gaussian_spec()
+            if family == "hermite-d4":
+                spec, nodes = constants.hermite_spec(), nodes * constants.e[None, :]
+        else:
+            spec = KernelSpec.gaussian((1.0,) * 6) if family == "gaussian" else KernelSpec.hermite((0.8,) * 6)
+            nodes = rng.standard_normal((n, 6))
         return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
 
-    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
-    @pytest.mark.parametrize("n", [401, 1000, 2000])
+    @pytest.mark.parametrize(
+        "n, family",
+        [(n, f) for n in (401, 1000, 2000) for f in ("gaussian", "hermite")]
+        + [(1500, "gaussian-d4"), (1500, "hermite-d4")],
+    )
     def test_condition_estimate_matches_eigvalsh(self, n, family):
         gram, m = self._system(n, family)
         w, cond = _solve_spd(gram, m)
@@ -848,6 +910,16 @@ def _raises_without_warning(call):
 class TestFiniteOrRaise:
     # k_0.5(100, 100) = exp(10^4 / 3) / sqrt(0.75) overflows
     FAR_NODES = np.array([[0.0], [100.0]])
+
+    @pytest.mark.parametrize(
+        "spec, x",
+        [(HERM_HALF, 100.0), (HERM_HALF, np.nan), (HERM_HALF, np.inf), (GAUSS_ONE, np.nan), (GAUSS_ONE, -np.inf)],
+        ids=["hermite-overflow", "hermite-nan", "hermite-inf", "gaussian-nan", "gaussian-inf"],
+    )
+    def test_kernel_gram_non_finite(self, spec, x):
+        # NaN and infinite nodes give NaN exponents
+        _raises_without_warning(lambda: kernel_gram(spec, np.array([[0.0], [x]])))
+        _raises_without_warning(lambda: kernel_gram(spec, np.array([[x]])))
 
     def test_wce_integration_kernel_overflow(self):
         rule = QuadratureRule(self.FAR_NODES, np.array([0.5, 0.5]))
