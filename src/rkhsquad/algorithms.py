@@ -31,7 +31,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import ceil, exp, expm1, inf, isfinite, log, prod, sqrt
+from math import ceil, exp, expm1, floor, inf, isfinite, log, log1p, prod, sqrt
 
 import numpy as np
 
@@ -45,12 +45,12 @@ from .errors import (
 from . import hermite
 from .hermite import gauss_hermite_rule
 from .kernels import (
+    CRAMER_CONSTANT,
     GAUSSIAN,
     HERMITE,
     INTEGRATION,
     KernelSpec,
     check_sigma,
-    hermite_kernel,
     initial_error,
     matched_parameters,
 )
@@ -60,10 +60,11 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _row_keys, _spectral_errors
+from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _row_keys, _spectral_errors
 
 TENSOR_BUDGET = 10**6
 ANCHOR_SET_GUARD = 20
+_MOMENT_CUT = 2.0**-110
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +726,16 @@ def mdm_apply(plan: MdmPlan, f) -> float:
 # support, the index k - 1 of the factor Delta_k on that coordinate; tables
 # are Delta_k^T K_c Delta_l / K_c(0, 0) and Delta_k^T 1.  Index 0 stands for
 # Delta_1 = delta_0, the anchor value x_c = 0, where both tables are 1, so
-# only active coordinates enter a product.  A Gaussian generator's Delta_k
-# become their twins: nodes e_c x and weights damped by phi(x) / phi(0).
+# only active coordinates enter a product.  By Mehler's series the tables are
+# sqrt(1 - beta_c^2) S diag(beta_c^nu) S^T and S[:, 0], row k - 1 of S the Hermite
+# moments of Delta_k, cut where the Cramer bound |h_nu(x)| <= C e^(x^2 / 4) puts each
+# dropped entry below _MOMENT_CUT.  A Gaussian generator's Delta_k become their
+# twins: nodes e_c x and weights damped by phi(x) / phi(0).
 
 
 def _term_rows(plan: MdmPlan):
-    """Tensor-term rows of a plan: the anchor, then per set the level vectors
-    of its component; every coordinate gets the values of B_1..B_top (top: its
-    largest level), in order of first appearance, and the rows Delta_1..Delta_top
-    on them, the top-left block of one table for the largest top of the plan."""
+    """Tensor-term rows of a plan, the anchor and then per set the level
+    vectors of its component, and each coordinate's largest level top[c]."""
     rows = [((), np.zeros((1, 0), dtype=np.intp), np.ones(1))]
     top = {}
     for u, q in zip(plan.active_sets, plan.levels):
@@ -741,33 +743,29 @@ def _term_rows(plan: MdmPlan):
         rows.append((u, ks - 1, np.ones(ks.shape[0])))
         for c, k in zip(u, ks.max(axis=0).tolist()):
             top[c] = max(top.get(c, 1), k)
-    rules = [_difference_rule(k - 1, k) for k in range(1, max(top.values(), default=0) + 1)]
-    position, ends = {}, []  # ends[k - 1]: the number of distinct nodes of B_1..B_k
-    for nodes, _ in rules:
-        for x in nodes.tolist():
-            position.setdefault(x, len(position))
-        ends.append(len(position))
-    values, diff = np.array(list(position), dtype=float), np.zeros((len(rules), len(position)))
-    for k, (nodes, weights) in enumerate(rules):
-        diff[k, [position[x] for x in nodes.tolist()]] = weights
-    return rows, {c: (values[: ends[k - 1]], diff[:k, : ends[k - 1]]) for c, k in top.items()}
+    return rows, top
 
 
-def _tables(grids, betas):
-    """Per-coordinate quadratic tables K_c / K_c(0, 0) and linear tables Delta_k^T 1
-    of the Hermite kernels with base parameters ``betas``."""
+def _tables(families, betas):
+    """Per-coordinate quadratic and linear tables and the largest cut of a quadratic entry; a
+    family pairs rules with the tops of the coordinates whose Delta_1..Delta_top are their prefix."""
+    cut, degrees = 0.0, {}
+    for rules, tops in families:
+        amp = np.maximum.accumulate([CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0)) for x, w in rules])
+        for c, t in tops.items():
+            b = float(betas[c])
+            scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
+            degrees[c] = 0 if b == 0.0 else min(max(floor(log(_MOMENT_CUT / scale) / log(b)), 0), hermite.MAX_DEGREE)
+            cut = max(cut, scale * b ** (degrees[c] + 1))
+    flat = [(rule, max((degrees[c] for c in tops), default=0)) for rules, tops in families for rule in rules]
+    moments = iter(_hermite_moments([rule for rule, _ in flat], [d for _, d in flat]))
     quad, lin = {}, {}
-    for c, (values, diff) in grids.items():
-        p = betas[c]
-        k00 = float(hermite_kernel(p, 0.0, 0.0))
-        step = max(1, _BLOCK_CHUNK // values.size)
-        blocks = (
-            (diff[:, lo : lo + step], hermite_kernel(p, values[lo : lo + step, None], values[None, :]) / k00)
-            for lo in range(0, values.size, step)
-        )
-        quad[c] = sum(part @ block @ diff.T for part, block in blocks)
-        lin[c] = diff @ np.ones(values.size)
-    return quad, lin
+    for rules, tops in families:
+        table = np.array([next(moments) for _ in rules])
+        for c, t in tops.items():
+            s, b = table[:t, : degrees[c] + 1], float(betas[c])
+            quad[c], lin[c] = sqrt(1.0 - b * b) * (s * b ** np.arange(degrees[c] + 1.0)) @ s.T, s[:, 0]
+    return quad, lin, cut
 
 
 def _linear_form(groups, tables) -> float:
@@ -823,27 +821,30 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     The value uses exact prefix products over the first ``trunc``
     coordinates; the effect of all later coordinates (where every node
     sits at the anchor) is bounded rigorously from the generator's tail
-    sums.  Both the quadratic and the linear form of the Gram identity
-    run over the tensor terms of the plan's per-set levels, so the cost
-    grows with the number of terms, not with the square of the node
-    count.  A Gaussian generator's error is its initial error times that
+    sums, and so is the degree cut of the per-coordinate moment tables.
+    Both forms of the Gram identity run over the tensor terms of the plan's
+    per-set levels, so the cost grows with the number of terms, not with
+    the square of the node count.  A Gaussian generator's error is its initial error times that
     of the twin rule, E = prod_c e_c times the twins of the tensor terms,
     on the Hermite space of its ``score_betas``.  Returns ``(value, tail_bound)``.
     """
     dim = max((u[-1] + 1 for u in plan.active_sets), default=1)
     if dim > trunc:
         raise ShapeMismatchError(f"plan touches coordinate {dim - 1}, beyond trunc = {trunc}")
-    groups, grids = _term_rows(plan)
+    groups, top = _term_rows(plan)
     betas = gen.score_betas(trunc)
+    rules = [_difference_rule(k - 1, k) for k in range(1, max(top.values(), default=0) + 1)]
+    families = [(rules, top)]  # every coordinate's Delta_1..Delta_top is a prefix of one list
     twin, prefactor = 1.0, 1.0  # E and the Gaussian initial error
     if gen.family == GAUSSIAN:
         sigma = gen.params(trunc)
-        for c, (x, diff) in grids.items():
-            rule = transfer_quadrature_to_hermite(QuadratureRule(x[:, None], np.ones_like(x)), [sigma[c]])
-            grids[c] = rule.nodes[:, 0], diff * (rule.weights / rule.weights[0])  # e_c goes into E
         constants = TransferConstants.integration(sigma[sigma > 0.0])  # e_c = 1 where sigma_j underflows
         twin, prefactor = float(np.prod(constants.e)), constants.gauss_prefactor
-    quad_tables, lin_tables = _tables(grids, betas)
+        families = []
+        for c, t in top.items():  # divided by the twin weight e_c of Delta_1 = delta_0; e_c goes into E
+            twins = [transfer_quadrature_to_hermite(QuadratureRule(x[:, None], w), [sigma[c]]) for x, w in rules[:t]]
+            families.append(([(r.nodes[:, 0], r.weights / twins[0].weights[0]) for r in twins], {c: t}))
+    quad_tables, lin_tables, cut = _tables(families, betas)
     quad = _pairwise_quadratic(groups, quad_tables)
     lin = twin * _linear_form(groups, lin_tables)
 
@@ -858,6 +859,10 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
         s_tail = gen.param_tail_sq_bound(trunc + 1)
         beta_next = betas[-1]  # rules are non-increasing in j
         delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
+    # each of n^2 products of at most 2 width entries, each within cut of one of size at most big
+    n, width = sum(w.size for _, _, w in groups), max(len(supp) for supp, _, _ in groups)
+    big = max([1.0] + [float(np.abs(t).max()) for t in quad_tables.values()])
+    delta += g0 * twin * twin * n * n * big ** (2 * width) * expm1(2 * width * log1p(cut / big))
 
     scale = max(1.0, (twin * float(np.abs(_flat_weights(plan.active_sets, plan.levels)).sum())) ** 2)
     if e2 < -1e-10 * scale:

@@ -883,18 +883,9 @@ def hermite_wce_integration_spectral(
 
 
 def _spectral_errors(rules, beta: float, max_degrees=None):
-    """:func:`hermite_wce_integration_spectral` of several rules, one
-    Hermite recurrence per group of rules.
-
-    ``rules`` is a sequence of ``(nodes, weights)`` pairs and
-    ``max_degrees`` one degree per rule (``None`` for the default; an
-    omitted list means the default for every rule).  Consecutive rules
-    share one :func:`hermite_table` over their concatenated nodes while it
-    holds at most ``_BLOCK_CHUNK`` entries, to the largest degree of the
-    group.  The recurrence is elementwise, and each rule's
-    s = table[:deg+1, its columns] @ w is formed on a contiguous copy, the
-    product a one-rule table makes; so every ``(value, tail)`` in the
-    returned list equals the one-rule evaluation bit for bit.
+    """:func:`hermite_wce_integration_spectral` of several ``(nodes, weights)``
+    rules, one degree per rule in ``max_degrees`` (``None`` or an omitted list
+    for the default), each ``(value, tail)`` the one-rule evaluation bit for bit.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
@@ -908,6 +899,22 @@ def _spectral_errors(rules, beta: float, max_degrees=None):
         min(2 * x.size + 400, 512) if deg is None else deg
         for (x, _), deg in zip(rules, max_degrees)
     ]
+    out = []
+    for (x, w), deg, s in zip(rules, degrees, _hermite_moments(rules, degrees)):
+        terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
+        e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
+        amp = CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0))
+        tail_e2 = amp * amp * beta ** (deg + 1) / (1.0 - beta)
+        value = sqrt(e2)
+        out.append((value, sqrt(e2 + tail_e2) - value))
+    return out
+
+
+def _hermite_moments(rules, degrees):
+    """Hermite moments s_nu = sum_i w_i h_nu(x_i), nu = 0..deg, of flat ``(nodes, weights)``
+    rules, one degree per rule.  Consecutive rules share one :func:`hermite_table` while it
+    holds at most ``_BLOCK_CHUNK`` entries; the recurrence is elementwise and each s is formed
+    on a contiguous copy of the rule's columns, so s does not depend on the grouping."""
     groups, top, width = [], 0, 0  # indices of the rules sharing one table
     for i, ((x, _), deg) in enumerate(zip(rules, degrees)):
         if not groups or (max(top, deg) + 1) * (width + x.size) > _BLOCK_CHUNK:
@@ -917,17 +924,10 @@ def _spectral_errors(rules, beta: float, max_degrees=None):
         top, width = max(top, deg), width + x.size
     out = []
     for group in groups:
-        top = max(degrees[i] for i in group)
-        table = hermite_table(top, np.concatenate([rules[i][0] for i in group]))
+        table = hermite_table(max(degrees[i] for i in group), np.concatenate([rules[i][0] for i in group]))
         col = 0
         for i in group:
             (x, w), deg = rules[i], degrees[i]
-            s = np.ascontiguousarray(table[: deg + 1, col : col + x.size]) @ w
+            out.append(np.ascontiguousarray(table[: deg + 1, col : col + x.size]) @ w)
             col += x.size
-            terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
-            e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
-            amp = CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0))
-            tail_e2 = amp * amp * beta ** (deg + 1) / (1.0 - beta)
-            value = sqrt(e2)
-            out.append((value, sqrt(e2 + tail_e2) - value))
     return out

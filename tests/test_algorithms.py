@@ -19,7 +19,6 @@ from rkhsquad.algorithms import (
     _level_vectors,
     _merged_terms,
     _subset_pool,
-    _term_rows,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -36,10 +35,12 @@ from rkhsquad.algorithms import (
     tensor_rule,
     tensor_rule_for_eps,
 )
+from rkhsquad import errors
 from rkhsquad.errors import BudgetError, DomainError, ShapeMismatchError
 from rkhsquad.hermite import gauss_hermite_rule
-from rkhsquad.kernels import KernelSpec
-from rkhsquad.worst_case import CostModel, rule_cost, wce_integration
+from rkhsquad.kernels import KernelSpec, hermite_kernel
+from rkhsquad.transference import transfer_quadrature_to_hermite
+from rkhsquad.worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, rule_cost, wce_integration
 
 
 class TestGhRuleOnSpace:
@@ -404,22 +405,6 @@ class TestComponentTerms:
                 assert np.unique(nodes).size == nodes.size
                 want = {x: w for x, w in _reference_difference(schedule, k) if w != 0.0}
                 assert dict(zip(nodes.tolist(), weights.tolist())) == want
-        # the dense table of mdm_wce: the distinct nodes of B_1..B_top in order of
-        # first appearance and B_k - B_{k-1} on them, each coordinate its top-left block
-        _, grids = _term_rows(MdmPlan(((0,), (1,)), (24, 10), 1.0))
-        position = {}
-        for m in range(1, 25):
-            for x in gauss_hermite_rule(m).nodes.tolist():
-                position.setdefault(x, len(position))
-        b = np.zeros((24, len(position)))
-        for m in range(1, 25):
-            b[m - 1, [position[x] for x in gauss_hermite_rule(m).nodes.tolist()]] = gauss_hermite_rule(m).weights
-        want_values, want_diff = np.array(list(position)), np.diff(b, axis=0, prepend=0.0)
-        for c, top in ((0, 24), (1, 10)):
-            values, diff = grids[c]
-            assert np.array_equal(values, want_values[: values.size])
-            assert np.array_equal(diff, want_diff[:top, : values.size])
-            assert not want_diff[:top, values.size :].any()
 
     def test_component_rows_count_the_stacked_terms(self):
         for size in range(1, 5):
@@ -668,6 +653,42 @@ class TestGreedyPlanner:
         # Delta_1..Delta_120: the level-120 upgrade is costed, then does not fit
         assert info.misses == info.currsize == 120
         assert held < 5e6
+
+
+def _mehler_tables(rules, beta, sigma=None):
+    """Reference tables Delta_k^T K Delta_l / K(0, 0) and Delta_k^T 1 of one
+    coordinate's rules Delta_1..Delta_top: the rules laid out on their distinct
+    nodes, against closed-form Mehler kernel blocks over all node pairs.  With
+    ``sigma`` the rules are first moved to their Hermite twins: nodes e x and
+    weights damped by phi(x) / phi(0)."""
+    values = np.unique(np.concatenate([x for x, _ in rules]))
+    diff = np.zeros((len(rules), values.size))
+    for k, (x, w) in enumerate(rules):
+        diff[k, np.searchsorted(values, x)] = w
+    if sigma is not None:
+        twin = transfer_quadrature_to_hermite(QuadratureRule(values[:, None], np.ones_like(values)), [sigma])
+        values = twin.nodes[:, 0]
+        diff *= twin.weights / twin.weights[np.flatnonzero(values == 0.0)[0]]
+    k00 = float(hermite_kernel(beta, 0.0, 0.0))
+    step = max(1, _BLOCK_CHUNK // values.size)
+    quad = sum(
+        diff[:, lo : lo + step] @ (hermite_kernel(beta, values[lo : lo + step, None], values[None, :]) / k00) @ diff.T
+        for lo in range(0, values.size, step)
+    )
+    return quad, diff.sum(axis=1)
+
+
+# tops 60, 41, 17, 2 and 10 on coordinates 0..4
+TABLE_PLAN = {(0,): 60, (1,): 41, (2,): 17, (3,): 2, (1, 4): 12}
+TABLE_GENERATORS = {
+    **{f"hermite-{a}": KernelGenerator.hermite(ParamRule.parse(f"{a}^j")) for a in ("0.3", "0.5", "0.9")},
+    "twin-j^-1.5": KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5")),
+    "twin-0.5^j": KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("0.5^j")),
+    "gaussian-j^-1.5": KernelGenerator.gaussian(ParamRule.parse("j^-1.5")),
+}
+ERROR_TYPES = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == errors.__name__
+)
 
 
 class TestMdm:
@@ -944,3 +965,64 @@ class TestMdm:
         anchor = assemble_mdm_plan({}, self.model)
         v0, _ = mdm_wce(anchor, gen_g, trunc=256)
         assert value <= v0
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
+    def test_moment_tables_match_mehler_blocks(self, name, monkeypatch):
+        # the tables mdm_wce builds from Hermite moments equal the closed-form
+        # Mehler kernel over all node pairs, for each coordinate's top
+        gen, seen = TABLE_GENERATORS[name], []
+        library = algorithms._tables
+        monkeypatch.setattr(algorithms, "_tables", lambda *args: seen.append(library(*args)) or seen[-1])
+        mdm_wce(assemble_mdm_plan(TABLE_PLAN, CostModel.unit()), gen, trunc=64)
+        ((quad, lin, cut),) = seen
+        assert 0.0 <= cut < 1e-20
+        betas, sigma = gen.score_betas(64), gen.params(64)
+        for c, top in {0: 60, 1: 41, 2: 17, 3: 2, 4: 10}.items():
+            rules = [_difference_rule(k - 1, k) for k in range(1, top + 1)]
+            want_quad, want_lin = _mehler_tables(rules, betas[c], sigma[c] if gen.family == "gaussian" else None)
+            assert quad[c].shape == (top, top)
+            assert np.abs(quad[c] - want_quad).max() <= 1e-14, c
+            assert np.abs(lin[c] - want_lin).max() <= 1e-14, c
+
+    def test_degree_cut_past_the_cap_widens_the_tail(self):
+        # beta_1 = 0.99 needs degrees past hermite.MAX_DEGREE: the bound on the
+        # cut widens the tail, and value +- tail holds the Mehler-block error
+        gen = KernelGenerator.hermite(ParamRule.parse("0.99^j"))
+        value, tail = mdm_wce(mdm_build(gen, 1e3, CostModel.unit()), gen)
+        assert abs(value - 1.0791028458e10) <= tail
+
+    def test_level_239_component_is_fast(self):
+        # one coordinate climbed to Delta_239: 239 tensor terms over 28,561 distinct nodes
+        gen = KernelGenerator.hermite(ParamRule.parse("0.5^j"))
+        plan = mdm_build(gen, 240, CostModel.unit(), max_coord=1, pool_size=1)
+        assert plan.levels == (239,)
+        start = time.perf_counter()
+        value, _ = mdm_wce(plan, gen, trunc=64)
+        assert time.perf_counter() - start < 5.0
+        assert value == pytest.approx(0.20899450097754352, rel=1e-10)
+
+    def test_wce_is_finite_or_typed(self):
+        # random small plans, generators up to beta_1 = 0.995 and three truncations:
+        # every call returns a finite value and tail, or raises an rkhsquad error
+        rng = np.random.default_rng(20)
+        rules = ["j^-0.6", "j^-1.5", "j^-3", "0.2^j", "0.7^j", "0.95^j"]
+        returned = 0
+        for _ in range(300):
+            kind = rng.integers(3)
+            if kind == 0:
+                gen = KernelGenerator.hermite(ParamRule("geometric", float(rng.uniform(0.01, 0.995))))
+            else:
+                rule = ParamRule.parse(rules[rng.integers(len(rules))])
+                gen = KernelGenerator.gaussian(rule) if kind == 1 else KernelGenerator.hermite_twin_of_gaussian(rule)
+            levels = {}
+            for _ in range(rng.integers(0, 5)):
+                u = tuple(sorted(set(rng.integers(0, 6, size=rng.integers(1, 3)).tolist())))
+                levels[u] = int(rng.integers(2 * len(u), 2 * len(u) + 16))
+            plan = assemble_mdm_plan(levels, CostModel.unit())
+            try:
+                value, tail = mdm_wce(plan, gen, trunc=int(rng.choice([8, 64, 2048])))
+            except ERROR_TYPES:
+                continue
+            assert math.isfinite(value) and math.isfinite(tail) and tail >= 0.0, (gen, plan)
+            returned += 1
+        assert returned > 200

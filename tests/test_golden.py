@@ -130,7 +130,7 @@ def test_mdm_errors_match_40_digit_reference(name):
 
 
 @pytest.mark.parametrize("budget", [60.0, 400.0])
-@pytest.mark.parametrize("rule", ["0.6^j", "0.5^j"])
+@pytest.mark.parametrize("rule", ["0.6^j", "0.5^j", "j^-1.5"])
 def test_gaussian_mdm_errors_match_40_digit_reference(rule, budget):
     # a Gaussian generator is measured through its Hermite twin; its error
     # sits within 16 eps |w|_1^2 (in e^2) of the Gaussian-side 40-digit value
