@@ -6,13 +6,11 @@ from .algorithms import (
     MdmPlan,
     ParamRule,
     SmolyakLevels,
-    anchored_component_eval,
     assemble_mdm_plan,
     gh_error_on_space,
     gh_rule_on_space,
     integration_error_lower_bound,
     level_choice_for_eps,
-    mdm_apply,
     mdm_build,
     mdm_wce,
     smolyak_rule,
@@ -20,13 +18,7 @@ from .algorithms import (
     tensor_rule_for_eps,
 )
 from .experiments import DecayEstimate, decay_estimate, empirical_info_complexity
-from .hermite import (
-    QuadratureRule1D,
-    gauss_hermite_rule,
-    hermite_normalized,
-    hermite_row,
-    integrate_gh,
-)
+from .hermite import QuadratureRule1D, gauss_hermite_rule
 from .kernels import (
     APPROXIMATION,
     GAUSSIAN,
@@ -39,15 +31,12 @@ from .kernels import (
     hermite_kernel_series,
     initial_error,
     matched_parameters,
-    mean_embedding,
     product_kernel_eval,
 )
 from .transference import (
     TransferConstants,
     beta_from_sigma,
     phi_c,
-    q_c_apply,
-    q_c_inverse_apply,
     sigma_from_beta,
     spectral_pair,
     transfer_quadrature_to_gaussian,
@@ -61,10 +50,8 @@ from .worst_case import (
     QuadratureRule,
     SamplingMethod,
     SpectralSystem,
-    concat_rules,
     optimal_weights,
     rule_cost,
-    spectral_system,
     spline_method,
     tensor_optimal_wce,
     tensor_wce_integration,

@@ -63,7 +63,6 @@ from .transference import (
 from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _row_keys, _spectral_errors
 
 TENSOR_BUDGET = 10**6
-ANCHOR_SET_GUARD = 20
 _MOMENT_CUT = 2.0**-110
 
 
@@ -323,34 +322,6 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
 # anchored decomposition
 
 
-def anchored_component_eval(f, u, x) -> float:
-    """Value of the anchored component f_u at a point supported on u.
-
-    The signed sum over the 2^|u| anchor restrictions; constants and any
-    dependence on coordinates outside u cancel exactly.
-    """
-    u = tuple(sorted(int(j) for j in u))
-    if len(u) > ANCHOR_SET_GUARD:
-        raise BudgetError(f"|u| = {len(u)} exceeds the guard {ANCHOR_SET_GUARD}")
-    x = np.asarray(x, dtype=float)
-    active = set(u)
-    for j, v in enumerate(x):
-        if v != 0.0 and j not in active:
-            raise DomainError(f"point has non-zero coordinate {j} outside u")
-    if not u:
-        return float(f(x))
-    total = 0.0
-    for mask in range(1 << len(u)):
-        point = np.zeros_like(x)
-        bits = 0
-        for pos, j in enumerate(u):
-            if mask >> pos & 1:
-                point[j] = x[j]
-                bits += 1
-        total += (-1) ** (len(u) - bits) * float(f(point))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _component_rows(size: int, level: int) -> int:
     """Rows the tensor terms of :func:`_component_local` stack before their merge,
@@ -411,8 +382,8 @@ class ParamRule:
     def __post_init__(self):
         if self.kind not in ("power", "geometric"):
             raise DomainError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "power" and self.a <= 0:
-            raise DomainError("power exponent must be positive")
+        if self.kind == "power" and not 0.0 < self.a < inf:
+            raise DomainError(f"power exponent must be positive and finite, got {self.a}")
         if self.kind == "geometric" and not 0.0 < self.a < 1.0:
             raise DomainError("geometric ratio must lie strictly inside (0, 1)")
 
@@ -627,12 +598,16 @@ def _subset_pool(betas, max_coord: int, pool_size: int):
     """Non-empty subsets of {0..max_coord-1} by decreasing product score.
 
     Children of a sorted tuple u = (.., last): append last+1, or shift
-    last up by one; every subset is reached exactly once from (0,).
+    last up by one; every subset is reached exactly once from (0,).  The
+    pool stops at the first zero score (an underflowed beta_j = 0): every
+    later subset scores 0 too and predicts no error decrease.
     """
     heap = [(-betas[0], (0,))]
     out = []
     while heap and len(out) < pool_size:
         neg, u = heapq.heappop(heap)
+        if neg == 0.0:
+            break
         out.append((u, -neg))
         last = u[-1]
         if last + 1 < max_coord:
@@ -712,11 +687,6 @@ def mdm_build(
     if plan.cost > budget:
         raise NumericalConsistencyError(f"assembled cost {plan.cost} exceeds budget {budget}")
     return plan
-
-
-def mdm_apply(plan: MdmPlan, f) -> float:
-    """Apply the MDM to a function through its flattened rule."""
-    return plan.flattened.apply(f)
 
 
 # -- exact worst-case error of the flattened rule on the infinite-variate space

@@ -41,10 +41,6 @@ class NumericalConsistencyError(ArithmeticError):
     """A quantity violated a consistency bound beyond round-off tolerance."""
 
 
-class EvaluationError(RuntimeError):
-    """A user-supplied function returned a non-finite value."""
-
-
 class InsufficientDataError(ValueError):
     """Not enough data points for the requested estimate."""
 

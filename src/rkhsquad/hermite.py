@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
-    EvaluationError,
     NumericalConsistencyError,
     UnsupportedDegreeError,
     UnsupportedSizeError,
@@ -78,28 +76,6 @@ class QuadratureRule1D:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-
-def hermite_row(nu_max: int, x: float) -> np.ndarray:
-    """Evaluate (h_0(x), ..., h_{nu_max}(x)) in a single recurrence pass.
-
-    Parameters
-    ----------
-    nu_max : int
-        Highest degree, 0 <= nu_max <= 512.
-    x : float
-        Evaluation point.
-
-    Returns
-    -------
-    ndarray of shape (nu_max + 1,)
-    """
-    return hermite_table(nu_max, float(x))
-
-
-def hermite_normalized(nu: int, x: float) -> float:
-    """Value of the degree-nu orthonormal Hermite polynomial at x."""
-    return float(hermite_row(nu, x)[nu])
 
 
 def hermite_table(nu_max: int, x: np.ndarray) -> np.ndarray:
@@ -162,18 +138,3 @@ def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     weights = weights / weights.sum()
     return QuadratureRule1D(nodes, weights)
 
-
-def integrate_gh(f: Callable[[float], float], n: int) -> float:
-    """Approximate the standard-normal integral of f with the n-point rule.
-
-    Summation runs left to right over the sorted nodes so results are
-    bit-reproducible.
-    """
-    rule = gauss_hermite_rule(n)
-    total = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        fx = f(float(x))
-        if not np.isfinite(fx):
-            raise EvaluationError(f"integrand returned non-finite value {fx!r} at x={x!r}")
-        total += w * fx
-    return total

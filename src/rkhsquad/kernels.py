@@ -287,11 +287,6 @@ def embedding_vector(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     return m
 
 
-def mean_embedding(spec: KernelSpec, x) -> float:
-    """m(x) = int M(x, y) mu(dy), the representer of integration."""
-    return float(embedding_vector(spec, spec._point(x)[None, :])[0])
-
-
 def double_integral(spec: KernelSpec) -> float:
     """int int M(x, y) mu(dx) mu(dy) for the tensor-product kernel."""
     if not spec.is_gaussian:

@@ -15,12 +15,13 @@ and maps a rule with nodes x_i and weights a_i to nodes e*x_i and weights
 (prod_j e_j) * exp(-sum_j sigma_j^2 x_ij^2 / (1+2 sigma_j^2)) * a_i.
 
 Approximation uses the weight function
-phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4) and the unitary change of
-variables
+phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4), computed by :func:`phi_c`
+alone, and the unitary change of variables
 
     (Q_c f)(x) = (prod_j c_j)^(1/2) * phi_c(x) * f(c x),
 
-which is an isometry of L2(mu).  A sampling method transfers to nodes
+which is an isometry of L2(mu) (checked by the ``l2-isometry-polynomials``
+battery of :mod:`rkhsquad.verify`).  A sampling method transfers to nodes
 c*x_i with coefficient rows rescaled by (prod_j c_j)^(1/2) phi_c(x_i);
 stored in each space's own eigenbasis, this is a table rescaling, not a
 quadrature-computed change of basis.  For both problems the error ratio
@@ -48,7 +49,7 @@ from .worst_case import (
     MultiIndexSet,
     QuadratureRule,
     SamplingMethod,
-    spectral_system,
+    SpectralSystem,
 )
 
 
@@ -109,32 +110,18 @@ class TransferConstants:
         return KernelSpec.hermite(tuple(self.beta))
 
 
-def phi_c(c, x) -> float:
-    """The positive weight exp(-sum_j (c_j^2 - 1) x_j^2 / 4)."""
+def phi_c(c, x):
+    """The positive weight exp(-sum_j (c_j^2 - 1) x_j^2 / 4) of Q_c.
+
+    A float at one point x, or an array of n weights at the rows of an
+    (n, d) array of points.
+    """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if c.shape != x.shape:
-        raise ShapeMismatchError("c and x must have the same length")
-    return float(np.exp(-np.sum((c * c - 1.0) / 4.0 * x * x)))
-
-
-def q_c_apply(c, f, x) -> float:
-    """(prod c)^(1/2) * phi_c(x) * f(c*x)."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if c.shape != x.shape:
-        raise ShapeMismatchError("c and x must have the same length")
-    return float(np.prod(c)) ** 0.5 * phi_c(c, x) * float(f(c * x))
-
-
-def q_c_inverse_apply(c, f, x) -> float:
-    """(prod c)^(-1/2) * phi_c(x/c)^(-1) * f(x/c)."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if c.shape != x.shape:
-        raise ShapeMismatchError("c and x must have the same length")
-    y = x / c
-    return float(f(y)) / (float(np.prod(c)) ** 0.5 * phi_c(c, y))
+    if c.ndim != 1 or x.ndim > 2 or x.shape[-1] != c.size:
+        raise ShapeMismatchError("points x must have the length of c")
+    phi = np.exp(-np.sum((c * c - 1.0) / 4.0 * x**2, axis=-1))
+    return float(phi) if x.ndim == 1 else phi
 
 
 def _node_damping(constants: TransferConstants, nodes: np.ndarray) -> np.ndarray:
@@ -171,15 +158,13 @@ def transfer_quadrature_to_gaussian(rule: QuadratureRule, sigma) -> QuadratureRu
 def spectral_pair(sigma, index_set: MultiIndexSet):
     """Matched Gaussian and Hermite spectral systems sharing one index set."""
     constants = TransferConstants.approximation(sigma)
-    gauss = spectral_system(constants.gaussian_spec(), index_set)
-    herm = spectral_system(constants.hermite_spec(), index_set)
+    gauss = SpectralSystem(constants.gaussian_spec(), index_set)
+    herm = SpectralSystem(constants.hermite_spec(), index_set)
     return gauss, herm
 
 
 def _sampling_row_scale(constants: TransferConstants, nodes: np.ndarray) -> np.ndarray:
-    c = constants.c
-    phi = np.exp(-np.sum((c * c - 1.0)[None, :] / 4.0 * nodes**2, axis=1))
-    return float(np.prod(c)) ** 0.5 * phi
+    return float(np.prod(constants.c)) ** 0.5 * phi_c(constants.c, nodes)
 
 
 def transfer_sampling_to_hermite(method: SamplingMethod, sigma) -> SamplingMethod:

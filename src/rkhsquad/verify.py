@@ -23,6 +23,7 @@ from .kernels import (
 from .transference import (
     TransferConstants,
     _sampling_row_scale,
+    phi_c,
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
@@ -31,8 +32,8 @@ from .worst_case import (
     MultiIndexSet,
     QuadratureRule,
     SamplingMethod,
+    SpectralSystem,
     rule_cost,
-    spectral_system,
     wce_approximation,
     wce_integration,
 )
@@ -135,7 +136,7 @@ def suite_spectral():
     worst = 0.0
     for sigma in (0.5, 1.0):
         spec = KernelSpec.gaussian((sigma,))
-        system = spectral_system(spec, MultiIndexSet.box(1, 60))
+        system = SpectralSystem(spec, MultiIndexSet.box(1, 60))
         pts = np.linspace(-2.5, 2.5, 7)[:, None]
         E = system.eigenfunction_matrix(pts)
         mercer = (E * system.eigenvalues[:, None]).T @ E
@@ -147,9 +148,9 @@ def suite_spectral():
 
     # zero-method approximation errors match the initial errors
     idx = MultiIndexSet.box(1, 40)
-    herm = spectral_system(KernelSpec.hermite((0.5,)), idx)
+    herm = SpectralSystem(KernelSpec.hermite((0.5,)), idx)
     v_h, t_h = wce_approximation(SamplingMethod.zero(1, idx), herm)
-    gauss = spectral_system(KernelSpec.gaussian((1.0,)), idx)
+    gauss = SpectralSystem(KernelSpec.gaussian((1.0,)), idx)
     v_g, t_g = wce_approximation(SamplingMethod.zero(1, idx), gauss)
     checks.append(
         _result(
@@ -226,12 +227,12 @@ def sampling_coeffs_via_quadrature(
     # b_i(z) = (prod c)^(1/2) phi_c(x_i) * Q_c^{-1} a_i (z), evaluated
     # pointwise through the inverse change of variables.
     pre_images = grid.nodes / constants.c[None, :]
-    gauss_sys = spectral_system(constants.gaussian_spec(), method.index_set)
+    gauss_sys = SpectralSystem(constants.gaussian_spec(), method.index_set)
     a_vals = method.coeff_table @ gauss_sys.eigenfunction_matrix(pre_images)  # [i, point]
     node_scale = _sampling_row_scale(constants, method.nodes)
     inv_scale = 1.0 / _sampling_row_scale(constants, pre_images)
     b_vals = node_scale[:, None] * a_vals * inv_scale[None, :]
-    herm_sys = spectral_system(constants.hermite_spec(), method.index_set)
+    herm_sys = SpectralSystem(constants.hermite_spec(), method.index_set)
     H_at = herm_sys.eigenfunction_matrix(grid.nodes)  # [m, point]
     return b_vals @ (H_at * grid.weights[None, :]).T
 
@@ -266,8 +267,7 @@ def qc_isometry_battery(draws: int = 8, seed: int = 11):
         points, weights = grid.nodes, grid.weights
         norm_f = sqrt(float(weights @ f(points) ** 2))
         c = constants.c
-        phi = np.exp(-np.sum((c * c - 1.0)[None, :] / 4.0 * points**2, axis=1))
-        qf = float(np.prod(c)) ** 0.5 * phi * f(points * c[None, :])
+        qf = float(np.prod(c)) ** 0.5 * phi_c(c, points) * f(points * c[None, :])
         norm_qf = sqrt(float(weights @ qf**2))
         worst = max(worst, abs(norm_qf - norm_f) / norm_f)
     return worst
@@ -286,8 +286,7 @@ def scaled_integral_identity_battery(draws: int = 8, seed: int = 13):
         points, weights = grid.nodes, grid.weights
         c, tau = constants.c, constants.tau
         pre = points / tau[None, :]
-        phi = np.exp(-np.sum((c * c - 1.0)[None, :] / 4.0 * pre**2, axis=1))
-        lhs = float(np.prod(c)) ** 0.5 * float(weights @ (phi * f(pre * c[None, :])))
+        lhs = float(np.prod(c)) ** 0.5 * float(weights @ (phi_c(c, pre) * f(pre * c[None, :])))
         rhs = float(np.prod(tau)) / float(np.prod(c)) ** 0.5 * float(weights @ f(points))
         scale = max(abs(rhs), 1e-8)
         worst = max(worst, abs(lhs - rhs) / scale)

@@ -137,14 +137,6 @@ class QuadratureRule:
             return cls(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
 
 
-def concat_rules(a: QuadratureRule, b: QuadratureRule) -> QuadratureRule:
-    if a.dimension != b.dimension:
-        raise ShapeMismatchError("cannot concatenate rules of different dimension")
-    return QuadratureRule(
-        np.vstack([a.nodes, b.nodes]), np.concatenate([a.weights, b.weights])
-    )
-
-
 _MAX_INDEX_ENTRY = 2**62
 
 
@@ -521,11 +513,6 @@ class SpectralSystem:
         if not np.isfinite(bound):
             raise NumericalConsistencyError(f"amplitude bound at node {node} overflows")
         return bound
-
-
-def spectral_system(spec: KernelSpec, index_set: MultiIndexSet) -> SpectralSystem:
-    """Build the spectral system of a kernel over a downward-closed index set."""
-    return SpectralSystem(spec, index_set)
 
 
 # ---------------------------------------------------------------------------

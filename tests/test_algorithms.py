@@ -22,13 +22,11 @@ from rkhsquad.algorithms import (
     MdmPlan,
     ParamRule,
     SmolyakLevels,
-    anchored_component_eval,
     assemble_mdm_plan,
     gh_error_on_space,
     gh_rule_on_space,
     integration_error_lower_bound,
     level_choice_for_eps,
-    mdm_apply,
     mdm_build,
     mdm_wce,
     smolyak_rule,
@@ -210,6 +208,18 @@ class TestSmolyak:
             SmolyakLevels((0, 1), 1)
 
 
+def anchored_component_eval(f, u, x) -> float:
+    """Oracle value of the anchored component f_u at a point x supported on u:
+    the signed sum over the 2^|u| anchor restrictions of x."""
+    total = 0.0
+    for mask in range(1 << len(u)):
+        point = np.zeros_like(x)
+        keep = [j for pos, j in enumerate(u) if mask >> pos & 1]
+        point[keep] = x[keep]
+        total += (-1) ** (len(u) - len(keep)) * float(f(point))
+    return total
+
+
 class TestAnchoredDecomposition:
     def test_pure_interaction(self):
         f = lambda x: x[0] * x[1]
@@ -220,14 +230,6 @@ class TestAnchoredDecomposition:
 
     def test_untouched_coordinate_vanishes(self):
         assert anchored_component_eval(lambda x: x[0], (1,), np.array([0.0, 2.0])) == 0.0
-
-    def test_point_support_enforced(self):
-        with pytest.raises(DomainError):
-            anchored_component_eval(lambda x: 1.0, (0,), np.array([1.0, 1.0]))
-
-    def test_guard(self):
-        with pytest.raises(BudgetError):
-            anchored_component_eval(lambda x: 1.0, tuple(range(21)), np.zeros(21))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_completeness_multilinear(self, k):
@@ -451,6 +453,12 @@ class TestParamRule:
             KernelGenerator.gaussian(ParamRule.parse("j^-0.4"))
         with pytest.raises(DomainError):
             KernelGenerator.hermite(ParamRule.parse("j^-1.0"))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_power_exponent_must_be_finite(self, a):
+        # a NaN sigma_j would read as an underflowed one, beta_j = 0, in score_betas
+        with pytest.raises(DomainError):
+            ParamRule("power", a)
 
     @pytest.mark.parametrize("text", ["j^-1.5", "j^-3"])
     def test_hermite_generator_rejects_power_rules(self, text):
@@ -763,6 +771,20 @@ class TestMdm:
             (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2),
         ]
 
+    @pytest.mark.parametrize("gen", [
+        KernelGenerator.hermite(ParamRule.parse("1e-200^j")),
+        KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("1e-10^j")),
+        KernelGenerator.gaussian(ParamRule.parse("1e-10^j")),
+    ], ids=["hermite", "twin", "gaussian"])
+    def test_pool_stops_at_underflowed_scores(self, gen):
+        # far out beta_j underflows to 0, so every later subset scores 0
+        betas = gen.score_betas(512).tolist()
+        assert betas[-1] == 0.0
+        pool = _subset_pool(betas, 512, 2048)
+        assert pool and all(score > 0.0 for _, score in pool)
+        value, tail = mdm_wce(mdm_build(gen, 100.0, CostModel.unit()), gen)
+        assert math.isfinite(value) and math.isfinite(tail)
+
     def test_build_is_deterministic(self):
         a = mdm_build(self.gen, 200.0, self.model, max_coord=16, pool_size=64)
         b = mdm_build(self.gen, 200.0, self.model, max_coord=16, pool_size=64)
@@ -772,15 +794,15 @@ class TestMdm:
 
     def test_apply_constant(self):
         plan = mdm_build(self.gen, 50.0, self.model, max_coord=16, pool_size=64)
-        assert mdm_apply(plan, lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert plan.flattened.apply(lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_apply_odd_function(self):
         plan = mdm_build(self.gen, 50.0, self.model, max_coord=16, pool_size=64)
-        assert mdm_apply(plan, lambda x: x[0]) == pytest.approx(0.0, abs=1e-14)
+        assert plan.flattened.apply(lambda x: x[0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_apply_square(self):
         plan = mdm_build(self.gen, 50.0, self.model, max_coord=16, pool_size=64)
-        assert mdm_apply(plan, lambda x: x[0] ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert plan.flattened.apply(lambda x: x[0] ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_two_path_agreement(self):
         plan = mdm_build(self.gen, 120.0, self.model, max_coord=16, pool_size=64)
@@ -794,7 +816,7 @@ class TestMdm:
                     np.prod([coeffs[j] @ (1.0, x[j], x[j] ** 2) for j in range(dim)])
                 )
 
-            flat = mdm_apply(plan, f)
+            flat = plan.flattened.apply(f)
             comp = _mdm_by_components(plan, f)
             assert comp == pytest.approx(flat, rel=1e-12, abs=1e-12)
 
@@ -910,7 +932,7 @@ class TestMdm:
         assert folded != 0.0
         assert plan.flattened.weights[0] == 1.0 + folded
         f = lambda x: 1.3 + x[0] ** 2 - 0.4 * x[1] ** 2
-        assert mdm_apply(plan, f) == pytest.approx(_mdm_by_components(plan, f), rel=1e-13)
+        assert plan.flattened.apply(f) == pytest.approx(_mdm_by_components(plan, f), rel=1e-13)
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_wce_matches_dense_finite_computation(self, gen):
@@ -954,7 +976,7 @@ class TestMdm:
         plan = mdm_build(self.gen, 25.0, CostModel.unit(), max_coord=8, pool_size=32)
         assert plan.cost == plan.flattened.n
         assert plan.cost <= 25.0
-        assert mdm_apply(plan, lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert plan.flattened.apply(lambda x: 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_generator_measurement(self):
         gen_g = KernelGenerator.gaussian(ParamRule.parse("0.5^j"))

@@ -7,7 +7,6 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from rkhsquad.errors import (
-    EvaluationError,
     NumericalConsistencyError,
     UnsupportedDegreeError,
     UnsupportedSizeError,
@@ -15,10 +14,7 @@ from rkhsquad.errors import (
 from rkhsquad.hermite import (
     QuadratureRule1D,
     gauss_hermite_rule,
-    hermite_normalized,
-    hermite_row,
     hermite_table,
-    integrate_gh,
 )
 
 
@@ -30,50 +26,44 @@ def hermite_oracle(nu, x):
 
 class TestHermiteNormalized:
     def test_degree_zero_is_one(self):
-        assert hermite_normalized(0, 3.7) == 1.0
+        assert hermite_table(0, 3.7)[0] == 1.0
 
     def test_root_of_degree_two(self):
         # He_2(x) = x^2 - 1 vanishes at 1
-        assert hermite_normalized(2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert hermite_table(2, 1.0)[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_degree_three_value(self):
         # He_3(2) = 8 - 6 = 2, normalized by sqrt(3!) = sqrt(6)
-        assert hermite_normalized(3, 2.0) == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-14)
+        assert hermite_table(3, 2.0)[3] == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-14)
 
     @pytest.mark.parametrize("nu", [0, 1, 2, 5, 17, 40])
     @pytest.mark.parametrize("x", [-3.2, -0.5, 0.0, 0.7, 2.9])
     def test_against_hermeval_oracle(self, nu, x):
-        assert hermite_normalized(nu, x) == pytest.approx(hermite_oracle(nu, x), rel=1e-12, abs=1e-12)
+        assert hermite_table(nu, x)[nu] == pytest.approx(hermite_oracle(nu, x), rel=1e-12, abs=1e-12)
 
     def test_degree_guard(self):
         with pytest.raises(UnsupportedDegreeError):
-            hermite_normalized(513, 0.0)
+            hermite_table(513, 0.0)
         with pytest.raises(UnsupportedDegreeError):
-            hermite_row(-1, 0.0)
+            hermite_table(-1, 0.0)
 
 
 class TestHermiteRow:
     def test_degree_two_at_zero(self):
-        row = hermite_row(2, 0.0)
+        row = hermite_table(2, 0.0)
         assert row.tolist() == [1.0, 0.0, -1.0 / math.sqrt(2.0)]
 
     def test_degree_one(self):
-        assert hermite_row(1, 1.5).tolist() == [1.0, 1.5]
+        assert hermite_table(1, 1.5).tolist() == [1.0, 1.5]
 
     def test_degree_zero(self):
-        assert hermite_row(0, -4.0).tolist() == [1.0]
-
-    def test_bitwise_agreement_with_scalar(self):
-        for x in (-2.7, 0.0, 1.3):
-            row = hermite_row(64, x)
-            for nu in range(65):
-                assert hermite_normalized(nu, x) == row[nu]  # bitwise
+        assert hermite_table(0, -4.0).tolist() == [1.0]
 
     def test_table_matches_row(self):
         xs = np.array([-1.5, 0.0, 2.25])
         table = hermite_table(12, xs)
         for k, x in enumerate(xs):
-            assert np.array_equal(table[:, k], hermite_row(12, float(x)))
+            assert np.array_equal(table[:, k], hermite_table(12, float(x)))
 
     @pytest.mark.parametrize("nu_max", [0, 1, 2, 64, 512])
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
@@ -150,17 +140,3 @@ class TestGaussHermiteRule:
         with pytest.raises(NumericalConsistencyError):
             QuadratureRule1D(np.array([-1.0, 0.5]), np.array([0.5, 0.5]))
 
-
-class TestIntegrateGH:
-    def test_constant(self):
-        assert integrate_gh(lambda x: 1.0, 5) == pytest.approx(1.0, rel=1e-14)
-
-    def test_second_moment(self):
-        assert integrate_gh(lambda x: x * x, 3) == pytest.approx(1.0, rel=1e-13)
-
-    def test_fourth_moment(self):
-        assert integrate_gh(lambda x: x**4, 3) == pytest.approx(3.0, rel=1e-13)
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(EvaluationError):
-            integrate_gh(lambda x: float("nan"), 4)

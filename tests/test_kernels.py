@@ -15,11 +15,11 @@ from rkhsquad.kernels import (
     _gaussian_exponent,
     _mehler_exponent,
     double_integral,
+    embedding_vector,
     gaussian_kernel,
     hermite_kernel,
     hermite_kernel_series,
     initial_error,
-    mean_embedding,
     product_kernel_eval,
 )
 
@@ -158,7 +158,7 @@ class TestKernelSpec:
         with pytest.raises(ShapeMismatchError):
             product_kernel_eval(spec, (0.0,), (0.0, 0.0))
         with pytest.raises(ShapeMismatchError):
-            mean_embedding(spec, (0.0, 0.0, 0.0))
+            embedding_vector(spec, (0.0, 0.0, 0.0))
 
 
 class TestProductKernel:
@@ -212,17 +212,17 @@ class TestMeanEmbedding:
         spec = KernelSpec.hermite((0.3, 0.9))
         rng = np.random.default_rng(2)
         for _ in range(5):
-            assert mean_embedding(spec, rng.normal(size=2)) == 1.0
+            assert embedding_vector(spec, rng.normal(size=2))[0] == 1.0
 
     def test_gaussian_at_origin(self):
         spec = KernelSpec.gaussian((1.0,))
-        value = mean_embedding(spec, (0.0,))
+        [value] = embedding_vector(spec, (0.0,))
         assert value == pytest.approx(3.0**-0.5, rel=1e-14)
         assert value == pytest.approx(gh_embedding_oracle("gaussian", 1.0, 0.0), rel=1e-12)
 
     def test_gaussian_at_one(self):
         spec = KernelSpec.gaussian((1.0,))
-        value = mean_embedding(spec, (1.0,))
+        [value] = embedding_vector(spec, (1.0,))
         assert value == pytest.approx(3.0**-0.5 * math.exp(-1.0 / 3.0), rel=1e-14)
         assert value == pytest.approx(gh_embedding_oracle("gaussian", 1.0, 1.0), rel=1e-12)
 
@@ -232,7 +232,7 @@ class TestMeanEmbedding:
             sigma = float(np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
             x = float(rng.normal())
             spec = KernelSpec.gaussian((sigma,))
-            assert mean_embedding(spec, (x,)) == pytest.approx(
+            assert embedding_vector(spec, (x,))[0] == pytest.approx(
                 gh_embedding_oracle("gaussian", sigma, x), rel=1e-11
             )
 
@@ -254,19 +254,16 @@ class TestDoubleIntegral:
         # integral of the mean embedding equals the double integral
         rule = gauss_hermite_rule(64)
         for spec in (KernelSpec.gaussian((0.8,)), KernelSpec.gaussian((1.4,))):
-            total = sum(
-                w * mean_embedding(spec, (x,)) for x, w in zip(rule.nodes, rule.weights)
-            )
+            total = rule.weights @ embedding_vector(spec, rule.nodes[:, None])
             assert total == pytest.approx(double_integral(spec), rel=1e-10)
 
     def test_embedding_consistency_tensor(self):
         # same identity through a full tensor Gauss-Hermite grid in d = 2
         rule = gauss_hermite_rule(48)
         spec = KernelSpec.gaussian((0.6, 1.1))
-        total = 0.0
-        for x, wx in zip(rule.nodes, rule.weights):
-            for y, wy in zip(rule.nodes, rule.weights):
-                total += wx * wy * mean_embedding(spec, (x, y))
+        x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+        m = embedding_vector(spec, np.column_stack([x.ravel(), y.ravel()]))
+        total = rule.weights @ m.reshape(x.shape) @ rule.weights
         assert total == pytest.approx(double_integral(spec), rel=1e-10)
 
 

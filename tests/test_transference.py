@@ -7,7 +7,6 @@ import pytest
 
 from rkhsquad.algorithms import KernelGenerator, ParamRule, level_choice_for_eps
 from rkhsquad.errors import DomainError, ShapeMismatchError
-from rkhsquad.hermite import hermite_normalized
 from rkhsquad.kernels import (
     APPROXIMATION,
     INTEGRATION,
@@ -19,8 +18,6 @@ from rkhsquad.transference import (
     TransferConstants,
     beta_from_sigma,
     phi_c,
-    q_c_apply,
-    q_c_inverse_apply,
     sigma_from_beta,
     spectral_pair,
     transfer_quadrature_to_gaussian,
@@ -134,34 +131,17 @@ class TestChangeOfVariables:
     def test_phi_identity_scale(self):
         assert phi_c((1.0,), (17.3,)) == 1.0
 
-    def test_forward_constant(self):
-        value = q_c_apply((math.sqrt(3.0),), lambda x: 1.0, (0.0,))
-        assert value == pytest.approx(3.0**0.25, rel=1e-15)
-
-    def test_forward_hermite_one(self):
-        # recomputed by composing the two definitions
-        c = math.sqrt(3.0)
-        value = q_c_apply((c,), lambda x: hermite_normalized(1, float(x[0])), (1.0,))
-        expected = c**0.5 * math.exp(-0.5) * hermite_normalized(1, c)
-        assert value == pytest.approx(expected, rel=1e-15)
-        assert value == pytest.approx(1.3825909190743848, rel=1e-12)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(1)
+    def test_phi_rows(self):
+        # one weight per node row, each the value at that point
         c = (1.3, 0.8)
-        coeffs = rng.normal(size=4)
-
-        def f(x):
-            return coeffs[0] + coeffs[1] * x[0] + coeffs[2] * x[1] + coeffs[3] * x[0] * x[1]
-
-        for _ in range(10):
-            x = rng.normal(size=2)
-            g = lambda y: q_c_apply(c, f, y)
-            assert q_c_inverse_apply(c, g, x) == pytest.approx(f(x), rel=1e-12)
+        rows = np.random.default_rng(1).normal(size=(5, 2))
+        assert phi_c(c, rows).tolist() == [phi_c(c, x) for x in rows]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             phi_c((1.0, 2.0), (0.0,))
+        with pytest.raises(ShapeMismatchError):
+            phi_c((1.0, 2.0), np.zeros((3, 1)))
 
 
 class TestQuadratureTransfer:

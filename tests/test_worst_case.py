@@ -42,16 +42,15 @@ from rkhsquad.worst_case import (
     MultiIndexSet,
     QuadratureRule,
     SamplingMethod,
+    SpectralSystem,
     _row_keys,
     _solve_spd,
     _spectral_errors,
-    concat_rules,
     embedding_vector,
     hermite_wce_integration_spectral,
     kernel_gram,
     optimal_weights,
     rule_cost,
-    spectral_system,
     spline_method,
     tensor_optimal_wce,
     tensor_wce_integration,
@@ -288,7 +287,8 @@ class TestCostModel:
         a = QuadratureRule(rng.normal(size=(3, 2)), rng.normal(size=3))
         b = QuadratureRule(rng.normal(size=(4, 2)), rng.normal(size=4))
         model = CostModel.dollar([1.0, 3.0, 9.0])
-        assert rule_cost(concat_rules(a, b), model) == rule_cost(a, model) + rule_cost(b, model)
+        both = QuadratureRule(np.vstack([a.nodes, b.nodes]), np.concatenate([a.weights, b.weights]))
+        assert rule_cost(both, model) == rule_cost(a, model) + rule_cost(b, model)
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
@@ -523,7 +523,7 @@ class TestKernelGram:
             lambda nodes: kernel_gram(KernelSpec.gaussian((1.0, 0.5)), nodes),
             lambda nodes: optimal_weights(nodes, KernelSpec.hermite((0.5, 0.3))),
             lambda nodes: spline_method(
-                nodes, spectral_system(KernelSpec.gaussian((1.0, 0.5)), MultiIndexSet.box(2, 2))
+                nodes, SpectralSystem(KernelSpec.gaussian((1.0, 0.5)), MultiIndexSet.box(2, 2))
             ),
         ],
         ids=["kernel_gram", "optimal_weights", "spline_method"],
@@ -695,17 +695,17 @@ class TestSolveSpd:
 
 class TestSpectralSystem:
     def test_hermite_eigenvalue(self):
-        sys_h = spectral_system(HERM_HALF, MultiIndexSet.box(1, 5))
+        sys_h = SpectralSystem(HERM_HALF, MultiIndexSet.box(1, 5))
         pos = sys_h.index_set.indices.index((3,))
         assert sys_h.eigenvalues[pos] == pytest.approx(0.125, rel=1e-15)
 
     def test_gaussian_ground_eigenvalue(self):
-        sys_g = spectral_system(GAUSS_ONE, MultiIndexSet.box(1, 5))
+        sys_g = SpectralSystem(GAUSS_ONE, MultiIndexSet.box(1, 5))
         pos = sys_g.index_set.indices.index((0,))
         assert sys_g.eigenvalues[pos] == pytest.approx(0.5, rel=1e-15)
 
     def test_gaussian_degree_two_eigenvalue(self):
-        sys_g = spectral_system(GAUSS_ONE, MultiIndexSet.box(1, 5))
+        sys_g = SpectralSystem(GAUSS_ONE, MultiIndexSet.box(1, 5))
         pos = sys_g.index_set.indices.index((2,))
         assert sys_g.eigenvalues[pos] == pytest.approx(0.125, rel=1e-15)
 
@@ -713,14 +713,14 @@ class TestSpectralSystem:
         rule = gauss_hermite_rule(96)
         pts = rule.nodes[:, None]
         for spec in (HERM_HALF, GAUSS_ONE, KernelSpec.gaussian((0.4,))):
-            system = spectral_system(spec, MultiIndexSet.box(1, 8))
+            system = SpectralSystem(spec, MultiIndexSet.box(1, 8))
             E = system.eigenfunction_matrix(pts)
             gram = (E * rule.weights[None, :]) @ E.T
             assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
 
     def test_hermite_is_the_unit_scale_case(self):
         # c = 1: the Hermite eigenfunctions are the products of hermite_table rows, bit for bit
-        system = spectral_system(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 6))
+        system = SpectralSystem(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 6))
         assert system.scale_c.tolist() == system.factor.tolist() == [1.0, 1.0]
         nodes = np.random.default_rng(3).normal(scale=4.0, size=(40, 2))
         nodes[:3] = [[0.0, -0.0], [1e3, -1e3], [-37.5, 1e-300]]
@@ -730,7 +730,7 @@ class TestSpectralSystem:
         assert system.total_eigenvalue_sum() == float(np.prod(1.0 / (1.0 - np.array([0.3, 0.8]))))
 
     def test_axis_monotonicity(self):
-        system = spectral_system(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 3))
+        system = SpectralSystem(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 3))
         idx = {nu: k for k, nu in enumerate(system.index_set.indices)}
         for nu, k in idx.items():
             for j in range(2):
@@ -744,21 +744,21 @@ class TestWceApproximation:
     def test_zero_method_hermite(self):
         idx = MultiIndexSet.box(1, 40)
         for beta in (0.25, 0.5, 0.9):
-            system = spectral_system(KernelSpec.hermite((beta,)), idx)
+            system = SpectralSystem(KernelSpec.hermite((beta,)), idx)
             value, tail = wce_approximation(SamplingMethod.zero(1, idx), system)
             assert value == pytest.approx(1.0, rel=1e-12)
             assert tail <= 1e-15
 
     def test_zero_method_gaussian(self):
         idx = MultiIndexSet.box(1, 40)
-        system = spectral_system(GAUSS_ONE, idx)
+        system = SpectralSystem(GAUSS_ONE, idx)
         value, _ = wce_approximation(SamplingMethod.zero(1, idx), system)
         assert value == pytest.approx(2.0**-0.5, rel=1e-12)
 
     def test_constant_reproducing_regression_value(self):
         # frozen fixture: single node 0, coefficient identically one
         idx = MultiIndexSet.box(1, 60)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         coeff = np.zeros((1, idx.size))
         coeff[0, 0] = 1.0
         value, tail = wce_approximation(SamplingMethod(np.zeros((1, 1)), coeff, idx), system)
@@ -771,7 +771,7 @@ class TestWceApproximation:
         prev = None
         for degree in (20, 30, 40, 50):
             idx = MultiIndexSet.box(1, degree)
-            system = spectral_system(HERM_HALF, idx)
+            system = SpectralSystem(HERM_HALF, idx)
             value, tail = wce_approximation(spline_method(nodes, system), system)
             if prev is not None:
                 assert tail <= prev[1]
@@ -779,7 +779,7 @@ class TestWceApproximation:
             prev = (value, tail)
 
     def test_index_set_mismatch(self):
-        system = spectral_system(HERM_HALF, MultiIndexSet.box(1, 5))
+        system = SpectralSystem(HERM_HALF, MultiIndexSet.box(1, 5))
         method = SamplingMethod.zero(1, MultiIndexSet.box(1, 6))
         with pytest.raises(ShapeMismatchError):
             wce_approximation(method, system)
@@ -790,7 +790,7 @@ class TestWceApproximation:
         deg = 20
         idx = MultiIndexSet(tuple((i, j) for i in range(deg + 1) for j in range(deg + 1 - i)))
         spec = KernelSpec.hermite((0.4, 0.6))
-        system = spectral_system(spec, idx)
+        system = SpectralSystem(spec, idx)
         brute = sum(
             0.4**i * 0.6**j
             for i in range(80)
@@ -826,7 +826,7 @@ class TestMatrixFreeNorm:
         # |Lambda| = 1 takes the dense fallback: svds refuses a 1 x 1 operator
         idx = MultiIndexSet.box(np.ndim(degree) + 1, degree)
         spec = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.hermite)((0.5, 0.3)[: idx.dimension])
-        system = spectral_system(spec, idx)
+        system = SpectralSystem(spec, idx)
         rng = np.random.default_rng(idx.size)
         spline = spline_method(rng.normal(size=(min(5, idx.size), idx.dimension)), system)
         for method in (SamplingMethod.zero(idx.dimension, idx), spline):
@@ -848,7 +848,7 @@ class TestMatrixFreeNorm:
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian((1.0, 0.4)), KernelSpec.hermite((0.5, 0.3))])
     def test_zero_method_matches_dense(self, spec):
         idx = MultiIndexSet.box(2, 40)
-        system = spectral_system(spec, idx)
+        system = SpectralSystem(spec, idx)
         method = SamplingMethod.zero(2, idx)
         value, _ = wce_approximation(method, system)
         assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
@@ -857,7 +857,7 @@ class TestMatrixFreeNorm:
         # equal beta_j give eigenvalues of multiplicity nu_1 + nu_2 + 1
         rng = np.random.default_rng(31)
         idx = MultiIndexSet.box(2, 40)
-        system = spectral_system(KernelSpec.hermite((0.5, 0.5)), idx)
+        system = SpectralSystem(KernelSpec.hermite((0.5, 0.5)), idx)
         method = spline_method(rng.normal(size=(7, 2)), system)
         value, _ = wce_approximation(method, system)
         assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
@@ -870,7 +870,7 @@ class TestMatrixFreeNorm:
             raise scipy.sparse.linalg.ArpackError(-9999)
 
         rng = np.random.default_rng(41)
-        system = spectral_system(KernelSpec.hermite((0.5, 0.3)), MultiIndexSet.box(2, degree))
+        system = SpectralSystem(KernelSpec.hermite((0.5, 0.3)), MultiIndexSet.box(2, degree))
         method = spline_method(rng.normal(size=(5, 2)), system)
         monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
         return method, system
@@ -929,12 +929,12 @@ class TestFiniteOrRaise:
         _raises_without_warning(lambda: optimal_weights(self.FAR_NODES, HERM_HALF))
 
     def test_spline_method_kernel_overflow(self):
-        system = spectral_system(HERM_HALF, MultiIndexSet.box(1, 10))
+        system = SpectralSystem(HERM_HALF, MultiIndexSet.box(1, 10))
         _raises_without_warning(lambda: spline_method(self.FAR_NODES, system))
 
     def test_spline_method_eigenfunction_overflow(self):
         # the Gaussian Gram is finite, h_512(100 c) overflows
-        system = spectral_system(GAUSS_ONE, MultiIndexSet.box(1, 512))
+        system = SpectralSystem(GAUSS_ONE, MultiIndexSet.box(1, 512))
         nodes = self.FAR_NODES
         assert np.all(np.isfinite(kernel_gram(GAUSS_ONE, nodes)))
         _raises_without_warning(lambda: spline_method(nodes, system))
@@ -942,7 +942,7 @@ class TestFiniteOrRaise:
     def test_eigenfunction_overflow(self):
         # hermite_table(512, [100.0]) overflows to inf and NaN
         idx = MultiIndexSet.box(1, 512)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         method = SamplingMethod(np.array([[100.0]]), np.ones((1, idx.size)), idx)
         with pytest.raises(NumericalConsistencyError):
             wce_approximation(method, system)
@@ -950,7 +950,7 @@ class TestFiniteOrRaise:
     def test_amplitude_bound_overflow(self):
         # exp(60^2 / 4) overflows; the eigenfunction values themselves are finite
         idx = MultiIndexSet.box(1, 5)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         method = SamplingMethod(np.array([[60.0]]), np.ones((1, idx.size)), idx)
         assert np.all(np.isfinite(system.eigenfunction_matrix(method.nodes)))
         with pytest.raises(NumericalConsistencyError):
@@ -973,23 +973,22 @@ class TestFiniteOrRaise:
 class TestSplineMethod:
     def test_single_node_expansion(self):
         idx = MultiIndexSet.box(1, 10)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         spline = spline_method(np.array([[0.0]]), system)
-        from rkhsquad.hermite import hermite_normalized
-
+        h = hermite_table(10, 0.0)
         for nu in range(11):
-            expected = 0.5**nu * hermite_normalized(nu, 0.0) * math.sqrt(3.0) / 2.0
+            expected = 0.5**nu * h[nu] * math.sqrt(3.0) / 2.0
             assert spline.coeff_table[0, nu] == pytest.approx(expected, abs=1e-15)
 
     def test_minimal_index_set(self):
         idx = MultiIndexSet(((0,),))
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         spline = spline_method(np.array([[0.0]]), system)
         assert spline.coeff_table.shape == (1, 1)
 
     def test_duplicate_node_conditioning_error(self):
         idx = MultiIndexSet.box(1, 5)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         with pytest.raises(ConditioningError):
             spline_method(np.array([[0.2], [0.2]]), system)
 
@@ -997,7 +996,7 @@ class TestSplineMethod:
         # spline is worst-case optimal among methods on the same nodes
         rng = np.random.default_rng(9)
         idx = MultiIndexSet.box(1, 40)
-        system = spectral_system(HERM_HALF, idx)
+        system = SpectralSystem(HERM_HALF, idx)
         nodes = rng.normal(size=(3, 1))
         spline = spline_method(nodes, system)
         v_spline, _ = wce_approximation(spline, system)
