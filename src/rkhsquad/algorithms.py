@@ -45,7 +45,6 @@ from .errors import (
 from . import hermite
 from .hermite import gauss_hermite_rule
 from .kernels import (
-    CRAMER_CONSTANT,
     GAUSSIAN,
     HERMITE,
     INTEGRATION,
@@ -60,7 +59,8 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _row_keys, _spectral_errors
+from .worst_case import (_BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _row_keys,
+                         _rule_amplitude, _spectral_errors)
 
 TENSOR_BUDGET = 10**6
 _MOMENT_CUT = 2.0**-110
@@ -275,19 +275,9 @@ def _merged_terms(size: int, schedule, level: int, lowest: int):
     return keys, merged
 
 
+# Smolyak combinations in local coordinates, (keys, weights) by (|u|, schedule,
+# level): identical for every coordinate set of one size.
 _LOCAL_SMOLYAK_CACHE: dict = {}
-
-
-def _smolyak_local(size: int, schedule, level: int):
-    """Smolyak combination over ``size`` local coordinates as ``(keys, weights)``.
-
-    Identical for every coordinate set of that size, so results are
-    cached by (size, schedule, level).
-    """
-    key = (size, schedule, level)
-    if key not in _LOCAL_SMOLYAK_CACHE:
-        _LOCAL_SMOLYAK_CACHE[key] = _merged_terms(size, schedule, level, lowest=1)
-    return _LOCAL_SMOLYAK_CACHE[key]
 
 
 def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> QuadratureRule:
@@ -310,7 +300,10 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
         dim = u[-1] + 1
     if dim <= u[-1]:
         raise ShapeMismatchError("ambient dimension too small for u")
-    keys, weights = _smolyak_local(len(u), levels.schedule, q)
+    key = (len(u), levels.schedule, q)
+    if key not in _LOCAL_SMOLYAK_CACHE:
+        _LOCAL_SMOLYAK_CACHE[key] = _merged_terms(*key, lowest=1)
+    keys, weights = _LOCAL_SMOLYAK_CACHE[key]
     if weights.size > TENSOR_BUDGET:
         raise BudgetError(f"sparse grid of {weights.size} nodes exceeds {TENSOR_BUDGET}")
     nodes = np.zeros((keys.shape[0], dim))
@@ -482,11 +475,6 @@ class KernelGenerator:
         # beta_j <= 2 sigma_j^2, hence beta_j^2 <= 4 sigma_j^4
         return 4.0 * self.rule.tail_power_sum(start, 4.0)
 
-    def sigma_tail_sq_bound(self, start: int) -> float:
-        if self.family == HERMITE:
-            raise DomainError("no sigma sequence behind a plain Hermite generator")
-        return self.rule.tail_power_sum(start, 2.0)
-
 
 # ---------------------------------------------------------------------------
 # multivariate decomposition methods
@@ -642,7 +630,7 @@ def mdm_build(
     for name, value in (("max_coord", max_coord), ("pool_size", pool_size)):
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
-    anchor_cost = model.charge(0)
+    anchor_cost = model.charge_rows([0])
     if budget < anchor_cost:
         raise BudgetError(f"budget {budget} below the anchor evaluation cost {anchor_cost}")
     betas = gen.score_betas(max_coord).tolist()
@@ -721,7 +709,7 @@ def _tables(families, betas):
     family pairs rules with the tops of the coordinates whose Delta_1..Delta_top are their prefix."""
     cut, degrees = 0.0, {}
     for rules, tops in families:
-        amp = np.maximum.accumulate([CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0)) for x, w in rules])
+        amp = np.maximum.accumulate([_rule_amplitude(x, w) for x, w in rules])
         for c, t in tops.items():
             b = float(betas[c])
             scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
@@ -823,7 +811,7 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     if gen.family == GAUSSIAN:
         # with II the Gaussian initial error squared, II g0 E^2 = 1 holds past
         # trunc too: the tail scales II by at least exp(-2 s) and II E lin by exp(-s)
-        s_tail = gen.sigma_tail_sq_bound(trunc + 1)
+        s_tail = gen.rule.tail_power_sum(trunc + 1, 2.0)
         delta = -expm1(-2.0 * s_tail) + 2.0 * -expm1(-s_tail) * abs(lin)
     else:
         s_tail = gen.param_tail_sq_bound(trunc + 1)

@@ -51,8 +51,9 @@ def decay_estimate(pairs) -> DecayEstimate:
         raise InsufficientDataError(f"need at least 3 points, got {len(pairs)}")
     if not all(math.isfinite(c) and c > 0 for c, _ in pairs):
         raise DomainError("costs must be finite and positive")
-    if not all(math.isfinite(e) and e > 0 for _, e in pairs):
-        raise DomainError("errors must be finite and positive")
+    for c, e in pairs:
+        if not (math.isfinite(e) and e > 0):
+            raise DomainError(f"errors must be finite and positive: the error at cost {c:g} is {e}")
     pairs.sort(key=lambda p: p[0])
     k = max(3, (len(pairs) + 1) // 2)
     window = pairs[-k:]
@@ -145,22 +146,24 @@ def univariate_decay_curve(space: str, param: float, n_max: int):
 def tensor_decay_curve(sigma, eps_list, space: str = GAUSSIAN):
     """Rows (eps, n_choice, size, error) for the eps-driven tensor rules.
 
-    The error column is the worst-case integration error of the built
-    rule, evaluated through the factorized product identity (the Gaussian
-    side through the exact transference ratio), so large grids never
-    materialize a dense Gram matrix.
+    The size is that of the Hermite-side grid, which the transference maps
+    node for node.  The error column is the worst-case integration error of
+    the rule, evaluated through the factorized product identity (the Gaussian
+    side through the exact transference ratio), so no grid's Gram is built.
     """
+    if space not in (GAUSSIAN, HERMITE):
+        raise DomainError(f"space must be 'gaussian' or 'hermite', got {space!r}")
     constants = TransferConstants.integration(sigma)
     herm_spec = constants.hermite_spec()
 
     def point(eps):
         ns = level_choice_for_eps(eps, constants.sigma)
-        rule = tensor_rule_for_eps(eps, constants.sigma, space)
+        size = tensor_rule_for_eps(eps, constants.sigma, HERMITE).n
         factors = [gauss_hermite_rule(int(n)) for n in ns]
         err = tensor_wce_integration(factors, herm_spec)
         if space == GAUSSIAN:
             err *= constants.gauss_prefactor
-        return eps, ";".join(str(int(n)) for n in ns), rule.n, err
+        return eps, ";".join(str(int(n)) for n in ns), size, err
 
     return [point(float(e)) for e in eps_list]
 

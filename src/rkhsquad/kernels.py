@@ -248,19 +248,14 @@ def hermite_kernel_series(beta: float, x, y, terms: int = 400):
     return value, cert
 
 
-def _univariate_kernel(family: str, param: float, x, y):
-    if family == GAUSSIAN:
-        return gaussian_kernel(param, x, y)
-    return hermite_kernel(param, x, y)
-
-
 def product_kernel_eval(spec: KernelSpec, x, y) -> float:
     """Tensor-product kernel value at two points of the spec's dimension."""
     xv = spec._point(x)
     yv = spec._point(y)
+    kernel = gaussian_kernel if spec.is_gaussian else hermite_kernel
     value = 1.0
     for param, a, b in zip(spec.params, xv, yv):
-        value *= float(_univariate_kernel(spec.family, param, a, b))
+        value *= float(kernel(param, a, b))
     return value
 
 

@@ -109,10 +109,8 @@ def suite_spectral():
         deg = 2 * n - 1
         table = hermite_table(deg, rule.nodes)
         gram = (table * rule.weights[None, :]) @ table.T
-        target = np.eye(deg + 1)
-        for i in range(deg + 1):
-            for j in range(deg + 1 - i):
-                worst = max(worst, abs(gram[i, j] - target[i, j]))
+        i, j = np.indices(gram.shape)
+        worst = max(worst, float(np.abs(gram - np.eye(deg + 1))[i + j <= deg].max()))
     checks.append(_result("gh-orthonormality", worst <= 1e-10, f"max deviation {worst:.3e}"))
 
     # moment exactness against (p-1)!!
@@ -165,17 +163,17 @@ def suite_spectral():
 # ---------------------------------------------------------------------------
 
 
-def _random_rule(rng, n, d, scale=1.2):
-    nodes = rng.normal(0.0, scale, size=(n, d))
+def _random_rule(rng, n, d):
+    nodes = rng.normal(0.0, 1.2, size=(n, d))
     weights = rng.normal(0.0, 1.0 / n, size=n)
     return QuadratureRule(nodes, weights)
 
 
-def integration_identity_battery(draws: int = 100, seed: int = 2024):
-    """Relative residual of the integration transference identity."""
-    rng = np.random.default_rng(seed)
+def integration_identity_battery():
+    """Worst relative residual of the integration transference identity over 100 seeded rules."""
+    rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 17))
         sigma = np.exp(rng.uniform(np.log(0.05), np.log(3.0), size=d))
@@ -189,10 +187,10 @@ def integration_identity_battery(draws: int = 100, seed: int = 2024):
     return worst
 
 
-def cost_invariance_battery(draws: int = 50, seed: int = 7):
-    """Exact cost preservation under transference for sparse rules."""
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
+def cost_invariance_battery():
+    """Exact cost preservation under transference for 50 seeded sparse rules."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 9))
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(2.0), size=d))
@@ -212,18 +210,16 @@ def cost_invariance_battery(draws: int = 50, seed: int = 7):
     return True
 
 
-def sampling_coeffs_via_quadrature(
-    method: SamplingMethod, sigma, n_quad: int = 64
-) -> np.ndarray:
+def sampling_coeffs_via_quadrature(method: SamplingMethod, sigma) -> np.ndarray:
     """Quadrature oracle for the Hermite-side coefficient table.
 
     Evaluates each transferred coefficient function pointwise through the
     inverse change of variables and projects it onto the tensor-Hermite
-    basis by tensor Gauss-Hermite quadrature.  Cross-check for the
-    rescaling path of :func:`transfer_sampling_to_hermite`; O(n_quad^d).
+    basis by tensor 64-point Gauss-Hermite quadrature.  Cross-check for the
+    rescaling path of :func:`transfer_sampling_to_hermite`; O(64^d).
     """
     constants = TransferConstants.approximation(sigma)
-    grid = tensor_rule([gauss_hermite_rule(n_quad)] * constants.dimension)
+    grid = tensor_rule([gauss_hermite_rule(64)] * constants.dimension)
     # b_i(z) = (prod c)^(1/2) phi_c(x_i) * Q_c^{-1} a_i (z), evaluated
     # pointwise through the inverse change of variables.
     pre_images = grid.nodes / constants.c[None, :]
@@ -237,8 +233,8 @@ def sampling_coeffs_via_quadrature(
     return b_vals @ (H_at * grid.weights[None, :]).T
 
 
-def _random_poly(rng, d, degree=3):
-    coeffs = rng.normal(size=(degree + 1,) * d)
+def _random_poly(rng, d):
+    coeffs = rng.normal(size=(4,) * d)
 
     def f(x):
         x = np.atleast_2d(x)
@@ -254,15 +250,15 @@ def _random_poly(rng, d, degree=3):
     return f
 
 
-def qc_isometry_battery(draws: int = 8, seed: int = 11):
-    """Relative defect of the L2(mu) isometry of the change of variables."""
-    rng = np.random.default_rng(seed)
+def qc_isometry_battery():
+    """Worst relative defect of the L2(mu) isometry of Q_c over 8 seeded polynomials."""
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(8):
         d = int(rng.integers(1, 3))
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(2.0), size=d))
         constants = TransferConstants.approximation(sigma)
-        f = _random_poly(rng, d, degree=3)
+        f = _random_poly(rng, d)
         grid = tensor_rule([gauss_hermite_rule(64)] * d)
         points, weights = grid.nodes, grid.weights
         norm_f = sqrt(float(weights @ f(points) ** 2))
@@ -273,15 +269,15 @@ def qc_isometry_battery(draws: int = 8, seed: int = 11):
     return worst
 
 
-def scaled_integral_identity_battery(draws: int = 8, seed: int = 13):
-    """Residual of I(Q_c f o t_tau) = (tau_*/c_*^(1/2)) I(f) for polynomials."""
-    rng = np.random.default_rng(seed)
+def scaled_integral_identity_battery():
+    """Worst residual of I(Q_c f o t_tau) = (tau_*/c_*^(1/2)) I(f) over 8 seeded polynomials."""
+    rng = np.random.default_rng(13)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(8):
         d = int(rng.integers(1, 3))
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(1.5), size=d))
         constants = TransferConstants.integration(sigma)
-        f = _random_poly(rng, d, degree=3)
+        f = _random_poly(rng, d)
         grid = tensor_rule([gauss_hermite_rule(64)] * d)
         points, weights = grid.nodes, grid.weights
         c, tau = constants.c, constants.tau

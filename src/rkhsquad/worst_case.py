@@ -15,8 +15,8 @@ when G is built); the error sums w^T G w block by block without holding G.
 Cholesky factors the system, with a condition estimate from eigvalsh up to
 400 nodes and from Lanczos to 1e-10 on G and G^{-1} above, G^{-1} applied
 as two triangular solves with the factor; a failed factorization or an
-estimate above 1e14 raises ConditioningError, and non-finite kernel values
-raise NumericalConsistencyError.
+estimate above 1e14 raises ConditioningError.  Non-finite kernel values
+raise NumericalConsistencyError where the Gram is made, in kernel_gram.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -28,6 +28,7 @@ whose spectral norm over a finite downward-closed index set gives the
 computed error; the contribution of indices outside the set is controlled
 by a rigorous tail bound (Cramer envelope for the eigenfunctions plus the
 eigenvalue tail mass), so the true error lies in [value, value + tail].
+The largest eigenvalue outside the set sits on an outside successor nu + e_j.
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
 its norm comes from ARPACK on a matrix-free operator at O(|Lambda| n) time
 and memory per product, with a dense SVD only when ARPACK fails.
@@ -321,12 +322,9 @@ class CostModel:
         """Dollar model from a non-decreasing table of dollar(0), ..., dollar(m_max), each >= 1."""
         return cls("dollar", tuple(table))
 
-    def charge(self, active: int) -> float:
-        return self.charge_rows([active])
-
     def charge_rows(self, active) -> float:
         """Total charge of rows with the given activities: one table lookup,
-        summed as Python floats in row order, as :meth:`charge` row by row.
+        summed as Python floats in row order.
         An activity that is not a non-negative integer raises ``DomainError``."""
         active = np.asarray(active)
         if not _integral(active) or (active.size and active.min() < 0):
@@ -413,6 +411,11 @@ class SamplingMethod:
             )
 
 
+def _eigenvalues(factor: np.ndarray, beta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues prod_j factor_j beta_j^nu_j of the multi-index rows nu."""
+    return np.prod(factor[None, :] * beta[None, :] ** rows, axis=1)
+
+
 @dataclass(frozen=True)
 class SpectralSystem:
     """Eigen-decomposition of a kernel's embedding into L2(mu) over an index set.
@@ -445,7 +448,7 @@ class SpectralSystem:
         else:
             beta = np.asarray(self.spec.params, dtype=float)
             scale_c, factor = np.ones_like(beta), np.ones_like(beta)
-        lam = np.prod(factor[None, :] * beta[None, :] ** self.index_set.array(), axis=1)
+        lam = _eigenvalues(factor, beta, self.index_set.array())
         lam.flags.writeable = False
         for name, value in (("eigenvalues", lam), ("beta", beta), ("scale_c", scale_c), ("factor", factor)):
             object.__setattr__(self, name, value)
@@ -494,14 +497,13 @@ class SpectralSystem:
 
     def max_tail_eigenvalue(self) -> float:
         """Largest eigenvalue outside the index set (whose complement in
-        N_0^d is never empty)."""
-        return max(self._eigenvalue_of(nu) for nu in self.index_set.complement_minimal())
-
-    def _eigenvalue_of(self, nu) -> float:
-        lam = 1.0
-        for j, v in enumerate(nu):
-            lam = lam * self.beta[j] ** v * self.factor[j]
-        return lam
+        N_0^d is never empty): eigenvalues fall in every coordinate, so the
+        largest over the direct successors nu + e_j that lie outside."""
+        rows = self.index_set.array()  # the set's radix max_j + 2 keys every nu + e_j
+        return max(
+            float(_eigenvalues(self.factor, self.beta, succ[~self.index_set._members(succ)]).max())
+            for succ in (rows + e for e in np.eye(self.dimension, dtype=np.int64))
+        )
 
     def node_amplitude_bound(self, node: np.ndarray) -> float:
         """Rigorous bound on |E_nu(node)| uniform over all nu (Cramer)."""
@@ -597,7 +599,12 @@ def wce_integration(rule: QuadratureRule, spec: KernelSpec) -> float:
     if not np.isfinite(quad):
         raise NumericalConsistencyError("w^T G w of the rule is not finite")
     m = embedding_vector(spec, rule.nodes)
-    e2 = double_integral(spec) - 2.0 * float(w @ m) + quad
+    return _error_from_e2(double_integral(spec) - 2.0 * float(w @ m) + quad)
+
+
+def _error_from_e2(e2: float) -> float:
+    """The error from its squared value, which rounding may push below zero
+    by at most ``NEGATIVE_VARIANCE_TOL`` before it raises."""
     if e2 < -NEGATIVE_VARIANCE_TOL:
         raise NumericalConsistencyError(
             f"squared error {e2:.3e} below round-off tolerance -{NEGATIVE_VARIANCE_TOL}"
@@ -647,12 +654,10 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
 
     The Gram is factored first.  The extreme eigenvalues then come from
     ``eigvalsh`` up to ``_DENSE_LIMIT`` nodes and from Lanczos above
-    (``eigvalsh`` again if ARPACK does not converge).  A non-finite Gram
-    raises ``NumericalConsistencyError``; a failed factorization or an
-    estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
+    (``eigvalsh`` again if ARPACK does not converge).  A failed factorization
+    or an estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
+    The Gram comes from :func:`kernel_gram`, which has checked it finite.
     """
-    if not np.all(np.isfinite(gram)):
-        raise NumericalConsistencyError("Gram matrix entries are not finite")
     factor = _cholesky(gram)
     if gram.shape[0] <= _DENSE_LIMIT:
         lo, hi = _dense_extremes(gram)
@@ -667,7 +672,6 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
             f"Gram matrix condition estimate {cond:.3e} exceeds {MAX_GRAM_CONDITION:.1e}",
             cond,
         )
-    # the Gram was checked finite on entry
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False), cond
 
 
@@ -792,18 +796,23 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
 # cost accounting
 
 
-def active_counts(nodes: np.ndarray) -> np.ndarray:
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    return np.count_nonzero(nodes, axis=1)
-
-
 def rule_cost(rule_or_method, model: CostModel) -> float:
     """Worst-case information cost of a rule or sampling method."""
-    return model.charge_rows(active_counts(rule_or_method.nodes))
+    return model.charge_rows(np.count_nonzero(rule_or_method.nodes, axis=1))
 
 
 # ---------------------------------------------------------------------------
 # stable special-form error computations
+
+
+def _coordinate_forms(factors: Sequence[QuadratureRule1D], spec: KernelSpec):
+    """Yield ``(weights, double integral, embedding, Gram)`` of each product-rule factor."""
+    if len(factors) != spec.dimension:
+        raise ShapeMismatchError("one univariate factor per kernel coordinate required")
+    for factor, param in zip(factors, spec.params):
+        sub = KernelSpec(spec.family, (param,))
+        nodes = factor.nodes[:, None]
+        yield factor.weights, double_integral(sub), embedding_vector(sub, nodes), kernel_gram(sub, nodes)
 
 
 def tensor_wce_integration(factors: Sequence[QuadratureRule1D], spec: KernelSpec) -> float:
@@ -813,20 +822,12 @@ def tensor_wce_integration(factors: Sequence[QuadratureRule1D], spec: KernelSpec
     coordinates, so the error is computable without materializing the
     product grid.
     """
-    if len(factors) != spec.dimension:
-        raise ShapeMismatchError("one univariate factor per kernel coordinate required")
     prod_di, prod_wm, prod_wgw = 1.0, 1.0, 1.0
-    for factor, param in zip(factors, spec.params):
-        sub = KernelSpec(spec.family, (param,))
-        nodes = factor.nodes[:, None]
-        w = factor.weights
-        prod_di *= double_integral(sub)
-        prod_wm *= float(w @ embedding_vector(sub, nodes))
-        prod_wgw *= float(w @ kernel_gram(sub, nodes) @ w)
-    e2 = prod_di - 2.0 * prod_wm + prod_wgw
-    if e2 < -NEGATIVE_VARIANCE_TOL:
-        raise NumericalConsistencyError(f"squared error {e2:.3e} below tolerance")
-    return sqrt(max(e2, 0.0))
+    for w, di, m, gram in _coordinate_forms(factors, spec):
+        prod_di *= di
+        prod_wm *= float(w @ m)
+        prod_wgw *= float(w @ gram @ w)
+    return _error_from_e2(prod_di - 2.0 * prod_wm + prod_wgw)
 
 
 def tensor_optimal_wce(factors: Sequence[QuadratureRule1D], spec: KernelSpec) -> float:
@@ -836,22 +837,14 @@ def tensor_optimal_wce(factors: Sequence[QuadratureRule1D], spec: KernelSpec) ->
     r_j the per-axis relative optimal-error share, which avoids the
     catastrophic cancellation of the naive difference.
     """
-    if len(factors) != spec.dimension:
-        raise ShapeMismatchError("one univariate factor per kernel coordinate required")
     prod_di = 1.0
     one_minus = 1.0
-    for factor, param in zip(factors, spec.params):
-        sub = KernelSpec(spec.family, (param,))
-        nodes = factor.nodes[:, None]
-        gram = kernel_gram(sub, nodes)
-        m = embedding_vector(sub, nodes)
+    for _, di, m, gram in _coordinate_forms(factors, spec):
         w, _ = _solve_spd(gram, m)
-        di = double_integral(sub)
         r = 1.0 - float(m @ w) / di
         prod_di *= di
         one_minus *= min(max(1.0 - r, 0.0), 1.0)
-    e2 = prod_di * (1.0 - one_minus)
-    return sqrt(max(e2, 0.0))
+    return sqrt(prod_di * (1.0 - one_minus))  # one_minus lies in [0, 1]
 
 
 def hermite_wce_integration_spectral(
@@ -890,11 +883,16 @@ def _spectral_errors(rules, beta: float, max_degrees=None):
     for (x, w), deg, s in zip(rules, degrees, _hermite_moments(rules, degrees)):
         terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
         e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
-        amp = CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0))
+        amp = _rule_amplitude(x, w)
         tail_e2 = amp * amp * beta ** (deg + 1) / (1.0 - beta)
         value = sqrt(e2)
         out.append((value, sqrt(e2 + tail_e2) - value))
     return out
+
+
+def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
+    """C sum_i |w_i| e^(x_i^2 / 4), the Cramer bound on |sum_i w_i h_nu(x_i)| for every nu."""
+    return CRAMER_CONSTANT * float(np.abs(w) @ np.exp(x * x / 4.0))
 
 
 def _hermite_moments(rules, degrees):

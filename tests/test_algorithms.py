@@ -574,7 +574,7 @@ def _reference_greedy(gen, budget, model, max_coord, pool_size):
         counts = _component_counts(len(u), q)
         return model.charge_rows(counts), counts.size
 
-    remaining, chosen, options, empty = budget - model.charge(0), {}, [], 0
+    remaining, chosen, options, empty = budget - model.charge_rows([0]), {}, [], 0
 
     def push(u, q, dcost, dsize, score, beta_u, dpe):
         ratio = math.inf if dcost <= 0 else dpe / dcost

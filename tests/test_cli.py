@@ -242,6 +242,19 @@ class TestUsageErrors:
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_zero_errors_have_no_decay_fit(self, capfd):
+        # every plan of 1e-10^j has error 0.0 (inside its tail): the curve is
+        # written, and the fit is refused naming the first point
+        code = main([
+            "mdm-run", "--sigma-rule", "1e-10^j", "--budgets", "10,100,1000",
+            "--dollar-table", "1,2,3,4,5,6,7,8",
+        ])
+        assert code == 1
+        out, err = capfd.readouterr()
+        assert len(out.splitlines()) == 4  # the header and three rows
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "the error at cost 9 is 0.0" in err[0]
+
     def test_max_coord_below_one(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "10,100,1000",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rkhsquad import worst_case
+from rkhsquad import algorithms, worst_case
 from rkhsquad.algorithms import KernelGenerator, ParamRule, gh_error_on_space
 from rkhsquad.errors import DomainError, InsufficientDataError
 from rkhsquad.experiments import (
@@ -171,6 +171,17 @@ class TestCurves:
         assert [r[0] for r in rows] == [0.5, 0.1]
         assert rows[1][2] == 64  # 8 x 8 grid at eps = 0.1
         assert rows[0][3] > rows[1][3] > 0.0  # smaller eps, smaller error
+
+    def test_tensor_curve_size_needs_no_gaussian_grid(self, monkeypatch):
+        # the size column counts the Hermite-side grid, which the transference maps node for node
+        def refuse(*args, **kwargs):
+            raise AssertionError("tensor_decay_curve transferred a grid")
+
+        monkeypatch.setattr(algorithms, "transfer_quadrature_to_gaussian", refuse)
+        for space in ("gaussian", "hermite"):
+            rows = tensor_decay_curve([1.0, 0.5, 2.0], [0.1, 0.01], space)
+            for _, choice, size, _ in rows:
+                assert size == math.prod(int(n) for n in choice.split(";"))
 
     def test_tensor_curve_matches_dense_error(self):
         # the factorized error column equals the dense Gram value of the

@@ -304,14 +304,14 @@ class TestCostModel:
     def test_table_range(self):
         model = CostModel.dollar([1.0, 2.0])
         with pytest.raises(DomainError):
-            model.charge(2)
+            model.charge_rows([2])
         with pytest.raises(DomainError, match="queried 2"):
             model.charge_rows([0, 1, 2, 1])
         # a table lookup would wrap a negative activity around and truncate a fractional one
         for model in (CostModel.dollar([1.0, 2.0, 4.0]), CostModel.unit()):
             for active in (-1, -3, 1.7, math.nan):
                 with pytest.raises(DomainError, match="non-negative integers"):
-                    model.charge(active)
+                    model.charge_rows([active])
             with pytest.raises(DomainError, match="non-negative integers"):
                 model.charge_rows([0, -1])
             with pytest.raises(DomainError, match="non-negative integers"):
@@ -686,12 +686,6 @@ class TestSolveSpd:
         for c in (np.asfortranarray(dirty), np.ascontiguousarray(dirty)):
             assert worst_case._lanczos_extremes(gram, (c, True)) == want
 
-    def test_non_finite_gram_raises(self):
-        gram = np.eye(3)
-        gram[0, 2] = gram[2, 0] = np.inf
-        with pytest.raises(NumericalConsistencyError):
-            _solve_spd(gram, np.ones(3))
-
 
 class TestSpectralSystem:
     def test_hermite_eigenvalue(self):
@@ -802,6 +796,29 @@ class TestWceApproximation:
         value, tail = wce_approximation(SamplingMethod.zero(2, idx), system)
         assert value == pytest.approx(1.0, rel=1e-12)
         assert tail >= 0.0
+
+    @pytest.mark.parametrize("params", [(0.3, 0.7, 0.5, 0.6), (0.6, 0.6, 0.3, 0.6)], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_max_tail_eigenvalue_on_lower_sets(self, d, family, params):
+        # brute force over the box hull plus one, which holds every direct
+        # successor of a member, on sets that need not be boxes
+        rng = np.random.default_rng(70 + d)
+        cube = list(itertools.product(range(9), repeat=d))
+        sets = [
+            [nu for nu in cube if sum(nu) <= 5],  # total degree
+            [nu for nu in cube if math.prod(v + 1 for v in nu) <= 8],  # hyperbolic cross
+        ] + [_random_lower_set(rng, d, 3, 4) for _ in range(3)]
+        spec = KernelSpec(family, params[:d])
+        for rows in sets:
+            system = SpectralSystem(spec, MultiIndexSet(rows))
+            hull = np.array(rows).max(axis=0) + 2
+            brute = max(
+                math.prod(float(f * b**v) for f, b, v in zip(system.factor, system.beta, nu))
+                for nu in itertools.product(*map(range, hull))
+                if nu not in system.index_set
+            )
+            assert system.max_tail_eigenvalue() == pytest.approx(brute, rel=1e-14)
 
 
 def _dense_error_norm(method, system):
