@@ -31,7 +31,6 @@ from .kernels import (
     hermite_kernel_series,
     initial_error,
     matched_parameters,
-    product_kernel_eval,
 )
 from .transference import (
     TransferConstants,

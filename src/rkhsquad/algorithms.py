@@ -620,7 +620,8 @@ def mdm_build(
     to the candidate with the best predicted error decrease per unit of
     exact flattened cost.  A candidate is dropped for good once its next
     level no longer fits the remaining budget (costs only grow) or needs a
-    rule beyond ``hermite.MAX_RULE_SIZE`` points.
+    rule beyond ``hermite.MAX_RULE_SIZE`` points.  Sets larger than the
+    dollar table's last activity are never candidates.
     Ties prefer the lexicographically smaller set.  The anchor evaluation
     is always included and charged dollar(0).  ``BudgetError`` is raised
     once the granted components hold more than ``TENSOR_BUDGET`` nodes.
@@ -658,7 +659,8 @@ def mdm_build(
         heapq.heappush(options, (-ratio, u, q, dcost, size - prev_size, score, beta_u))
 
     for u, score in pool:
-        push(u, 2 * len(u), score, max(betas[c] for c in u))
+        if model.mode == "unit" or len(u) < len(model.table):  # u's nodes have activity <= |u|
+            push(u, 2 * len(u), score, max(betas[c] for c in u))
 
     while options:
         _, u, q, dcost, dsize, score, beta_u = heapq.heappop(options)

@@ -22,7 +22,7 @@ from .algorithms import (
     mdm_wce,
     tensor_rule_for_eps,
 )
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, NumericalConsistencyError
 from .hermite import gauss_hermite_rule
 from .kernels import GAUSSIAN, HERMITE, KernelSpec
 from .transference import TransferConstants
@@ -127,20 +127,22 @@ def univariate_decay_curve(space: str, param: float, n_max: int):
     ``error`` is the worst-case integration error of the plain n-point
     Gauss-Hermite rule; ``lower_bound`` the universal minimal-error lower
     bound; ``rate_fit`` the least-squares slope of ln(error) against n
-    over the whole curve (repeated on every row).
+    over the whole curve (repeated on every row).  A row whose truncation
+    tail exceeds its error raises ``NumericalConsistencyError``.
     """
     if space not in (GAUSSIAN, HERMITE):
         raise DomainError(f"space must be 'gaussian' or 'hermite', got {space!r}")
     if n_max < 1:
         raise DomainError("n_max must be positive")
     spec = KernelSpec(space, (param,))
-    errors = [value for value, _ in _gh_errors_on_space(range(1, n_max + 1), spec)]
+    errors = []
+    for n, (value, tail) in enumerate(_gh_errors_on_space(range(1, n_max + 1), spec), start=1):
+        if tail > value:
+            raise NumericalConsistencyError(f"error {value:.3e} at n={n} is below its tail {tail:.3e}")
+        errors.append(value)
     lower = [integration_error_lower_bound(spec, n) for n in range(1, n_max + 1)]
     slope = float(np.polyfit(np.arange(1, n_max + 1), np.log(errors), 1)[0]) if n_max >= 2 else 0.0
-    return [
-        (n, errors[n - 1], lower[n - 1], slope)
-        for n in range(1, n_max + 1)
-    ]
+    return [(n, errors[n - 1], lower[n - 1], slope) for n in range(1, n_max + 1)]
 
 
 def tensor_decay_curve(sigma, eps_list, space: str = GAUSSIAN):

@@ -148,14 +148,6 @@ class KernelSpec:
         with _json_input(obj, "kernel") as obj:
             return cls(obj["family"], tuple(obj["params"]))
 
-    def _point(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dimension,):
-            raise ShapeMismatchError(
-                f"point of shape {x.shape} does not match kernel dimension {self.dimension}"
-            )
-        return x
-
 
 def _gaussian_exponent(sigma: float, x, y, out=None, scratch=None):
     """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel.
@@ -248,23 +240,6 @@ def hermite_kernel_series(beta: float, x, y, terms: int = 400):
     return value, cert
 
 
-def product_kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Tensor-product kernel value at two points of the spec's dimension."""
-    xv = spec._point(x)
-    yv = spec._point(y)
-    kernel = gaussian_kernel if spec.is_gaussian else hermite_kernel
-    value = 1.0
-    for param, a, b in zip(spec.params, xv, yv):
-        value *= float(kernel(param, a, b))
-    return value
-
-
-def gaussian_mean_embedding_1d(sigma: float, x):
-    """Closed form of int l_sigma(x, y) mu0(dy)."""
-    s2 = sigma * sigma
-    return (1.0 + 2.0 * s2) ** -0.5 * np.exp(-s2 * np.asarray(x, dtype=float) ** 2 / (1.0 + 2.0 * s2))
-
-
 def embedding_vector(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Mean embedding m(x_i) for all node rows.
 
@@ -278,7 +253,8 @@ def embedding_vector(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
         return np.ones(nodes.shape[0])
     m = np.ones(nodes.shape[0])
     for j, sigma in enumerate(spec.params):
-        m *= gaussian_mean_embedding_1d(sigma, nodes[:, j])
+        s2 = sigma * sigma
+        m *= (1.0 + 2.0 * s2) ** -0.5 * np.exp(-s2 * nodes[:, j] ** 2 / (1.0 + 2.0 * s2))
     return m
 
 

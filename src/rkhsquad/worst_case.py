@@ -458,17 +458,21 @@ class SpectralSystem:
         return self.spec.dimension
 
     def eigenfunction_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        """Matrix P with P[k, i] = E_{nu_k}(x_i) for node rows x_i."""
+        """Matrix P with P[k, i] = E_{nu_k}(x_i) for node rows x_i; raises if one is not finite."""
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         if nodes.shape[1] != self.dimension:
             raise ShapeMismatchError("node dimension does not match system dimension")
         idx = self.index_set.array()
         max_deg = int(idx.max())
         out = np.ones((idx.shape[0], nodes.shape[0]))
-        for j, c in enumerate(self.scale_c.tolist()):
-            x = nodes[:, j]
-            tab = hermite_table(max_deg, c * x) * (sqrt(c) * np.exp(-(c * c - 1.0) * x * x / 4.0))[None, :]
-            out *= tab[idx[:, j], :]
+        # overflow in the Hermite recurrence is caught by the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, c in enumerate(self.scale_c.tolist()):
+                x = nodes[:, j]
+                tab = hermite_table(max_deg, c * x) * (sqrt(c) * np.exp(-(c * c - 1.0) * x * x / 4.0))[None, :]
+                out *= tab[idx[:, j], :]
+        if not np.all(np.isfinite(out)):
+            raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")
         return out
 
     def total_eigenvalue_sum(self) -> float:
@@ -612,17 +616,6 @@ def _error_from_e2(e2: float) -> float:
     return sqrt(max(e2, 0.0))
 
 
-def _cholesky(gram: np.ndarray):
-    """Lower Cholesky factor of a finite Gram matrix; ConditioningError with
-    estimate inf when it is not numerically positive definite."""
-    try:
-        return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise ConditioningError(
-            f"Gram matrix is not numerically positive definite ({err})", np.inf
-        ) from err
-
-
 def _dense_extremes(gram: np.ndarray):
     eigs = np.linalg.eigvalsh(gram)
     return float(eigs[0]), float(eigs[-1])
@@ -658,7 +651,12 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     or an estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
     The Gram comes from :func:`kernel_gram`, which has checked it finite.
     """
-    factor = _cholesky(gram)
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise ConditioningError(
+            f"Gram matrix is not numerically positive definite ({err})", np.inf
+        ) from err
     if gram.shape[0] <= _DENSE_LIMIT:
         lo, hi = _dense_extremes(gram)
     else:
@@ -749,13 +747,7 @@ def wce_approximation(method: SamplingMethod, system: SpectralSystem):
     """
     if method.index_set != system.index_set:
         raise ShapeMismatchError("method and system use different index sets")
-    if method.dimension != system.dimension:
-        raise ShapeMismatchError("method and system dimensions differ")
-    # overflow in the Hermite recurrence is caught by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = system.eigenfunction_matrix(method.nodes)
-    if not np.all(np.isfinite(P)):
-        raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")
+    P = system.eigenfunction_matrix(method.nodes)
     g = _spectral_norm(np.sqrt(system.eigenvalues), P, method.coeff_table)
 
     # Tail of the error operator over indices outside the set: the block
@@ -782,11 +774,7 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     gram = kernel_gram(system.spec, nodes)
-    # overflow in the Hermite recurrence is caught by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = system.eigenfunction_matrix(nodes)  # [nu, j]
-    if not np.all(np.isfinite(P)):
-        raise NumericalConsistencyError("eigenfunction values at the nodes are not finite")
+    P = system.eigenfunction_matrix(nodes)  # [nu, j]
     rhs = (P * system.eigenvalues[:, None]).T  # [j, nu]
     coeff, _ = _solve_spd(gram, rhs)
     return SamplingMethod(nodes, coeff, system.index_set)

@@ -737,6 +737,11 @@ class TestMdm:
             assert plan.cost.hex() == rule_cost(plan.flattened, model).hex()
             assert plan.cost <= budget
 
+    def test_short_dollar_table_skips_unpriced_sets(self):
+        # dollar(0), dollar(1) price singletons only; pairs are never candidates
+        plan = mdm_build(self.gen, 100.0, CostModel.dollar([1.0, 2.0]), max_coord=8, pool_size=16)
+        assert plan.active_sets and all(len(u) == 1 for u in plan.active_sets)
+
     def test_size_guard(self, monkeypatch):
         from rkhsquad import algorithms
 

@@ -255,6 +255,13 @@ class TestUsageErrors:
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "the error at cost 9 is 0.0" in err[0]
 
+    def test_univariate_decay_refuses_tail_above_error(self, capfd):
+        # at sigma = 50 the n = 1 error 0.542 has truncation tail 10.0
+        code = main(["univariate-decay", "--space", "gaussian", "--param", "50", "--n-max", "3"])
+        assert code == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "n=1" in err[0]
+
     def test_max_coord_below_one(self, capsys):
         code = main([
             "mdm-run", "--sigma-rule", "j^-1.5", "--budgets", "10,100,1000",

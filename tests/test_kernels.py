@@ -20,8 +20,8 @@ from rkhsquad.kernels import (
     hermite_kernel,
     hermite_kernel_series,
     initial_error,
-    product_kernel_eval,
 )
+from rkhsquad.worst_case import kernel_gram
 
 
 def gh_embedding_oracle(family, param, x, n=64):
@@ -156,38 +156,41 @@ class TestKernelSpec:
     def test_dimension_mismatch(self):
         spec = KernelSpec.hermite((0.5, 0.5))
         with pytest.raises(ShapeMismatchError):
-            product_kernel_eval(spec, (0.0,), (0.0, 0.0))
-        with pytest.raises(ShapeMismatchError):
             embedding_vector(spec, (0.0, 0.0, 0.0))
 
 
 class TestProductKernel:
+    @staticmethod
+    def value(spec, x, y):
+        # M(y, x) from the lower triangle of the Gram of [x, y]
+        return kernel_gram(spec, [x, y])[1, 0]
+
     def test_gaussian_diagonal(self):
         spec = KernelSpec.gaussian((1.0, 0.3, 2.0))
         x = (0.4, -1.0, 2.2)
-        assert product_kernel_eval(spec, x, x) == 1.0
+        assert self.value(spec, x, x) == 1.0
 
     def test_hermite_square(self):
         spec = KernelSpec.hermite((0.5, 0.5))
-        assert product_kernel_eval(spec, (0.0, 0.0), (0.0, 0.0)) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert self.value(spec, (0.0, 0.0), (0.0, 0.0)) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_gaussian_single_factor(self):
         spec = KernelSpec.gaussian((1.0, 1.0))
-        assert product_kernel_eval(spec, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert self.value(spec, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
         for spec in (KernelSpec.gaussian((0.7, 1.3)), KernelSpec.hermite((0.2, 0.8))):
             for _ in range(10):
                 x, y = rng.normal(size=2 * spec.dimension).reshape(2, -1)
-                assert product_kernel_eval(spec, x, y) == product_kernel_eval(spec, y, x)
+                assert self.value(spec, x, y) == self.value(spec, y, x)
 
     def test_hermite_diagonal_at_least_one(self):
         rng = np.random.default_rng(1)
         spec = KernelSpec.hermite((0.1, 0.5, 0.9))
         for _ in range(20):
             x = rng.normal(size=3)
-            assert product_kernel_eval(spec, x, x) >= 1.0
+            assert self.value(spec, x, x) >= 1.0
 
     @pytest.mark.parametrize("family,params", [
         ("gaussian", (0.7, 1.5)),
@@ -199,11 +202,7 @@ class TestProductKernel:
         for _ in range(25):
             n = int(rng.integers(2, 13))
             pts = rng.normal(0.0, 1.5, size=(n, spec.dimension))
-            gram = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    gram[i, j] = product_kernel_eval(spec, pts[i], pts[j])
-            eigs = np.linalg.eigvalsh(gram)
+            eigs = np.linalg.eigvalsh(kernel_gram(spec, pts))
             assert eigs[0] >= -1e-10 * eigs[-1]
 
 

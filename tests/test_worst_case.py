@@ -964,6 +964,11 @@ class TestFiniteOrRaise:
         with pytest.raises(NumericalConsistencyError):
             wce_approximation(method, system)
 
+    def test_eigenfunction_matrix_overflow(self):
+        # the matrix checks itself, so a direct call raises too
+        system = SpectralSystem(HERM_HALF, MultiIndexSet.box(1, 512))
+        _raises_without_warning(lambda: system.eigenfunction_matrix([[100.0]]))
+
     def test_amplitude_bound_overflow(self):
         # exp(60^2 / 4) overflows; the eigenfunction values themselves are finite
         idx = MultiIndexSet.box(1, 5)
