@@ -149,9 +149,9 @@ def _integral(raw: np.ndarray) -> bool:
 
 
 def _index_rows(indices) -> np.ndarray:
-    """Validated (n, d) int64 copy of a collection of multi-indices."""
+    """Validated (n, d) int64 copy of a collection of multi-indices, column-major."""
     try:
-        raw = np.array(indices)
+        raw = np.array(indices, order="F")
     except ValueError:
         raise ShapeMismatchError("multi-indices of mixed dimension") from None
     if raw.ndim >= 1 and raw.shape[0] == 0:
@@ -160,60 +160,86 @@ def _index_rows(indices) -> np.ndarray:
         raise ShapeMismatchError("multi-indices must be non-empty rows of one length")
     if not _integral(raw):
         raise DomainError("multi-indices must have integer entries")
-    if np.any(raw < 0):
+    if raw.min() < 0:
         raise DomainError("multi-indices must be non-negative")
-    if np.any(raw >= _MAX_INDEX_ENTRY):
+    if raw.max() >= _MAX_INDEX_ENTRY:
         raise DomainError("multi-index entries must be below 2**62")
-    return raw.astype(np.int64)
+    return raw.astype(np.int64, copy=False)
 
 
 def _row_keys(rows: np.ndarray, radix: tuple) -> np.ndarray:
     """Sort keys of int64 rows with 0 <= rows[:, j] < radix[j].
 
-    Mixed-radix int64 keys while prod(radix) < 2**63, else one byte-string
-    row view of the big-endian entries; both order rows lexicographically.
-    numpy sorts and searches the int64 keys two to three times faster than
-    byte rows, which is why both are kept.
+    Mixed-radix int64 keys while prod(radix) < 2**63 (coordinate j weighs
+    prod(radix[j+1:])), else one byte-string row view of the big-endian
+    entries; both order rows lexicographically.  numpy sorts and searches
+    the int64 keys two to three times faster than byte rows, which is why
+    both are kept.
     """
     if prod(radix) < 2**63:
-        strides = np.cumprod((1,) + radix[:0:-1], dtype=np.int64)[::-1]
-        return rows @ strides
+        keys = rows[:, 0].astype(np.int64)  # Horner over the columns
+        for j in range(1, len(radix)):
+            keys *= radix[j]
+            keys += rows[:, j]
+        return keys
     return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * len(radix)}").ravel()
+
+
+def _lowered_keys(rows: np.ndarray, keys: np.ndarray, radix: tuple, j: int, has: np.ndarray) -> np.ndarray:
+    """Keys, in the layout of :func:`_row_keys`, of rows[has] with coordinate
+    j lowered by one (rows[has, j] > 0): the int64 key minus the weight of
+    coordinate j, or the byte key of a lowered copy of the rows."""
+    if keys.dtype.kind == "i":
+        return keys[has] - prod(radix[j + 1 :])
+    low = rows[has]
+    low[:, j] -= 1
+    return _row_keys(low, radix)
 
 
 class MultiIndexSet:
     """A finite downward-closed set of multi-indices of one dimension d.
 
-    Stored as one read-only (size, d) int64 array in lexicographic row
-    order, with sorted row keys (:func:`_row_keys`, radix max_j + 2 so that
-    every direct successor of a member is keyed too) for membership tests.
+    Stored as one read-only column-major (size, d) int64 array in
+    lexicographic row order, with sorted row keys (:func:`_row_keys`, radix
+    max_j + 2 so that every direct successor of a member is keyed too) for
+    membership tests.  Construction finds each member's predecessor
+    nu - e_j once per coordinate, which checks downward closure and marks,
+    as a (d, size) mask, the direct successors nu + e_j outside the set.
     """
 
     def __init__(self, indices):
         rows = _index_rows(indices)
-        radix = tuple(int(v) + 2 for v in rows.max(axis=0))
+        self._top = rows.max(axis=0)
+        self._top.flags.writeable = False
+        radix = tuple(int(v) + 2 for v in self._top)
         keys = _row_keys(rows, radix)
-        order = np.argsort(keys, kind="stable")
-        rows, keys = rows[order], keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise DomainError("duplicate multi-indices")
+        if keys.dtype.kind != "i" or not np.all(keys[1:] > keys[:-1]):  # sorted input keeps its rows
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise DomainError("duplicate multi-indices")
+            rows = np.take(rows.T, order, axis=1).T
         self._rows, self._keys, self._radix = rows, keys, radix
-        missing = np.zeros(rows.shape, dtype=bool)
+        outside = np.ones(rows.shape[::-1], dtype=bool)
+        first = []  # (row, coordinate) of each coordinate's first member without its predecessor
         for j in range(rows.shape[1]):
             has = rows[:, j] > 0
-            missing[has, j] = ~self._members(_predecessors(rows[has], j))
-        if missing.any():
-            i, j = np.argwhere(missing)[0]
+            pos, found = self._search(_lowered_keys(rows, keys, radix, j, has))
+            if not found.all():
+                first.append((int(np.flatnonzero(has)[np.argmin(found)]), j))
+            outside[j, pos] = False  # nu + e_j is the member whose predecessor sits at pos
+        if first:
+            i, j = min(first)
             nu = tuple(rows[i].tolist())
             pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
             raise DomainError(f"index set is not downward closed: {nu} without {pred}")
-        rows.flags.writeable = False
+        rows.flags.writeable = outside.flags.writeable = False
+        self._outside = outside
 
-    def _members(self, rows: np.ndarray) -> np.ndarray:
-        """Membership mask of rows with entries below the set's radix."""
-        keys = _row_keys(rows, self._radix)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return self._keys[pos] == keys
+    def _search(self, keys: np.ndarray):
+        """Positions of keys in the set's sorted keys, and which of them are members."""
+        pos = np.searchsorted(self._keys, keys)
+        return pos, self._keys.take(pos, mode="clip") == keys
 
     @classmethod
     def box(cls, dimension: int, degree) -> "MultiIndexSet":
@@ -227,8 +253,7 @@ class MultiIndexSet:
         if len(degrees) != dimension:
             raise ShapeMismatchError("one degree per coordinate required")
         top = _index_rows([degrees])[0]  # the degrees are the box's top multi-index
-        grids = np.meshgrid(*[np.arange(g + 1) for g in top], indexing="ij")
-        return cls(np.stack([g.ravel() for g in grids], axis=1))
+        return cls(np.indices(tuple((top + 1).tolist()), dtype=np.int64).reshape(dimension, -1).T)
 
     @property
     def indices(self) -> tuple:
@@ -247,10 +272,12 @@ class MultiIndexSet:
         row = np.asarray(nu)
         if row.shape != (self.dimension,) or row.dtype.kind not in "biuf":
             return False
-        if not (np.all(row >= 0) and np.all(row < np.array(self._radix) - 1)):
+        if not (np.all(row >= 0) and np.all(row <= self._top)):
             return False
         ints = row.astype(np.int64)
-        return bool(np.array_equal(ints, row) and self._members(ints[None, :])[0])
+        if not np.array_equal(ints, row):
+            return False
+        return bool(self._search(_row_keys(ints[None, :], self._radix))[1][0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiIndexSet):
@@ -267,28 +294,23 @@ class MultiIndexSet:
         """The read-only (size, d) int64 array of multi-indices, sorted."""
         return self._rows
 
+    def _successors(self, j: int) -> np.ndarray:
+        """Fresh (m, d) array of the direct successors nu + e_j outside the set."""
+        succ = self._rows[self._outside[j]]
+        succ[:, j] += 1
+        return succ
+
     def complement_minimal(self) -> tuple:
-        """Minimal (componentwise) multi-indices outside the set."""
-        outside = []
-        for j in range(self.dimension):
-            cand = self._rows.copy()
-            cand[:, j] += 1
-            outside.append(cand[~self._members(cand)])
-        cand = np.concatenate(outside)
-        _, first = np.unique(_row_keys(cand, self._radix), return_index=True)
+        """Minimal (componentwise) multi-indices outside the set: the outside
+        direct successors whose predecessors are all members."""
+        cand = np.concatenate([self._successors(j) for j in range(self.dimension)])
+        keys, first = np.unique(_row_keys(cand, self._radix), return_index=True)
         cand = cand[first]
         minimal = np.ones(cand.shape[0], dtype=bool)
         for k in range(self.dimension):
             has = cand[:, k] > 0
-            minimal[has] &= self._members(_predecessors(cand[has], k))
+            minimal[has] &= self._search(_lowered_keys(cand, keys, self._radix, k, has))[1]
         return tuple(map(tuple, cand[minimal].tolist()))
-
-
-def _predecessors(rows: np.ndarray, j: int) -> np.ndarray:
-    """Copy of rows with coordinate j lowered by one."""
-    out = rows.copy()
-    out[:, j] -= 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -411,9 +433,20 @@ class SamplingMethod:
             )
 
 
-def _eigenvalues(factor: np.ndarray, beta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Eigenvalues prod_j factor_j beta_j^nu_j of the multi-index rows nu."""
-    return np.prod(factor[None, :] * beta[None, :] ** rows, axis=1)
+def _eigenvalues(factor: np.ndarray, beta: np.ndarray, rows: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Eigenvalues prod_j factor_j beta_j^nu_j of the multi-index rows nu, nu_j <= top_j.
+
+    Each factor comes from a table factor_j * beta_j ** (0..top_j) gathered
+    by index, and the factors multiply in coordinate order, so the result is
+    np.prod(factor * beta ** rows, axis=1) bit for bit, as long as numpy
+    takes the same power loop for both (it squares a lone element exactly,
+    where its vector loop may round beta**2 one unit differently).
+    """
+    tables = [f * b ** np.arange(t + 1) for f, b, t in zip(factor, beta, top.tolist())]
+    lam = tables[0][rows[:, 0]]
+    for j in range(1, len(tables)):
+        lam *= tables[j][rows[:, j]]
+    return lam
 
 
 @dataclass(frozen=True)
@@ -448,7 +481,7 @@ class SpectralSystem:
         else:
             beta = np.asarray(self.spec.params, dtype=float)
             scale_c, factor = np.ones_like(beta), np.ones_like(beta)
-        lam = _eigenvalues(factor, beta, self.index_set.array())
+        lam = _eigenvalues(factor, beta, self.index_set.array(), self.index_set._top)
         lam.flags.writeable = False
         for name, value in (("eigenvalues", lam), ("beta", beta), ("scale_c", scale_c), ("factor", factor)):
             object.__setattr__(self, name, value)
@@ -463,7 +496,7 @@ class SpectralSystem:
         if nodes.shape[1] != self.dimension:
             raise ShapeMismatchError("node dimension does not match system dimension")
         idx = self.index_set.array()
-        max_deg = int(idx.max())
+        max_deg = int(self.index_set._top.max())
         out = np.ones((idx.shape[0], nodes.shape[0]))
         # overflow in the Hermite recurrence is caught by the finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -489,11 +522,10 @@ class SpectralSystem:
         difference plus a small machine-epsilon slack for its rounding.
         """
         total = self.total_eigenvalue_sum()
-        idx = self.index_set.array()
-        degrees = idx.max(axis=0)
+        degrees = self.index_set._top
         log_box = float(np.sum(np.log1p(-self.beta ** (degrees + 1))))
         hull_tail = total * -np.expm1(log_box)
-        if idx.shape[0] == int(np.prod(degrees + 1)):
+        if self.index_set.size == int(np.prod(degrees + 1)):
             return hull_tail
         hull_sum = total * exp(log_box)
         inner = max(0.0, hull_sum - float(self.eigenvalues.sum()))
@@ -503,10 +535,10 @@ class SpectralSystem:
         """Largest eigenvalue outside the index set (whose complement in
         N_0^d is never empty): eigenvalues fall in every coordinate, so the
         largest over the direct successors nu + e_j that lie outside."""
-        rows = self.index_set.array()  # the set's radix max_j + 2 keys every nu + e_j
+        top = self.index_set._top + 1
         return max(
-            float(_eigenvalues(self.factor, self.beta, succ[~self.index_set._members(succ)]).max())
-            for succ in (rows + e for e in np.eye(self.dimension, dtype=np.int64))
+            float(_eigenvalues(self.factor, self.beta, self.index_set._successors(j), top).max())
+            for j in range(self.dimension)
         )
 
     def node_amplitude_bound(self, node: np.ndarray) -> float:

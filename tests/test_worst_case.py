@@ -259,12 +259,40 @@ class TestMultiIndexSetAgainstTuples:
         self._assert_same(rows, rng)
         self._assert_same(rows + [rows[3]], rng)
         self._assert_same(rows[1:], rng)
+        # the largest eigenvalue outside, brute force over the direct successors
+        beta = np.linspace(0.2, 0.9, d)
+        members = set(got.indices)
+        brute = max(
+            math.prod(float(b) ** v for b, v in zip(beta, nu)) * float(beta[j])
+            for nu in members
+            for j in range(d)
+            if nu[:j] + (nu[j] + 1,) + nu[j + 1 :] not in members
+        )
+        system = SpectralSystem(KernelSpec.hermite(tuple(beta)), got)
+        assert system.max_tail_eigenvalue() == pytest.approx(brute, rel=1e-13)
 
     def test_array_is_stored_read_only(self):
         box = MultiIndexSet.box(3, 2)
         assert box.array() is box.array()
         assert box.array().dtype == np.int64 and not box.array().flags.writeable
         assert box.array().tolist() == [list(nu) for nu in box.indices]
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_array_is_not_aliased(self, order, shuffled):
+        # sorted input is kept in its row order, so the one copy is all that
+        # separates the set from the caller's buffer
+        rows = _random_lower_set(np.random.default_rng(9), 3, 3, 4)
+        raw = np.array(rows if shuffled else sorted(rows), dtype=np.int64, order=order)
+        got = MultiIndexSet(raw)
+        indices, digest, twin = got.indices, hash(got), MultiIndexSet(raw.copy())
+        raw += 1
+        raw[0] = (5, 0, 0)
+        assert got.indices == indices and hash(got) == digest and got == twin
+        assert all(nu in got for nu in indices) and (5, 0, 0) not in got
+        assert not np.shares_memory(got.array(), raw) and not got.array().flags.writeable
+        with pytest.raises(ValueError):
+            got.array()[0, 0] = 1
 
 
 class TestCostModel:
@@ -734,6 +762,14 @@ class TestSpectralSystem:
                     assert system.eigenvalues[idx[tuple(higher)]] < system.eigenvalues[k]
 
 
+def _assert_eigenvalues_are_the_product(system):
+    """The power tables against np.prod(factor * beta ** rows, axis=1) on
+    C-ordered rows, bit for bit."""
+    rows = np.ascontiguousarray(system.index_set.array())
+    want = np.prod(system.factor * system.beta ** rows, axis=1)
+    assert system.eigenvalues.tobytes() == want.tobytes()
+
+
 class TestWceApproximation:
     def test_zero_method_hermite(self):
         idx = MultiIndexSet.box(1, 40)
@@ -812,6 +848,7 @@ class TestWceApproximation:
         spec = KernelSpec(family, params[:d])
         for rows in sets:
             system = SpectralSystem(spec, MultiIndexSet(rows))
+            _assert_eigenvalues_are_the_product(system)
             hull = np.array(rows).max(axis=0) + 2
             brute = max(
                 math.prod(float(f * b**v) for f, b, v in zip(system.factor, system.beta, nu))
@@ -819,6 +856,11 @@ class TestWceApproximation:
                 if nu not in system.index_set
             )
             assert system.max_tail_eigenvalue() == pytest.approx(brute, rel=1e-14)
+
+    @pytest.mark.parametrize("family", ["gaussian", "hermite"])
+    def test_box_eigenvalues_are_the_product(self, family):
+        spec = KernelSpec(family, (0.3, 0.7, 0.5, 0.6))
+        _assert_eigenvalues_are_the_product(SpectralSystem(spec, MultiIndexSet.box(4, 20)))
 
 
 def _dense_error_norm(method, system):
