@@ -31,7 +31,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import ceil, exp, expm1, floor, inf, isfinite, log, log1p, prod, sqrt
+from math import ceil, exp, expm1, inf, isfinite, log, log1p, prod, sqrt
 
 import numpy as np
 
@@ -59,11 +59,10 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import (_BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _row_keys,
-                         _rule_amplitude, _spectral_errors)
+from .worst_case import (_BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _moment_degree,
+                         _row_keys, _rule_amplitude, _spectral_errors)
 
 TENSOR_BUDGET = 10**6
-_MOMENT_CUT = 2.0**-110
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,8 @@ def gh_error_on_space(n: int, spec: KernelSpec):
     Computed through the eigen-expansion on the Hermite side, which stays
     accurate far below the cancellation floor of the Gram identity; the
     Gaussian case goes through the exact transference identity (twin rule
-    error times the Gaussian initial error).  Returns ``(value, tail)``.
+    error times the Gaussian initial error).  Returns ``(value, tail)``, the
+    tail bounding the series past its :func:`worst_case._moment_degree`.
     """
     return _gh_errors_on_space([n], spec)[0]
 
@@ -688,9 +688,9 @@ def mdm_build(
 # Delta_1 = delta_0, the anchor value x_c = 0, where both tables are 1, so
 # only active coordinates enter a product.  By Mehler's series the tables are
 # sqrt(1 - beta_c^2) S diag(beta_c^nu) S^T and S[:, 0], row k - 1 of S the Hermite
-# moments of Delta_k, cut where the Cramer bound |h_nu(x)| <= C e^(x^2 / 4) puts each
-# dropped entry below _MOMENT_CUT.  A Gaussian generator's Delta_k become their
-# twins: nodes e_c x and weights damped by phi(x) / phi(0).
+# moments of Delta_k, cut by worst_case._moment_degree, whose bound on the dropped
+# entries enters the tail.  A Gaussian generator's Delta_k become their twins:
+# nodes e_c x and weights damped by phi(x) / phi(0).
 
 
 def _term_rows(plan: MdmPlan):
@@ -715,7 +715,7 @@ def _tables(families, betas):
         for c, t in tops.items():
             b = float(betas[c])
             scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
-            degrees[c] = 0 if b == 0.0 else min(max(floor(log(_MOMENT_CUT / scale) / log(b)), 0), hermite.MAX_DEGREE)
+            degrees[c] = _moment_degree(scale, b)
             cut = max(cut, scale * b ** (degrees[c] + 1))
     flat = [(rule, max((degrees[c] for c in tops), default=0)) for rules, tops in families for rule in rules]
     moments = iter(_hermite_moments([rule for rule, _ in flat], [d for _, d in flat]))

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 
-MAX_DEGREE = 512
+MAX_DEGREE = 8192
 MAX_RULE_SIZE = 256
 
 _WEIGHT_SUM_TOL = 1e-13

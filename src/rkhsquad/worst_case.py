@@ -40,7 +40,7 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, prod, sqrt
+from math import exp, floor, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ from .errors import (
     ShapeMismatchError,
     _json_input,
 )
+from . import hermite
 from .hermite import QuadratureRule1D, hermite_table
 from .kernels import (
     APPROXIMATION,
@@ -85,6 +86,9 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 _GRAM_BLOCK_ENTRIES = 2**15
 # Entries of one pairwise block slice or one shared Hermite table (16 MB).
 _BLOCK_CHUNK = 2**21
+# Bound on the dropped terms of a Hermite-moment series, well below the float64 floor
+# of a Gauss-Hermite e^2, about 2**-111 (beta = 0.5, n >= 40).
+_MOMENT_CUT = 2.0**-160
 
 
 # ---------------------------------------------------------------------------
@@ -867,25 +871,15 @@ def tensor_optimal_wce(factors: Sequence[QuadratureRule1D], spec: KernelSpec) ->
     return sqrt(prod_di * (1.0 - one_minus))  # one_minus lies in [0, 1]
 
 
-def hermite_wce_integration_spectral(
-    nodes: np.ndarray, weights: np.ndarray, beta: float, max_degree: int | None = None
-):
-    """Univariate integration error on the Hermite space via the eigen-expansion.
+def _spectral_errors(rules, beta: float):
+    """Univariate integration errors of ``(nodes, weights)`` rules on the Hermite space of ``beta``.
 
-    e^2 = (1 - sum w)^2 + sum_{nu >= 1} beta^nu (sum_i w_i h_nu(x_i))^2.
-
-    All terms are non-negative, so tiny errors are resolvable far below the
-    cancellation floor of the Gram identity.  Returns ``(value, tail)``
-    where the dropped degrees contribute at most ``tail`` to the error.
-    ``max_degree`` defaults to min(2n + 400, 512).
-    """
-    return _spectral_errors([(nodes, weights)], beta, [max_degree])[0]
-
-
-def _spectral_errors(rules, beta: float, max_degrees=None):
-    """:func:`hermite_wce_integration_spectral` of several ``(nodes, weights)``
-    rules, one degree per rule in ``max_degrees`` (``None`` or an omitted list
-    for the default), each ``(value, tail)`` the one-rule evaluation bit for bit.
+    e^2 = (1 - sum w)^2 + sum_{nu >= 1} beta^nu (sum_i w_i h_nu(x_i))^2.  All terms are
+    non-negative, so tiny errors are resolvable far below the cancellation floor of the Gram
+    identity.  Each rule's series stops at :func:`_moment_degree` of its Cramer bound
+    a^2 beta^(D + 1) / (1 - beta) on the dropped terms, a = :func:`_rule_amplitude`, and
+    that bound enters the tail.  Returns one ``(value, tail)`` per rule, the one-rule
+    evaluation bit for bit.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
@@ -893,21 +887,24 @@ def _spectral_errors(rules, beta: float, max_degrees=None):
         (np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel())
         for x, w in rules
     ]
-    if max_degrees is None:
-        max_degrees = [None] * len(rules)
-    degrees = [
-        min(2 * x.size + 400, 512) if deg is None else deg
-        for (x, _), deg in zip(rules, max_degrees)
-    ]
+    scales = [_rule_amplitude(x, w) ** 2 / (1.0 - beta) for x, w in rules]
+    degrees = [_moment_degree(scale, beta) for scale in scales]
     out = []
-    for (x, w), deg, s in zip(rules, degrees, _hermite_moments(rules, degrees)):
+    for (x, w), deg, scale, s in zip(rules, degrees, scales, _hermite_moments(rules, degrees)):
         terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
         e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
-        amp = _rule_amplitude(x, w)
-        tail_e2 = amp * amp * beta ** (deg + 1) / (1.0 - beta)
         value = sqrt(e2)
-        out.append((value, sqrt(e2 + tail_e2) - value))
+        out.append((value, sqrt(e2 + scale * beta ** (deg + 1)) - value))
     return out
+
+
+def _moment_degree(scale: float, beta: float) -> int:
+    """Where a Hermite-moment series stops: the smallest D with scale beta^(D + 1), the
+    caller's bound on the dropped terms, below ``_MOMENT_CUT``; at most ``hermite.MAX_DEGREE``,
+    where that bound still enters the caller's tail; 0 for beta = 0."""
+    if beta == 0.0:
+        return 0
+    return min(max(floor(log(_MOMENT_CUT / scale) / log(beta)), 0), hermite.MAX_DEGREE)
 
 
 def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
@@ -918,7 +915,8 @@ def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
 def _hermite_moments(rules, degrees):
     """Hermite moments s_nu = sum_i w_i h_nu(x_i), nu = 0..deg, of flat ``(nodes, weights)``
     rules, one degree per rule.  Consecutive rules share one :func:`hermite_table` while it
-    holds at most ``_BLOCK_CHUNK`` entries; the recurrence is elementwise and each s is formed
+    holds at most ``_BLOCK_CHUNK`` entries, or a rule past that gets one alone (2,097,408 entries
+    for 256 nodes at ``hermite.MAX_DEGREE``); the recurrence is elementwise and each s is formed
     on a contiguous copy of the rule's columns, so s does not depend on the grouping."""
     groups, top, width = [], 0, 0  # indices of the rules sharing one table
     for i, ((x, _), deg) in enumerate(zip(rules, degrees)):

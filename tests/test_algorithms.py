@@ -75,6 +75,14 @@ class TestGhRuleOnSpace:
             direct = wce_integration(gh_rule_on_space(n, spec), spec)
             assert value == pytest.approx(direct, rel=1e-9)
 
+    def test_large_sigma_matches_gram(self):
+        # sigma = 10 gives beta of about 0.995, where the series runs to hermite.MAX_DEGREE
+        spec = KernelSpec.gaussian((10.0,))
+        for n in range(1, 21):
+            value, tail = gh_error_on_space(n, spec)
+            assert value == pytest.approx(wce_integration(gh_rule_on_space(n, spec), spec), rel=1e-10)
+            assert tail <= 1e-6 * value
+
     def test_requires_univariate(self):
         with pytest.raises(ShapeMismatchError):
             gh_rule_on_space(2, KernelSpec.gaussian((1.0, 1.0)))
@@ -1011,12 +1019,35 @@ class TestMdm:
             assert np.abs(quad[c] - want_quad).max() <= 1e-14, c
             assert np.abs(lin[c] - want_lin).max() <= 1e-14, c
 
-    def test_degree_cut_past_the_cap_widens_the_tail(self):
-        # beta_1 = 0.99 needs degrees past hermite.MAX_DEGREE: the bound on the
-        # cut widens the tail, and value +- tail holds the Mehler-block error
+    def test_degree_cut_past_the_cap_widens_the_tail(self, monkeypatch):
+        # beta_1 = 0.99 stays under hermite.MAX_DEGREE and matches the Mehler-block
+        # tables; with the cap lowered to 512 the cut binds, and value +- tail holds
+        # the uncapped value
         gen = KernelGenerator.hermite(ParamRule.parse("0.99^j"))
+        plan = mdm_build(gen, 1e3, CostModel.unit())
+        value, tail = mdm_wce(plan, gen)
+        assert tail <= 1e-10 * value
+
+        def mehler(families, betas):
+            quad, lin = {}, {}
+            for rules, tops in families:
+                for c, t in tops.items():
+                    quad[c], lin[c] = _mehler_tables(rules[:t], betas[c])
+            return quad, lin, 0.0
+
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "_tables", mehler)
+            assert value == pytest.approx(mdm_wce(plan, gen)[0], rel=1e-10)
+        monkeypatch.setattr(hermite, "MAX_DEGREE", 512)
+        capped, capped_tail = mdm_wce(plan, gen)
+        assert capped_tail > value
+        assert abs(capped - value) <= capped_tail
+
+    def test_beta_095_tail_below_the_error(self):
+        # the per-entry cut sits far below the error of a beta_1 = 0.95 plan
+        gen = KernelGenerator.hermite(ParamRule.parse("0.95^j"))
         value, tail = mdm_wce(mdm_build(gen, 1e3, CostModel.unit()), gen)
-        assert abs(value - 1.0791028458e10) <= tail
+        assert tail < 1e-10 * value
 
     def test_level_239_component_is_fast(self):
         # one coordinate climbed to Delta_239: 239 tensor terms over 28,561 distinct nodes

@@ -256,11 +256,20 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error:") and "the error at cost 9 is 0.0" in err[0]
 
     def test_univariate_decay_refuses_tail_above_error(self, capfd):
-        # at sigma = 50 the n = 1 error 0.542 has truncation tail 10.0
-        code = main(["univariate-decay", "--space", "gaussian", "--param", "50", "--n-max", "3"])
+        # at sigma = 50 the n = 1 error 0.955 has truncation tail 3.99 at the degree cap,
+        # and at sigma = 1e7 the error 2.67e-3 has tail 4.9e3
+        for sigma in ("50", "1e7"):
+            code = main(["univariate-decay", "--space", "gaussian", "--param", sigma, "--n-max", "3"])
+            assert code == 1
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "n=1" in err[0] and "tail" in err[0]
+
+    def test_univariate_decay_beta_rounding_to_one(self, capfd):
+        # sigma = 1e9 puts the Hermite-side beta at 1.0 in float64: refused before any degree
+        code = main(["univariate-decay", "--space", "gaussian", "--param", "1e9", "--n-max", "3"])
         assert code == 1
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "n=1" in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and "strictly inside (0, 1)" in err[0]
 
     def test_max_coord_below_one(self, capsys):
         code = main([

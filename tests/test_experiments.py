@@ -149,18 +149,25 @@ class TestCurves:
     def test_univariate_curve_one_table_per_group(self, space, param, monkeypatch):
         # the curve shares one Hermite recurrence per table group, not one
         # per n, and each error equals the one-rule gh_error_on_space
-        calls = []
-        original = worst_case.hermite_table
+        calls, degrees = [], []
+        original, degree = worst_case.hermite_table, worst_case._moment_degree
 
         def counted(nu_max, x):
             calls.append((nu_max, np.size(x)))
             return original(nu_max, x)
 
         monkeypatch.setattr(worst_case, "hermite_table", counted)
+        monkeypatch.setattr(worst_case, "_moment_degree", lambda *args: degrees.append(degree(*args)) or degrees[-1])
         rows = univariate_decay_curve(space, param, 200)
         assert sum(cols for _, cols in calls) == 200 * 201 // 2
         assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in calls)
-        assert len(calls) == 6  # 20,100 nodes, at most 4,088 per 513-row table
+        # a table takes the next n-point rule while its top degree times its nodes fits
+        tables, top, width = 0, 0, 0
+        for n, deg in enumerate(degrees, start=1):
+            if not tables or (max(top, deg) + 1) * (width + n) > _BLOCK_CHUNK:
+                tables, top, width = tables + 1, 0, 0
+            top, width = max(top, deg), width + n
+        assert 1 < len(calls) == tables
         calls.clear()
         spec = KernelSpec(space, (param,))
         assert [r[1] for r in rows] == [gh_error_on_space(n, spec)[0] for n in range(1, 201)]

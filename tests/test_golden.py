@@ -35,7 +35,7 @@ COMMANDS = {
     "univariate-decay-hermite-0.5": [
         "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "40",
     ],
-    # n > 56 reaches the 512-degree cap and several shared Hermite tables
+    # n = 1..200 spans several shared Hermite tables, with degrees that vary by rule
     "univariate-decay-hermite-0.5-n200": [
         "univariate-decay", "--space", "hermite", "--param", "0.5", "--n-max", "200",
     ],

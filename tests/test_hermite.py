@@ -43,7 +43,7 @@ class TestHermiteNormalized:
 
     def test_degree_guard(self):
         with pytest.raises(UnsupportedDegreeError):
-            hermite_table(513, 0.0)
+            hermite_table(8193, 0.0)
         with pytest.raises(UnsupportedDegreeError):
             hermite_table(-1, 0.0)
 

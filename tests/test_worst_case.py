@@ -11,13 +11,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from rkhsquad import worst_case
+from rkhsquad import hermite, worst_case
 from rkhsquad.errors import (
     ConditioningError,
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
-    UnsupportedDegreeError,
 )
 from rkhsquad.hermite import gauss_hermite_rule, hermite_table
 from rkhsquad.kernels import (
@@ -43,11 +42,11 @@ from rkhsquad.worst_case import (
     QuadratureRule,
     SamplingMethod,
     SpectralSystem,
+    _moment_degree,
     _row_keys,
     _solve_spd,
     _spectral_errors,
     embedding_vector,
-    hermite_wce_integration_spectral,
     kernel_gram,
     optimal_weights,
     rule_cost,
@@ -1102,7 +1101,7 @@ class TestTensorShortcuts:
     def test_spectral_path_matches_gram(self):
         for n, beta in ((3, 0.5), (6, 0.8)):
             g = gauss_hermite_rule(n)
-            value, tail = hermite_wce_integration_spectral(g.nodes, g.weights, beta)
+            ((value, tail),) = _spectral_errors([(g.nodes, g.weights)], beta)
             dense = wce_integration(
                 QuadratureRule(g.nodes[:, None], g.weights), KernelSpec.hermite((beta,))
             )
@@ -1110,18 +1109,27 @@ class TestTensorShortcuts:
             assert tail <= 1e-13 * value
 
 
-def _one_rule_spectral(nodes, weights, beta, max_degree=None):
+def _one_rule_spectral(nodes, weights, beta):
     """The per-rule eigen-expansion error, one Hermite table per rule."""
-    n = nodes.size
-    if max_degree is None:
-        max_degree = min(2 * n + 400, 512)
-    s = hermite_table(max_degree, nodes) @ weights
-    terms = beta ** np.arange(1, max_degree + 1) * s[1:] ** 2
-    e2 = (1.0 - float(weights.sum())) ** 2 + float(np.sum(terms))
     amp = CRAMER_CONSTANT * float(np.abs(weights) @ np.exp(nodes * nodes / 4.0))
-    tail_e2 = amp * amp * beta ** (max_degree + 1) / (1.0 - beta)
+    scale = amp * amp / (1.0 - beta)
+    degree = _moment_degree(scale, beta)
+    s = hermite_table(degree, nodes) @ weights
+    terms = beta ** np.arange(1, degree + 1) * s[1:] ** 2
+    e2 = (1.0 - float(weights.sum())) ** 2 + float(np.sum(terms))
     value = math.sqrt(e2)
-    return value, math.sqrt(e2 + tail_e2) - value
+    return value, math.sqrt(e2 + scale * beta ** (degree + 1)) - value
+
+
+def _series_oracle(nodes, weights, beta, degree):
+    """sqrt((1 - sum w)^2 + sum_{nu=1}^{degree} beta^nu s_nu^2) by a recurrence of its own,
+    with no degree guard."""
+    prev, cur = np.zeros_like(nodes), np.ones_like(nodes)
+    e2 = (1.0 - float(weights.sum())) ** 2
+    for nu in range(degree):
+        prev, cur = cur, (nodes * cur - math.sqrt(nu) * prev) / math.sqrt(nu + 1)
+        e2 += beta ** (nu + 1) * float(weights @ cur) ** 2
+    return math.sqrt(e2)
 
 
 def _gh_rules_on(spec, n_max):
@@ -1158,8 +1166,7 @@ class TestSpectralBatch:
 
     @pytest.mark.parametrize("spec", [HERM_HALF, GAUSS_ONE])
     def test_gauss_hermite_curve_bit_identical(self, spec, table_calls):
-        # n = 1..256 crosses the 2n + 400 -> 512 degree cap and spans
-        # several table groups
+        # n = 1..256 spans several table groups, with degrees that vary by rule
         rules, beta = _gh_rules_on(spec, 256)
         batch = _spectral_errors(rules, beta)
         assert batch == [_one_rule_spectral(x, w, beta) for x, w in rules]
@@ -1167,32 +1174,27 @@ class TestSpectralBatch:
         assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in table_calls)
         assert sum(cols for _, cols in table_calls) == 256 * 257 // 2
 
-    def test_explicit_degrees_bit_identical(self):
+    @pytest.mark.parametrize("beta", [0.1, 0.6, 0.95])
+    def test_random_rules_bit_identical(self, beta):
         rng = np.random.default_rng(8)
         rules = []
         for _ in range(40):
             n = int(rng.integers(1, 30))
             rules.append((rng.normal(0.0, 1.5, size=n), rng.normal(0.0, 1.0 / n, size=n)))
-        degrees = [None, 0, 1, 7, 100, 512, 33, None] * 5
-        batch = _spectral_errors(rules, 0.6, degrees)
-        assert batch == [
-            _one_rule_spectral(x, w, 0.6, deg) for (x, w), deg in zip(rules, degrees)
-        ]
+        assert _spectral_errors(rules, beta) == [_one_rule_spectral(x, w, beta) for x, w in rules]
 
-    def test_one_rule_case_is_public_function(self):
-        g = gauss_hermite_rule(9)
-        for deg in (None, 5, 300):
-            assert hermite_wce_integration_spectral(g.nodes, g.weights, 0.7, deg) == (
-                _one_rule_spectral(g.nodes, g.weights, 0.7, deg)
-            )
-
-    def test_domain_and_degree_guards(self):
+    def test_domain_and_degree_guards(self, table_calls):
         g = gauss_hermite_rule(3)
         with pytest.raises(DomainError):
             _spectral_errors([(g.nodes, g.weights)], 1.0)
-        with pytest.raises(UnsupportedDegreeError):
-            hermite_wce_integration_spectral(g.nodes, g.weights, 0.5, 513)
         assert _spectral_errors([], 0.5) == []
+        # at beta = 0.9995 the Cramer degree of the 3-point rule is about 237,000: the
+        # series stops at the cap, and [value, value + tail] holds the sum to degree 60,000
+        ((value, tail),) = _spectral_errors([(g.nodes, g.weights)], 0.9995)
+        assert table_calls == [(hermite.MAX_DEGREE, 3)]
+        assert value == pytest.approx(_series_oracle(g.nodes, g.weights, 0.9995, hermite.MAX_DEGREE), rel=1e-12)
+        longer = _series_oracle(g.nodes, g.weights, 0.9995, 60_000)
+        assert value * (1.0 + 1e-3) < longer <= value + tail
 
 
 class TestNegativeVarianceGuard:
