@@ -818,7 +818,13 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     else:
         s_tail = gen.param_tail_sq_bound(trunc + 1)
         beta_next = betas[-1]  # rules are non-increasing in j
-        delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
+        try:
+            delta = expm1(s_tail / (2.0 * (1.0 - beta_next * beta_next))) * abs(g0 * quad)
+        except OverflowError:
+            raise NumericalConsistencyError(
+                f"tail bound of the coordinates past trunc = {trunc} overflows"
+                f" (squared-parameter tail sum {s_tail:.3e}, beta = {beta_next:.6g})"
+            ) from None
     # each of n^2 products of at most 2 width entries, each within cut of one of size at most big
     n, width = sum(w.size for _, _, w in groups), max(len(supp) for supp, _, _ in groups)
     big = max([1.0] + [float(np.abs(t).max()) for t in quad_tables.values()])

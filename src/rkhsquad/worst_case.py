@@ -10,13 +10,14 @@ with m the mean embedding and II the double integral of M.  Optimal
 weights for fixed nodes solve the Gram system G w = m.  Gram entries come
 in row blocks of the lower triangle (the kernel is symmetric bit for bit),
 each one exp of the summed per-coordinate kernel exponents, filled in place
-in buffers reused from block to block (and copied into G and its mirror
-when G is built); the error sums w^T G w block by block without holding G.
-Cholesky factors the system, with a condition estimate from eigvalsh up to
-400 nodes and from Lanczos to 1e-10 on G and G^{-1} above, G^{-1} applied
-as two triangular solves with the factor; a failed factorization or an
+in buffers reused from block to block; the error sums w^T G w block by
+block without holding G.  A solve copies the blocks once into the lower
+triangle of one column-major G, which Cholesky factors in place.  The
+condition estimate comes from eigvalsh up to 400 nodes and, above, from
+Lanczos to 1e-10 on the factor L alone: G = L L^T as two triangular
+products, G^{-1} as two triangular solves.  A failed factorization or an
 estimate above 1e14 raises ConditioningError.  Non-finite kernel values
-raise NumericalConsistencyError where the Gram is made, in kernel_gram.
+raise NumericalConsistencyError where the blocks are made.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -84,8 +85,10 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # temporaries leave the per-core L2 cache.  The blocks also fix the order of
 # w^T G w, so changing this changes wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
-# Entries of one pairwise block slice or one shared Hermite table (16 MB).
+# Entries of one pairwise block slice (16 MB).
 _BLOCK_CHUNK = 2**21
+# Entries of one Hermite table shared by several rules' moments (2 MB).
+_MOMENT_TABLE_ENTRIES = 2**18
 # Bound on the dropped terms of a Hermite-moment series, well below the float64 floor
 # of a Gauss-Hermite e^2, about 2**-111 (beta = 0.5, n >= 40).
 _MOMENT_CUT = 2.0**-160
@@ -208,7 +211,8 @@ class MultiIndexSet:
     max_j + 2 so that every direct successor of a member is keyed too) for
     membership tests.  Construction finds each member's predecessor
     nu - e_j once per coordinate, which checks downward closure and marks,
-    as a (d, size) mask, the direct successors nu + e_j outside the set.
+    as a (d, size) mask, the direct successors nu + e_j outside the set; a
+    full box needs no search.
     """
 
     def __init__(self, indices):
@@ -224,19 +228,24 @@ class MultiIndexSet:
                 raise DomainError("duplicate multi-indices")
             rows = np.take(rows.T, order, axis=1).T
         self._rows, self._keys, self._radix = rows, keys, radix
-        outside = np.ones(rows.shape[::-1], dtype=bool)
-        first = []  # (row, coordinate) of each coordinate's first member without its predecessor
-        for j in range(rows.shape[1]):
-            has = rows[:, j] > 0
-            pos, found = self._search(_lowered_keys(rows, keys, radix, j, has))
-            if not found.all():
-                first.append((int(np.flatnonzero(has)[np.argmin(found)]), j))
-            outside[j, pos] = False  # nu + e_j is the member whose predecessor sits at pos
-        if first:
-            i, j = min(first)
-            nu = tuple(rows[i].tolist())
-            pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
-            raise DomainError(f"index set is not downward closed: {nu} without {pred}")
+        if rows.shape[0] == prod((self._top + 1).tolist()):
+            # as many distinct rows as their hull box holds: the full box, downward
+            # closed, with nu + e_j outside exactly where nu_j is the top
+            outside = (rows == self._top).T
+        else:
+            outside = np.ones(rows.shape[::-1], dtype=bool)
+            first = []  # (row, coordinate) of each coordinate's first member without its predecessor
+            for j in range(rows.shape[1]):
+                has = rows[:, j] > 0
+                pos, found = self._search(_lowered_keys(rows, keys, radix, j, has))
+                if not found.all():
+                    first.append((int(np.flatnonzero(has)[np.argmin(found)]), j))
+                outside[j, pos] = False  # nu + e_j is the member whose predecessor sits at pos
+            if first:
+                i, j = min(first)
+                nu = tuple(rows[i].tolist())
+                pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
+                raise DomainError(f"index set is not downward closed: {nu} without {pred}")
         rows.flags.writeable = outside.flags.writeable = False
         self._outside = outside
 
@@ -599,9 +608,12 @@ def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
         yield lo, hi, block
 
 
-def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
-    """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel,
-    its lower triangle mirrored; raises on a non-finite kernel value."""
+def _lower_gram(spec: KernelSpec, nodes: np.ndarray, order: str = "F"):
+    """Gram matrix of node rows with only the row blocks of :func:`_gram_rows`
+    written (the lower triangle and the diagonal blocks; zeros elsewhere
+    above the diagonal), and the ``(lo, hi)`` bounds of those blocks.
+    Column-major by default, the layout LAPACK factors in place.  Raises on
+    a shape mismatch or a non-finite kernel value."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != spec.dimension:
         raise ShapeMismatchError(
@@ -609,12 +621,22 @@ def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
         )
     if nodes.shape[0] == 0:
         raise ShapeMismatchError("a Gram matrix needs at least one node")
-    gram = np.empty((nodes.shape[0], nodes.shape[0]))
+    gram = np.zeros((nodes.shape[0], nodes.shape[0]), order=order)
+    bounds = []
     # copied from contiguous blocks: ufuncs writing straight into the strided
     # triangle of G ran about 20% slower
     for lo, hi, block in _gram_rows(spec, nodes):
         gram[lo:hi, :hi] = block
-        gram[:lo, lo:hi] = block[:, :lo].T
+        bounds.append((lo, hi))
+    return gram, bounds
+
+
+def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
+    """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel,
+    its lower triangle mirrored; raises on a non-finite kernel value."""
+    gram, bounds = _lower_gram(spec, nodes, order="C")
+    for lo, hi in bounds:
+        gram[:lo, lo:hi] = gram[lo:hi, :lo].T
     return gram
 
 
@@ -657,49 +679,59 @@ def _dense_extremes(gram: np.ndarray):
     return float(eigs[0]), float(eigs[-1])
 
 
-def _lanczos_extremes(gram: np.ndarray, factor):
-    """(lambda_min, lambda_max) of G by Lanczos: lambda_max from G itself,
+def _lanczos_extremes(factor):
+    """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
+    factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``,
     lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
-    BLAS triangular solves on the lower factor L (its upper triangle is
-    never read)."""
-    n = gram.shape[0]
+    ``trsv``.  The upper triangle of the factor is never read."""
+    lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
+    n = lower.shape[0]
     v0 = np.full(n, 1.0 / sqrt(n))
     opts = {"k": 1, "v0": v0, "tol": _LANCZOS_TOL, "return_eigenvectors": False}
-    hi = scipy.sparse.linalg.eigsh(gram, **opts)[0]
-    lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
-    trsv = scipy.linalg.get_blas_funcs("trsv", (lower,))
+    trmv, trsv = scipy.linalg.get_blas_funcs(("trmv", "trsv"), (lower,))
+
+    def product(x):
+        y = trmv(lower, np.ravel(x), lower=1, trans=1)
+        return trmv(lower, y, lower=1, overwrite_x=1)
 
     def solve(x):
         y = trsv(lower, np.ravel(x), lower=1)
         return trsv(lower, y, lower=1, trans=1, overwrite_x=1)
 
-    inverse = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
-    inv_hi = scipy.sparse.linalg.eigsh(inverse, **opts)[0]
-    return float(1.0 / inv_hi), float(hi)
+    def largest(matvec):
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+        return float(scipy.sparse.linalg.eigsh(op, **opts)[0])
+
+    hi = largest(product)
+    return 1.0 / largest(solve), hi
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     """Cholesky solve with an explicit condition estimate; no regularization.
 
-    The Gram is factored first.  The extreme eigenvalues then come from
-    ``eigvalsh`` up to ``_DENSE_LIMIT`` nodes and from Lanczos above
-    (``eigvalsh`` again if ARPACK does not converge).  A failed factorization
-    or an estimate above ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.
-    The Gram comes from :func:`kernel_gram`, which has checked it finite.
+    Only the lower triangle of ``gram`` is read, and a column-major ``gram``
+    is overwritten by its factor.  Up to ``_DENSE_LIMIT`` nodes the extreme
+    eigenvalues come from ``eigvalsh`` before the factorization; above it
+    from Lanczos on the factor (``eigvalsh`` of L L^T if ARPACK does not
+    converge).  A failed factorization or an estimate above
+    ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.  The Gram comes
+    from :func:`_lower_gram` or :func:`kernel_gram`, which check it finite.
     """
+    dense = gram.shape[0] <= _DENSE_LIMIT
+    if dense:
+        lo, hi = _dense_extremes(gram)
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
-    if gram.shape[0] <= _DENSE_LIMIT:
-        lo, hi = _dense_extremes(gram)
-    else:
+    if not dense:
         try:
-            lo, hi = _lanczos_extremes(gram, factor)
+            lo, hi = _lanczos_extremes(factor)
         except scipy.sparse.linalg.ArpackNoConvergence:
-            lo, hi = _dense_extremes(gram)
+            lower = np.tril(factor[0])
+            lo, hi = _dense_extremes(lower @ lower.T)
     cond = np.inf if lo <= 0.0 else hi / lo
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
         raise ConditioningError(
@@ -712,12 +744,12 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
 def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
     """Worst-case optimal quadrature weights for fixed nodes.
 
-    Solves G w = m.  Ill-conditioning (estimate above 1e14) is reported,
-    never regularized away; kernel values that are not finite raise
-    ``NumericalConsistencyError``.
+    Solves G w = m, with G held once and factored in place.  Ill-conditioning
+    (estimate above 1e14) is reported, never regularized away; kernel values
+    that are not finite raise ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram = kernel_gram(spec, nodes)
+    gram, _ = _lower_gram(spec, nodes)
     m = embedding_vector(spec, nodes)
     w, _ = _solve_spd(gram, m)
     return QuadratureRule(nodes, w)
@@ -809,7 +841,7 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
     nodes raise ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram = kernel_gram(system.spec, nodes)
+    gram, _ = _lower_gram(system.spec, nodes)
     P = system.eigenfunction_matrix(nodes)  # [nu, j]
     rhs = (P * system.eigenvalues[:, None]).T  # [j, nu]
     coeff, _ = _solve_spd(gram, rhs)
@@ -915,12 +947,13 @@ def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
 def _hermite_moments(rules, degrees):
     """Hermite moments s_nu = sum_i w_i h_nu(x_i), nu = 0..deg, of flat ``(nodes, weights)``
     rules, one degree per rule.  Consecutive rules share one :func:`hermite_table` while it
-    holds at most ``_BLOCK_CHUNK`` entries, or a rule past that gets one alone (2,097,408 entries
-    for 256 nodes at ``hermite.MAX_DEGREE``); the recurrence is elementwise and each s is formed
-    on a contiguous copy of the rule's columns, so s does not depend on the grouping."""
+    holds at most ``_MOMENT_TABLE_ENTRIES`` entries, or a rule past that gets one alone
+    (2,097,408 entries for 256 nodes at ``hermite.MAX_DEGREE``); the recurrence is elementwise
+    and each s is formed on a contiguous copy of the rule's columns, so s does not depend on
+    the grouping."""
     groups, top, width = [], 0, 0  # indices of the rules sharing one table
     for i, ((x, _), deg) in enumerate(zip(rules, degrees)):
-        if not groups or (max(top, deg) + 1) * (width + x.size) > _BLOCK_CHUNK:
+        if not groups or (max(top, deg) + 1) * (width + x.size) > _MOMENT_TABLE_ENTRIES:
             groups.append([])
             top = width = 0
         groups[-1].append(i)

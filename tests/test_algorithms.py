@@ -34,7 +34,7 @@ from rkhsquad.algorithms import (
     tensor_rule_for_eps,
 )
 from rkhsquad import errors
-from rkhsquad.errors import BudgetError, DomainError, ShapeMismatchError
+from rkhsquad.errors import BudgetError, DomainError, NumericalConsistencyError, ShapeMismatchError
 from rkhsquad.hermite import gauss_hermite_rule
 from rkhsquad.kernels import KernelSpec, hermite_kernel
 from rkhsquad.transference import transfer_quadrature_to_hermite
@@ -1059,8 +1059,15 @@ class TestMdm:
         assert time.perf_counter() - start < 5.0
         assert value == pytest.approx(0.20899450097754352, rel=1e-10)
 
+    def test_tail_past_trunc_overflow_is_typed(self):
+        # beta_65 = 0.999^65 = 0.938 leaves a tail sum whose exponential bound overflows
+        gen = KernelGenerator.hermite(ParamRule.parse("0.999^j"))
+        plan = mdm_build(gen, 1e3, CostModel.unit(), max_coord=64)
+        with pytest.raises(NumericalConsistencyError, match="tail bound .* past trunc = 64 overflows"):
+            mdm_wce(plan, gen, trunc=64)
+
     def test_wce_is_finite_or_typed(self):
-        # random small plans, generators up to beta_1 = 0.995 and three truncations:
+        # random small plans, generators up to beta_1 = 0.999 and three truncations:
         # every call returns a finite value and tail, or raises an rkhsquad error
         rng = np.random.default_rng(20)
         rules = ["j^-0.6", "j^-1.5", "j^-3", "0.2^j", "0.7^j", "0.95^j"]
@@ -1068,7 +1075,7 @@ class TestMdm:
         for _ in range(300):
             kind = rng.integers(3)
             if kind == 0:
-                gen = KernelGenerator.hermite(ParamRule("geometric", float(rng.uniform(0.01, 0.995))))
+                gen = KernelGenerator.hermite(ParamRule("geometric", float(rng.uniform(0.01, 0.999))))
             else:
                 rule = ParamRule.parse(rules[rng.integers(len(rules))])
                 gen = KernelGenerator.gaussian(rule) if kind == 1 else KernelGenerator.hermite_twin_of_gaussian(rule)

@@ -17,7 +17,7 @@ from rkhsquad.experiments import (
     univariate_decay_curve,
 )
 from rkhsquad.kernels import KernelSpec
-from rkhsquad.worst_case import _BLOCK_CHUNK, CostModel
+from rkhsquad.worst_case import _MOMENT_TABLE_ENTRIES, CostModel
 
 
 class TestDecayEstimate:
@@ -160,11 +160,11 @@ class TestCurves:
         monkeypatch.setattr(worst_case, "_moment_degree", lambda *args: degrees.append(degree(*args)) or degrees[-1])
         rows = univariate_decay_curve(space, param, 200)
         assert sum(cols for _, cols in calls) == 200 * 201 // 2
-        assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in calls)
+        assert all((deg + 1) * cols <= _MOMENT_TABLE_ENTRIES for deg, cols in calls)
         # a table takes the next n-point rule while its top degree times its nodes fits
         tables, top, width = 0, 0, 0
         for n, deg in enumerate(degrees, start=1):
-            if not tables or (max(top, deg) + 1) * (width + n) > _BLOCK_CHUNK:
+            if not tables or (max(top, deg) + 1) * (width + n) > _MOMENT_TABLE_ENTRIES:
                 tables, top, width = tables + 1, 0, 0
             top, width = max(top, deg), width + n
         assert 1 < len(calls) == tables

@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from rkhsquad import hermite, worst_case
+from rkhsquad.algorithms import _difference_rule
 from rkhsquad.errors import (
     ConditioningError,
     DomainError,
@@ -36,7 +37,7 @@ from rkhsquad.transference import (
     transfer_sampling_to_hermite,
 )
 from rkhsquad.worst_case import (
-    _BLOCK_CHUNK,
+    _MOMENT_TABLE_ENTRIES,
     CostModel,
     MultiIndexSet,
     QuadratureRule,
@@ -121,6 +122,17 @@ class TestMultiIndexSet:
     def test_box_zero_dim_degree_is_scalar(self, degree):
         # a 0-d array used to raise a bare TypeError from list(degree)
         assert MultiIndexSet.box(2, degree).indices == MultiIndexSet.box(2, 3).indices
+
+    def test_full_box_outside_mask(self):
+        # a full box marks its outside successors without a search; the mask is
+        # the one a set of tuples gives
+        rows = MultiIndexSet.box(4, 6).array()
+        shuffled = MultiIndexSet(rows[np.random.default_rng(6).permutation(rows.shape[0])])
+        for got in (MultiIndexSet.box(1, 0), MultiIndexSet.box(3, (2, 0, 5)), shuffled):
+            members = set(got.indices)
+            for j in range(got.dimension):
+                want = [nu[:j] + (nu[j] + 1,) + nu[j + 1 :] not in members for nu in got.indices]
+                assert got._outside[j].tolist() == want
 
     def test_complement_minimal(self):
         box = MultiIndexSet.box(1, 3)
@@ -689,29 +701,61 @@ class TestSolveSpd:
         assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
 
     def test_arpack_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
+        # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
         gram, m = self._system(401, "gaussian")
-        w_lanczos, cond_lanczos = _solve_spd(gram, m)
+        w_lanczos, _ = _solve_spd(gram, m)
 
         def stall(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
-        w, cond = _solve_spd(gram, m)
-        eigs = np.linalg.eigvalsh(gram)
+        buffer = np.asfortranarray(gram)
+        w, cond = _solve_spd(buffer, m)
+        lower = np.tril(scipy.linalg.cho_factor(gram, lower=True, check_finite=False)[0])
+        assert np.array_equal(np.tril(buffer), lower)
+        eigs = np.linalg.eigvalsh(lower @ lower.T)
         assert cond == eigs[-1] / eigs[0]
-        assert cond == pytest.approx(cond_lanczos, rel=1e-6)
+        exact = np.linalg.eigvalsh(gram)
+        assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
         assert np.array_equal(w, w_lanczos)
 
     def test_lanczos_reads_only_the_lower_factor(self):
-        # cho_factor leaves Gram entries above the diagonal; NaN there must not
-        # reach the triangular solves, in either memory order of the factor
+        # cho_factor leaves Gram entries above the diagonal; NaN there must reach
+        # neither the triangular products nor the solves, in either memory order
         gram, _ = self._system(401, "hermite")
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        want = worst_case._lanczos_extremes(gram, factor)
+        want = worst_case._lanczos_extremes(factor)
         dirty = factor[0].copy()
         dirty[np.triu_indices(401, 1)] = np.nan
         for c in (np.asfortranarray(dirty), np.ascontiguousarray(dirty)):
-            assert worst_case._lanczos_extremes(gram, (c, True)) == want
+            assert worst_case._lanczos_extremes((c, True)) == want
+
+    @pytest.mark.parametrize("n", [300, 401])
+    def test_in_place_solve_matches_the_mirrored_gram(self, n):
+        # optimal_weights factors one column-major lower triangle in place; the
+        # weights and the condition estimate are those of the full kernel_gram
+        nodes = np.random.default_rng(n).standard_normal((n, 4))
+        spec = KernelSpec.gaussian((1.0,) * 4)
+        gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        want_w, want_cond = _solve_spd(gram, m)
+        lower, _ = worst_case._lower_gram(spec, nodes)
+        assert lower.flags.f_contiguous and np.array_equal(np.tril(lower), np.tril(gram))
+        w, cond = _solve_spd(lower, m)
+        assert cond == want_cond
+        assert w.tobytes() == want_w.tobytes() == optimal_weights(nodes, spec).weights.tobytes()
+
+    def test_optimal_weights_holds_one_gram(self):
+        # a mirrored Gram plus LAPACK's column-major copy of it would peak at 2.03 n^2 doubles
+        n = 1500
+        nodes = np.random.default_rng(15).standard_normal((n, 4))
+        spec = KernelSpec.gaussian((1.0,) * 4)
+        tracemalloc.start()
+        try:
+            optimal_weights(nodes, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * n
 
 
 class TestSpectralSystem:
@@ -1171,7 +1215,7 @@ class TestSpectralBatch:
         batch = _spectral_errors(rules, beta)
         assert batch == [_one_rule_spectral(x, w, beta) for x, w in rules]
         assert 1 < len(table_calls) < len(rules)
-        assert all((deg + 1) * cols <= _BLOCK_CHUNK for deg, cols in table_calls)
+        assert all((deg + 1) * cols <= _MOMENT_TABLE_ENTRIES for deg, cols in table_calls)
         assert sum(cols for _, cols in table_calls) == 256 * 257 // 2
 
     @pytest.mark.parametrize("beta", [0.1, 0.6, 0.95])
@@ -1182,6 +1226,20 @@ class TestSpectralBatch:
             n = int(rng.integers(1, 30))
             rules.append((rng.normal(0.0, 1.5, size=n), rng.normal(0.0, 1.0 / n, size=n)))
         assert _spectral_errors(rules, beta) == [_one_rule_spectral(x, w, beta) for x, w in rules]
+
+    def test_moments_do_not_depend_on_the_table_budget(self, table_calls, monkeypatch):
+        # one table per rule (budget 1) and one table for all (2**30) give the same bits
+        gh = [(r.nodes, r.weights) for r in map(gauss_hermite_rule, range(1, 201))]
+        deltas = [_difference_rule(k - 1, k) for k in range(1, 61)]
+        for rules in (gh, deltas):
+            degrees = [_moment_degree(worst_case._rule_amplitude(x, w) ** 2 / 0.5, 0.5) for x, w in rules]
+            moments = []
+            for budget in (1, 2**30):
+                monkeypatch.setattr(worst_case, "_MOMENT_TABLE_ENTRIES", budget)
+                table_calls.clear()
+                moments.append(worst_case._hermite_moments(rules, degrees))
+            assert len(table_calls) == 1
+            assert [s.tobytes() for s in moments[0]] == [s.tobytes() for s in moments[1]]
 
     def test_domain_and_degree_guards(self, table_calls):
         g = gauss_hermite_rule(3)
