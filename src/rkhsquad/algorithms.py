@@ -59,10 +59,11 @@ from .transference import (
     transfer_quadrature_to_gaussian,
     transfer_quadrature_to_hermite,
 )
-from .worst_case import (_BLOCK_CHUNK, CostModel, QuadratureRule, _hermite_moments, _moment_degree,
+from .worst_case import (CostModel, QuadratureRule, _hermite_moments, _moment_degree,
                          _row_keys, _rule_amplitude, _spectral_errors)
 
 TENSOR_BUDGET = 10**6
+_BLOCK_CHUNK = 2**21  # entries of one block slice of _pairwise_quadratic (16 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,21 @@ def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
     )
 
 
+def _term_batches(rules, ranks, vectors):
+    """The tensor terms of the level vectors as ``(rows, weights)``, in batches of at most ``TENSOR_BUDGET`` rows."""
+    batch, stacked = [], 0
+    for ks in vectors:
+        size = prod(rules[k - 1][1].size for k in ks)
+        if size > TENSOR_BUDGET:
+            raise BudgetError(f"a tensor term of {size} rows exceeds the budget {TENSOR_BUDGET}")
+        if stacked + size > TENSOR_BUDGET:
+            yield batch
+            batch, stacked = [], 0
+        batch.append(_product_grid([ranks[k - 1] for k in ks], [rules[k - 1][1] for k in ks]))
+        stacked += size
+    yield batch
+
+
 def _merged_terms(size: int, schedule, level: int, lowest: int):
     """Sum of the tensor terms (x)_j Delta_{k_j} over :func:`_level_vectors`, merged exactly.
 
@@ -254,23 +270,25 @@ def _merged_terms(size: int, schedule, level: int, lowest: int):
     lexicographic order and their non-zero merged weights (both read-only).
     Rows are coded by the ranks of their node values among the nodes of the
     :func:`_difference_rule` factors and keyed by :func:`worst_case._row_keys`,
-    so they merge on exact node equality.
+    so they merge on exact node equality.  Each batch merges into the rows merged so far,
+    stacked first: a weight is the left-to-right sum of one merge of all terms (a dropped
+    exact 0 adds nothing).  ``BudgetError`` is raised once merged rows pass ``TENSOR_BUDGET``.
     """
     top = level - lowest * (size - 1)  # the largest k a level vector can hold
     schedule = tuple(schedule[: max(top, 0)])  # top < 1: no level vector, no rules
     rules = [_difference_rule(prev, m) for prev, m in zip((0,) + schedule, schedule)]
     values = np.unique(np.concatenate([np.zeros(0)] + [nodes for nodes, _ in rules]))
     ranks = [np.searchsorted(values, nodes) for nodes, _ in rules]
-    terms = [(np.zeros((0, size), dtype=np.intp), np.zeros(0))] + [  # no level vector: empty
-        _product_grid([ranks[k - 1] for k in ks], [rules[k - 1][1] for k in ks])
-        for ks in _level_vectors(size, level, lowest)
-    ]
-    codes = np.vstack([rows for rows, _ in terms])
-    radix = (values.size,) * size
-    _, first, where = np.unique(_row_keys(codes, radix), return_index=True, return_inverse=True)
-    merged = np.bincount(where, weights=np.concatenate([w for _, w in terms]))
-    keep = merged != 0.0
-    keys, merged = values[codes[first[keep]]], merged[keep]
+    codes, merged = np.zeros((0, size), dtype=np.intp), np.zeros(0)  # the rows merged so far
+    for batch in _term_batches(rules, ranks, _level_vectors(size, level, lowest)):
+        stack = np.vstack([codes] + [rows for rows, _ in batch])
+        _, first, where = np.unique(_row_keys(stack, (values.size,) * size), return_index=True, return_inverse=True)
+        merged = np.bincount(where, weights=np.concatenate([merged] + [w for _, w in batch]))
+        keep = merged != 0.0
+        codes, merged = stack[first[keep]], merged[keep]
+        if merged.size > TENSOR_BUDGET:
+            raise BudgetError(f"the merged tensor terms hold {merged.size} nodes, beyond {TENSOR_BUDGET}")
+    keys = values[codes]
     keys.flags.writeable = merged.flags.writeable = False
     return keys, merged
 
@@ -296,16 +314,13 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
     q = levels.level
     if q < len(u):
         raise DomainError(f"level {q} below |u| = {len(u)}")
-    if dim is None:
-        dim = u[-1] + 1
+    dim = u[-1] + 1 if dim is None else dim
     if dim <= u[-1]:
         raise ShapeMismatchError("ambient dimension too small for u")
     key = (len(u), levels.schedule, q)
     if key not in _LOCAL_SMOLYAK_CACHE:
         _LOCAL_SMOLYAK_CACHE[key] = _merged_terms(*key, lowest=1)
     keys, weights = _LOCAL_SMOLYAK_CACHE[key]
-    if weights.size > TENSOR_BUDGET:
-        raise BudgetError(f"sparse grid of {weights.size} nodes exceeds {TENSOR_BUDGET}")
     nodes = np.zeros((keys.shape[0], dim))
     nodes[:, list(u)] = keys
     return QuadratureRule(nodes, weights)
@@ -706,25 +721,21 @@ def _term_rows(plan: MdmPlan):
     return rows, top
 
 
-def _tables(families, betas):
-    """Per-coordinate quadratic and linear tables and the largest cut of a quadratic entry; a
-    family pairs rules with the tops of the coordinates whose Delta_1..Delta_top are their prefix."""
+def _tables(rules, tops, betas):
+    """Per-coordinate quadratic and linear tables and the largest cut of a quadratic entry,
+    for the coordinates c of ``tops`` whose Delta_1..Delta_tops[c] are a prefix of ``rules``."""
+    amp = np.maximum.accumulate([_rule_amplitude(x, w) for x, w in rules])
     cut, degrees = 0.0, {}
-    for rules, tops in families:
-        amp = np.maximum.accumulate([_rule_amplitude(x, w) for x, w in rules])
-        for c, t in tops.items():
-            b = float(betas[c])
-            scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
-            degrees[c] = _moment_degree(scale, b)
-            cut = max(cut, scale * b ** (degrees[c] + 1))
-    flat = [(rule, max((degrees[c] for c in tops), default=0)) for rules, tops in families for rule in rules]
-    moments = iter(_hermite_moments([rule for rule, _ in flat], [d for _, d in flat]))
+    for c, t in tops.items():
+        b = float(betas[c])
+        scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
+        degrees[c] = _moment_degree(scale, b)
+        cut = max(cut, scale * b ** (degrees[c] + 1))
+    table = np.array(_hermite_moments(rules, [max(degrees.values(), default=0)] * len(rules)))
     quad, lin = {}, {}
-    for rules, tops in families:
-        table = np.array([next(moments) for _ in rules])
-        for c, t in tops.items():
-            s, b = table[:t, : degrees[c] + 1], float(betas[c])
-            quad[c], lin[c] = sqrt(1.0 - b * b) * (s * b ** np.arange(degrees[c] + 1.0)) @ s.T, s[:, 0]
+    for c, t in tops.items():
+        s, b = table[:t, : degrees[c] + 1], float(betas[c])
+        quad[c], lin[c] = sqrt(1.0 - b * b) * (s * b ** np.arange(degrees[c] + 1.0)) @ s.T, s[:, 0]
     return quad, lin, cut
 
 
@@ -794,17 +805,19 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     groups, top = _term_rows(plan)
     betas = gen.score_betas(trunc)
     rules = [_difference_rule(k - 1, k) for k in range(1, max(top.values(), default=0) + 1)]
-    families = [(rules, top)]  # every coordinate's Delta_1..Delta_top is a prefix of one list
     twin, prefactor = 1.0, 1.0  # E and the Gaussian initial error
     if gen.family == GAUSSIAN:
         sigma = gen.params(trunc)
         constants = TransferConstants.integration(sigma[sigma > 0.0])  # e_c = 1 where sigma_j underflows
         twin, prefactor = float(np.prod(constants.e)), constants.gauss_prefactor
-        families = []
+        parts = []
         for c, t in top.items():  # divided by the twin weight e_c of Delta_1 = delta_0; e_c goes into E
             twins = [transfer_quadrature_to_hermite(QuadratureRule(x[:, None], w), [sigma[c]]) for x, w in rules[:t]]
-            families.append(([(r.nodes[:, 0], r.weights / twins[0].weights[0]) for r in twins], {c: t}))
-    quad_tables, lin_tables, cut = _tables(families, betas)
+            parts.append(_tables([(r.nodes[:, 0], r.weights / twins[0].weights[0]) for r in twins], {c: t}, betas))
+    else:  # every coordinate's Delta_1..Delta_top is a prefix of one list
+        parts = [_tables(rules, top, betas)]
+    quad_tables, lin_tables = ({c: t for part in parts for c, t in part[i].items()} for i in (0, 1))
+    cut = max([0.0] + [part[2] for part in parts])
     quad = _pairwise_quadratic(groups, quad_tables)
     lin = twin * _linear_form(groups, lin_tables)
 

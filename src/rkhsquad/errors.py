@@ -56,3 +56,10 @@ def _json_input(obj, what: str):
         raise  # a constructor's own error keeps its type
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"invalid {what} JSON: {exc!r}") from exc
+
+
+def _freeze(record, **arrays) -> None:
+    """Set each array, made read-only, on the frozen dataclass ``record``; pass copies of a caller's buffers."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)

@@ -29,6 +29,7 @@ from .errors import (
     NumericalConsistencyError,
     UnsupportedDegreeError,
     UnsupportedSizeError,
+    _freeze,
 )
 
 MAX_DEGREE = 8192
@@ -51,7 +52,6 @@ class QuadratureRule1D:
     weights: np.ndarray
 
     def __post_init__(self):
-        # copy before freezing so the caller's buffers stay writeable
         nodes = np.array(self.nodes, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.shape != weights.shape:
@@ -68,10 +68,7 @@ class QuadratureRule1D:
             )
         if np.max(np.abs(nodes + nodes[::-1])) > _SYMMETRY_TOL:
             raise NumericalConsistencyError("nodes are not symmetric about 0")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        _freeze(self, nodes=nodes, weights=weights)
 
     @property
     def n(self) -> int:

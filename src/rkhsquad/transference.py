@@ -15,8 +15,9 @@ and maps a rule with nodes x_i and weights a_i to nodes e*x_i and weights
 (prod_j e_j) * exp(-sum_j sigma_j^2 x_ij^2 / (1+2 sigma_j^2)) * a_i.
 
 Approximation uses the weight function
-phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4), computed by :func:`phi_c`
-alone, and the unitary change of variables
+phi_c(x) = exp(-sum_j (c_j^2-1) x_j^2 / 4), computed by :func:`phi_c` for the sampling-method
+twins (``SpectralSystem.eigenfunction_matrix`` forms it per coordinate, with other last bits),
+and the unitary change of variables
 
     (Q_c f)(x) = (prod_j c_j)^(1/2) * phi_c(x) * f(c x),
 

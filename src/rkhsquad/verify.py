@@ -314,10 +314,7 @@ SUITES = {
 
 def run_suite(name: str):
     if name == "all":
-        out = []
-        for key in ("mehler", "spectral", "transference"):
-            out.extend(SUITES[key]())
-        return out
+        return [check for suite in SUITES.values() for check in suite()]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; pick from {sorted(SUITES)} or 'all'")
     return SUITES[name]()

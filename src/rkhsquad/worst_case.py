@@ -53,6 +53,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _freeze,
     _json_input,
 )
 from . import hermite
@@ -85,8 +86,6 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # temporaries leave the per-core L2 cache.  The blocks also fix the order of
 # w^T G w, so changing this changes wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
-# Entries of one pairwise block slice (16 MB).
-_BLOCK_CHUNK = 2**21
 # Entries of one Hermite table shared by several rules' moments (2 MB).
 _MOMENT_TABLE_ENTRIES = 2**18
 # Bound on the dropped terms of a Hermite-moment series, well below the float64 floor
@@ -106,21 +105,15 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        # copy before freezing so the caller's buffers stay writeable
         nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
         weights = np.array(self.weights, dtype=float).ravel()
         if nodes.shape[0] != weights.size:
-            raise ShapeMismatchError(
-                f"{nodes.shape[0]} nodes but {weights.size} weights"
-            )
+            raise ShapeMismatchError(f"{nodes.shape[0]} nodes but {weights.size} weights")
         if weights.size < 1:
             raise ShapeMismatchError("a rule needs at least one node")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
             raise DomainError("nodes and weights must be finite")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        _freeze(self, nodes=nodes, weights=weights)
 
     @property
     def n(self) -> int:
@@ -218,7 +211,6 @@ class MultiIndexSet:
     def __init__(self, indices):
         rows = _index_rows(indices)
         self._top = rows.max(axis=0)
-        self._top.flags.writeable = False
         radix = tuple(int(v) + 2 for v in self._top)
         keys = _row_keys(rows, radix)
         if keys.dtype.kind != "i" or not np.all(keys[1:] > keys[:-1]):  # sorted input keeps its rows
@@ -228,9 +220,10 @@ class MultiIndexSet:
                 raise DomainError("duplicate multi-indices")
             rows = np.take(rows.T, order, axis=1).T
         self._rows, self._keys, self._radix = rows, keys, radix
-        if rows.shape[0] == prod((self._top + 1).tolist()):
-            # as many distinct rows as their hull box holds: the full box, downward
-            # closed, with nu + e_j outside exactly where nu_j is the top
+        # as many distinct rows as their hull box holds, counted in exact integers: the full box
+        self._full_box = rows.shape[0] == prod((self._top + 1).tolist())
+        if self._full_box:
+            # downward closed, with nu + e_j outside exactly where nu_j is the top
             outside = (rows == self._top).T
         else:
             outside = np.ones(rows.shape[::-1], dtype=bool)
@@ -246,7 +239,7 @@ class MultiIndexSet:
                 nu = tuple(rows[i].tolist())
                 pred = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
                 raise DomainError(f"index set is not downward closed: {nu} without {pred}")
-        rows.flags.writeable = outside.flags.writeable = False
+        rows.flags.writeable = outside.flags.writeable = self._top.flags.writeable = False
         self._outside = outside
 
     def _search(self, keys: np.ndarray):
@@ -399,22 +392,16 @@ class SamplingMethod:
     index_set: MultiIndexSet
 
     def __post_init__(self):
-        # copy before freezing so the caller's buffers stay writeable
         nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
         coeff = np.atleast_2d(np.array(self.coeff_table, dtype=float))
         if coeff.shape != (nodes.shape[0], self.index_set.size):
-            raise ShapeMismatchError(
-                f"coefficient table {coeff.shape} does not match "
-                f"{nodes.shape[0]} nodes x {self.index_set.size} indices"
-            )
+            raise ShapeMismatchError(f"coefficient table {coeff.shape} does not match "
+                                     f"{nodes.shape[0]} nodes x {self.index_set.size} indices")
         if nodes.shape[1] != self.index_set.dimension:
             raise ShapeMismatchError("node dimension does not match index-set dimension")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(coeff))):
             raise DomainError("nodes and coefficients must be finite")
-        nodes.flags.writeable = False
-        coeff.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "coeff_table", coeff)
+        _freeze(self, nodes=nodes, coeff_table=coeff)
 
     @property
     def n(self) -> int:
@@ -495,9 +482,7 @@ class SpectralSystem:
             beta = np.asarray(self.spec.params, dtype=float)
             scale_c, factor = np.ones_like(beta), np.ones_like(beta)
         lam = _eigenvalues(factor, beta, self.index_set.array(), self.index_set._top)
-        lam.flags.writeable = False
-        for name, value in (("eigenvalues", lam), ("beta", beta), ("scale_c", scale_c), ("factor", factor)):
-            object.__setattr__(self, name, value)
+        _freeze(self, eigenvalues=lam, beta=beta, scale_c=scale_c, factor=factor)
 
     @property
     def dimension(self) -> int:
@@ -535,10 +520,9 @@ class SpectralSystem:
         difference plus a small machine-epsilon slack for its rounding.
         """
         total = self.total_eigenvalue_sum()
-        degrees = self.index_set._top
-        log_box = float(np.sum(np.log1p(-self.beta ** (degrees + 1))))
+        log_box = float(np.sum(np.log1p(-self.beta ** (self.index_set._top + 1))))
         hull_tail = total * -np.expm1(log_box)
-        if self.index_set.size == int(np.prod(degrees + 1)):
+        if self.index_set._full_box:
             return hull_tail
         hull_sum = total * exp(log_box)
         inner = max(0.0, hull_sum - float(self.eigenvalues.sum()))

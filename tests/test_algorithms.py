@@ -3,14 +3,19 @@
 import heapq
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rkhsquad import algorithms, hermite
 from rkhsquad.algorithms import (
+    _BLOCK_CHUNK,
     KernelGenerator,
     _component_counts,
     _component_local,
@@ -38,7 +43,7 @@ from rkhsquad.errors import BudgetError, DomainError, NumericalConsistencyError,
 from rkhsquad.hermite import gauss_hermite_rule
 from rkhsquad.kernels import KernelSpec, hermite_kernel
 from rkhsquad.transference import transfer_quadrature_to_hermite
-from rkhsquad.worst_case import _BLOCK_CHUNK, CostModel, QuadratureRule, rule_cost, wce_integration
+from rkhsquad.worst_case import CostModel, QuadratureRule, rule_cost, wce_integration
 
 
 class TestGhRuleOnSpace:
@@ -208,6 +213,56 @@ class TestSmolyak:
     def test_level_below_size_rejected(self):
         with pytest.raises(DomainError):
             smolyak_rule((0, 1), SmolyakLevels.unit(1))
+
+    def test_budget_refused_under_an_address_space_limit(self):
+        # the terms of 6 coordinates at level 30 stack 25,900,154,475 rows; the merge
+        # refuses the rule in batches instead of stacking them all and running out of memory
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+            "from rkhsquad.algorithms import SmolyakLevels, smolyak_rule\n"
+            "from rkhsquad.errors import BudgetError\n"
+            "try:\n"
+            "    smolyak_rule(range(6), SmolyakLevels.unit(30))\n"
+            "except BudgetError as exc:\n"
+            "    print('BudgetError', exc)\n"
+        )
+        src = str(Path(algorithms.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.startswith("BudgetError"), done.stdout
+
+    def test_batched_merge_is_bit_equal(self, monkeypatch):
+        # 126,295 stacked rows and 8,541 nodes: 13 batches of at most 10,000 rows
+        want = smolyak_rule((0, 1), SmolyakLevels.unit(30))
+        batches = []
+        term_batches = algorithms._term_batches
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", 10_000)
+        monkeypatch.setattr(algorithms, "_LOCAL_SMOLYAK_CACHE", {})
+        monkeypatch.setattr(algorithms, "_term_batches", lambda *args: (batches.append(b) or b for b in term_batches(*args)))
+        rule = smolyak_rule((0, 1), SmolyakLevels.unit(30))
+        assert len(batches) == 13
+        assert max(sum(w.size for _, w in batch) for batch in batches) <= 10_000
+        assert rule.nodes.tobytes() == want.nodes.tobytes()
+        assert rule.weights.tobytes() == want.weights.tobytes()
+
+    def test_term_past_the_budget_refused_before_it_is_built(self, monkeypatch):
+        # level vector (1, 2) is Delta_1 x Delta_2 with Delta_2 = B_40 - B_1: 41 rows
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", 40)
+        monkeypatch.setattr(algorithms, "_LOCAL_SMOLYAK_CACHE", {})
+        built, product_grid = [], algorithms._product_grid
+        monkeypatch.setattr(algorithms, "_product_grid", lambda *args: built.append(product_grid(*args)) or built[-1])
+        with pytest.raises(BudgetError, match="a tensor term of 41 rows"):
+            smolyak_rule((0, 1), SmolyakLevels((1, 40, 41), 3))
+        assert [w.size for _, w in built] == [1]  # only the term of (1, 1)
+
+    def test_refused_rule_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", 8_540)
+        monkeypatch.setattr(algorithms, "_LOCAL_SMOLYAK_CACHE", {})
+        with pytest.raises(BudgetError, match="beyond 8540"):
+            smolyak_rule((0, 1), SmolyakLevels.unit(30))
+        assert algorithms._LOCAL_SMOLYAK_CACHE == {}
 
     def test_schedule_validation(self):
         with pytest.raises(DomainError):
@@ -1009,7 +1064,11 @@ class TestMdm:
         library = algorithms._tables
         monkeypatch.setattr(algorithms, "_tables", lambda *args: seen.append(library(*args)) or seen[-1])
         mdm_wce(assemble_mdm_plan(TABLE_PLAN, CostModel.unit()), gen, trunc=64)
-        ((quad, lin, cut),) = seen
+        # one call for a Hermite generator, one per coordinate for a Gaussian one
+        assert len(seen) == (5 if gen.family == "gaussian" else 1)
+        quad = {c: table for part, _, _ in seen for c, table in part.items()}
+        lin = {c: table for _, part, _ in seen for c, table in part.items()}
+        cut = max(part_cut for _, _, part_cut in seen)
         assert 0.0 <= cut < 1e-20
         betas, sigma = gen.score_betas(64), gen.params(64)
         for c, top in {0: 60, 1: 41, 2: 17, 3: 2, 4: 10}.items():
@@ -1028,11 +1087,10 @@ class TestMdm:
         value, tail = mdm_wce(plan, gen)
         assert tail <= 1e-10 * value
 
-        def mehler(families, betas):
+        def mehler(rules, tops, betas):
             quad, lin = {}, {}
-            for rules, tops in families:
-                for c, t in tops.items():
-                    quad[c], lin[c] = _mehler_tables(rules[:t], betas[c])
+            for c, t in tops.items():
+                quad[c], lin[c] = _mehler_tables(rules[:t], betas[c])
             return quad, lin, 0.0
 
         with monkeypatch.context() as m:

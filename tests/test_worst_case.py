@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -787,12 +788,24 @@ class TestSpectralSystem:
         # c = 1: the Hermite eigenfunctions are the products of hermite_table rows, bit for bit
         system = SpectralSystem(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 6))
         assert system.scale_c.tolist() == system.factor.tolist() == [1.0, 1.0]
+        assert not any(a.flags.writeable for a in (system.eigenvalues, system.beta, system.scale_c, system.factor))
         nodes = np.random.default_rng(3).normal(scale=4.0, size=(40, 2))
         nodes[:3] = [[0.0, -0.0], [1e3, -1e3], [-37.5, 1e-300]]
         idx = system.index_set.array()
         want = hermite_table(6, nodes[:, 0])[idx[:, 0]] * hermite_table(6, nodes[:, 1])[idx[:, 1]]
         assert np.array_equal(system.eigenfunction_matrix(nodes), want)
         assert system.total_eigenvalue_sum() == float(np.prod(1.0 / (1.0 - np.array([0.3, 0.8]))))
+
+    def test_star_of_64_coordinates_is_not_a_box(self):
+        # {0, e_1, ..., e_64}: its hull box holds 2**64 cells, which an int64 product wraps to 0
+        index_set = MultiIndexSet(np.vstack([np.zeros((1, 64), dtype=int), np.eye(64, dtype=int)]))
+        assert not index_set._full_box
+        beta = 0.5 * np.arange(1.0, 65.0) ** -2
+        tail = SpectralSystem(KernelSpec.hermite(tuple(beta)), index_set).tail_eigenvalue_sum()
+        exact = [Fraction(b) for b in beta.tolist()]  # the mass outside, in exact arithmetic
+        outside = math.prod(1 / (1 - b) for b in exact) - 1 - sum(exact)
+        assert math.isfinite(tail)
+        assert tail >= outside
 
     def test_axis_monotonicity(self):
         system = SpectralSystem(KernelSpec.hermite((0.3, 0.8)), MultiIndexSet.box(2, 3))
