@@ -55,9 +55,9 @@ from .kernels import (
 )
 from .transference import (
     TransferConstants,
+    _quadrature_twin,
     beta_from_sigma,
     transfer_quadrature_to_gaussian,
-    transfer_quadrature_to_hermite,
 )
 from .worst_case import (CostModel, QuadratureRule, _hermite_moments, _moment_degree,
                          _row_keys, _rule_amplitude, _spectral_errors)
@@ -102,12 +102,10 @@ def _gh_errors_on_space(ns, spec: KernelSpec):
     recurrence per table group of :func:`worst_case._spectral_errors`."""
     if spec.dimension != 1:
         raise ShapeMismatchError("gh_error_on_space expects a univariate kernel")
-    rules = []
-    for n in ns:
-        rule = gh_rule_on_space(n, spec)
-        if spec.is_gaussian:
-            rule = transfer_quadrature_to_hermite(rule, spec.params)
-        rules.append((rule.nodes[:, 0], rule.weights))
+    rules = [(rule.nodes, rule.weights) for rule in map(gauss_hermite_rule, ns)]
+    if spec.is_gaussian:
+        constants = TransferConstants.integration(spec.params)
+        rules = [(x[:, 0], w) for x, w in (_quadrature_twin(constants, x[:, None], w) for x, w in rules)]
     prefactor = initial_error(spec, INTEGRATION)
     return [
         (prefactor * value, prefactor * tail)
@@ -231,8 +229,9 @@ def _difference_rule(prev: int, m: int):
     return nodes, weights
 
 
-def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
-    """Level vectors k with every k_j >= lowest and |k|_1 <= level, in lexicographic order.
+def _level_vectors(size: int, level: int, lowest: int = 2):
+    """Level vectors k with every k_j >= lowest and |k|_1 <= level, yielded in
+    lexicographic order as the caller reaches them, none built ahead.
 
     ``lowest=1`` gives the Smolyak combination.  ``lowest=2`` gives the
     anchored component: with the unit schedule Delta_1 = B_1 = delta_0,
@@ -240,12 +239,11 @@ def _level_vectors(size: int, level: int, lowest: int = 2) -> tuple:
     weight sum zero and is left unchanged by anchoring.
     """
     if size == 0:
-        return ((),)
-    return tuple(
-        (k,) + rest
-        for k in range(lowest, level - lowest * (size - 1) + 1)
-        for rest in _level_vectors(size - 1, level - k, lowest)
-    )
+        yield ()
+        return
+    for k in range(lowest, level - lowest * (size - 1) + 1):
+        for rest in _level_vectors(size - 1, level - k, lowest):
+            yield (k,) + rest
 
 
 def _term_batches(rules, ranks, vectors):
@@ -330,7 +328,6 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
 # anchored decomposition
 
 
-@lru_cache(maxsize=None)
 def _component_rows(size: int, level: int) -> int:
     """Rows the tensor terms of :func:`_component_local` stack before their merge,
     the sum over its level vectors of prod_j |Delta_{k_j}|, counted without building
@@ -714,7 +711,7 @@ def _term_rows(plan: MdmPlan):
     rows = [((), np.zeros((1, 0), dtype=np.intp), np.ones(1))]
     top = {}
     for u, q in zip(plan.active_sets, plan.levels):
-        ks = np.array(_level_vectors(len(u), q), dtype=np.intp).reshape(-1, len(u))
+        ks = np.array(list(_level_vectors(len(u), q)), dtype=np.intp).reshape(-1, len(u))
         rows.append((u, ks - 1, np.ones(ks.shape[0])))
         for c, k in zip(u, ks.max(axis=0).tolist()):
             top[c] = max(top.get(c, 1), k)
@@ -811,9 +808,11 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
         constants = TransferConstants.integration(sigma[sigma > 0.0])  # e_c = 1 where sigma_j underflows
         twin, prefactor = float(np.prod(constants.e)), constants.gauss_prefactor
         parts = []
-        for c, t in top.items():  # divided by the twin weight e_c of Delta_1 = delta_0; e_c goes into E
-            twins = [transfer_quadrature_to_hermite(QuadratureRule(x[:, None], w), [sigma[c]]) for x, w in rules[:t]]
-            parts.append(_tables([(r.nodes[:, 0], r.weights / twins[0].weights[0]) for r in twins], {c: t}, betas))
+        for c, t in top.items():  # divided by e_c, the twin weight of Delta_1 = delta_0; e_c goes into E
+            local = TransferConstants.integration([sigma[c]])
+            e_c = float(local.e[0])
+            twins = (_quadrature_twin(local, x[:, None], w) for x, w in rules[:t])
+            parts.append(_tables([(y[:, 0], v / e_c) for y, v in twins], {c: t}, betas))
     else:  # every coordinate's Delta_1..Delta_top is a prefix of one list
         parts = [_tables(rules, top, betas)]
     quad_tables, lin_tables = ({c: t for part in parts for c, t in part[i].items()} for i in (0, 1))

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mdm_run)
 
     p = sub.add_parser("verify", help="run an oracle battery")
-    p.add_argument("--suite", required=True, choices=["transference", "spectral", "mehler", "all"])
+    p.add_argument("--suite", required=True, choices=[*verify.SUITES, "all"])
     p.set_defaults(fn=_cmd_verify)
 
     return parser

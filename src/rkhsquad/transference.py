@@ -131,6 +131,11 @@ def _node_damping(constants: TransferConstants, nodes: np.ndarray) -> np.ndarray
     return np.exp(-np.sum(s2[None, :] * nodes**2 / (1.0 + 2.0 * s2)[None, :], axis=1))
 
 
+def _quadrature_twin(constants: TransferConstants, nodes: np.ndarray, weights: np.ndarray):
+    """Nodes e x_i and weights (prod_j e_j) phi_c(tau^{-1} x_i) a_i of the twin rule."""
+    return nodes * constants.e[None, :], float(np.prod(constants.e)) * _node_damping(constants, nodes) * weights
+
+
 def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRule:
     """Twin of a Gaussian-space quadrature rule on the matched Hermite space.
 
@@ -141,9 +146,7 @@ def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRul
     constants = TransferConstants.integration(sigma)
     if rule.dimension != constants.dimension:
         raise ShapeMismatchError("rule dimension does not match sigma length")
-    nodes = rule.nodes * constants.e[None, :]
-    weights = float(np.prod(constants.e)) * _node_damping(constants, rule.nodes) * rule.weights
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_quadrature_twin(constants, rule.nodes, rule.weights))
 
 
 def transfer_quadrature_to_gaussian(rule: QuadratureRule, sigma) -> QuadratureRule:

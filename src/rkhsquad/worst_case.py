@@ -13,10 +13,11 @@ each one exp of the summed per-coordinate kernel exponents, filled in place
 in buffers reused from block to block; the error sums w^T G w block by
 block without holding G.  A solve copies the blocks once into the lower
 triangle of one column-major G, which Cholesky factors in place.  The
-condition estimate comes from eigvalsh up to 400 nodes and, above, from
-Lanczos to 1e-10 on the factor L alone: G = L L^T as two triangular
-products, G^{-1} as two triangular solves.  A failed factorization or an
-estimate above 1e14 raises ConditioningError.  Non-finite kernel values
+condition estimate is that of L L^T, the matrix the solve uses, and comes
+from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
+above, Lanczos to 1e-10 on L alone: L L^T as two triangular products, its
+inverse as two triangular solves.  A failed factorization or an estimate
+above 1e14 raises ConditioningError.  Non-finite kernel values
 raise NumericalConsistencyError where the blocks are made.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
@@ -73,7 +74,7 @@ NEGATIVE_VARIANCE_TOL = 1e-12
 MAX_GRAM_CONDITION = 1e14
 
 # Up to this many Gram nodes the condition estimate takes the dense
-# eigvalsh; above it Lanczos works on products with G and G^-1.
+# eigvalsh of L L^T; above it Lanczos works on products with L L^T and its inverse.
 _DENSE_LIMIT = 400
 # ARPACK's relative stopping accuracy for the Lanczos extremes.  The estimate
 # only meets MAX_GRAM_CONDITION, which 2e-10 in the ratio cannot decide; 0
@@ -658,11 +659,6 @@ def _error_from_e2(e2: float) -> float:
     return sqrt(max(e2, 0.0))
 
 
-def _dense_extremes(gram: np.ndarray):
-    eigs = np.linalg.eigvalsh(gram)
-    return float(eigs[0]), float(eigs[-1])
-
-
 def _lanczos_extremes(factor):
     """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
     factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``,
@@ -694,28 +690,29 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     """Cholesky solve with an explicit condition estimate; no regularization.
 
     Only the lower triangle of ``gram`` is read, and a column-major ``gram``
-    is overwritten by its factor.  Up to ``_DENSE_LIMIT`` nodes the extreme
-    eigenvalues come from ``eigvalsh`` before the factorization; above it
-    from Lanczos on the factor (``eigvalsh`` of L L^T if ARPACK does not
-    converge).  A failed factorization or an estimate above
-    ``MAX_GRAM_CONDITION`` raises ``ConditioningError``.  The Gram comes
-    from :func:`_lower_gram` or :func:`kernel_gram`, which check it finite.
+    is overwritten by its factor L.  The extreme eigenvalues are those of
+    L L^T: up to ``_DENSE_LIMIT`` nodes from its ``eigvalsh``, above it from
+    Lanczos on L (``eigvalsh`` again if ARPACK does not converge).  A failed
+    factorization or an estimate above ``MAX_GRAM_CONDITION`` raises
+    ``ConditioningError``.  The Gram comes from :func:`_lower_gram` or
+    :func:`kernel_gram`, which check it finite.
     """
-    dense = gram.shape[0] <= _DENSE_LIMIT
-    if dense:
-        lo, hi = _dense_extremes(gram)
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
-    if not dense:
+    lo = None
+    if gram.shape[0] > _DENSE_LIMIT:
         try:
             lo, hi = _lanczos_extremes(factor)
         except scipy.sparse.linalg.ArpackNoConvergence:
-            lower = np.tril(factor[0])
-            lo, hi = _dense_extremes(lower @ lower.T)
+            pass
+    if lo is None:
+        lower = np.tril(factor[0])
+        eigs = np.linalg.eigvalsh(lower @ lower.T)
+        lo, hi = float(eigs[0]), float(eigs[-1])
     cond = np.inf if lo <= 0.0 else hi / lo
     if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
         raise ConditioningError(

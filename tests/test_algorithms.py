@@ -21,6 +21,7 @@ from rkhsquad.algorithms import (
     _component_local,
     _component_rows,
     _difference_rule,
+    _gh_errors_on_space,
     _level_vectors,
     _merged_terms,
     _subset_pool,
@@ -42,7 +43,7 @@ from rkhsquad import errors
 from rkhsquad.errors import BudgetError, DomainError, NumericalConsistencyError, ShapeMismatchError
 from rkhsquad.hermite import gauss_hermite_rule
 from rkhsquad.kernels import KernelSpec, hermite_kernel
-from rkhsquad.transference import transfer_quadrature_to_hermite
+from rkhsquad.transference import TransferConstants, transfer_quadrature_to_hermite
 from rkhsquad.worst_case import CostModel, QuadratureRule, rule_cost, wce_integration
 
 
@@ -91,6 +92,21 @@ class TestGhRuleOnSpace:
     def test_requires_univariate(self):
         with pytest.raises(ShapeMismatchError):
             gh_rule_on_space(2, KernelSpec.gaussian((1.0, 1.0)))
+
+    def test_gaussian_curve_builds_one_constant_set(self, monkeypatch):
+        # the twins of all 200 rules share the transference constants of the space
+        calls = _count_integration_constants(monkeypatch)
+        _gh_errors_on_space(range(1, 201), KernelSpec.gaussian((1.0,)))
+        assert len(calls) == 1
+
+
+def _count_integration_constants(monkeypatch) -> list:
+    """Record the sigma of every ``TransferConstants.integration`` call."""
+    calls, integration = [], TransferConstants.__dict__["integration"].__func__
+    monkeypatch.setattr(
+        TransferConstants, "integration", classmethod(lambda cls, sigma: calls.append(sigma) or integration(cls, sigma))
+    )
+    return calls
 
 
 class TestLowerBound:
@@ -263,6 +279,19 @@ class TestSmolyak:
         with pytest.raises(BudgetError, match="beyond 8540"):
             smolyak_rule((0, 1), SmolyakLevels.unit(30))
         assert algorithms._LOCAL_SMOLYAK_CACHE == {}
+
+    def test_level_vectors_are_built_as_the_merge_reaches_them(self):
+        # the first vectors of 24 coordinates at level 28 come without the other 20,472
+        tracemalloc.start()
+        try:
+            vectors = _level_vectors(24, 28, 1)
+            first = [next(vectors) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [ks[-2:] for ks in first] == [(1, 1), (1, 2), (1, 3)]
+        assert all(ks[:-2] == (1,) * 22 for ks in first)
+        assert peak < 1e6
 
     def test_schedule_validation(self):
         with pytest.raises(DomainError):
@@ -1055,6 +1084,14 @@ class TestMdm:
         anchor = assemble_mdm_plan({}, self.model)
         v0, _ = mdm_wce(anchor, gen_g, trunc=256)
         assert value <= v0
+
+    def test_gaussian_twins_build_one_constant_set_per_coordinate(self, monkeypatch):
+        # the global set for E and the initial error, then one per plan coordinate
+        gen = KernelGenerator.gaussian(ParamRule.parse("j^-1.5"))
+        plan = mdm_build(gen, 31623.0, CostModel.dollar([float(m) for m in range(1, 25)]))
+        calls = _count_integration_constants(monkeypatch)
+        mdm_wce(plan, gen)
+        assert len(calls) == 1 + len({c for u in plan.active_sets for c in u}) == 141
 
     @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
     def test_moment_tables_match_mehler_blocks(self, name, monkeypatch):

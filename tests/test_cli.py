@@ -166,6 +166,16 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "everything"])
 
+    def test_suite_choices_come_from_the_suites(self, monkeypatch, capsys):
+        from rkhsquad import verify as verify_mod
+
+        def extra_suite():
+            return [verify_mod.CheckResult("extra-check", True, "")]
+
+        monkeypatch.setitem(verify_mod.SUITES, "extra", extra_suite)
+        assert main(["verify", "--suite", "extra"]) == 0
+        assert "PASS extra-check" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self):

@@ -9,7 +9,6 @@ PACKAGE = ROOT / "src" / "rkhsquad"
 
 # Exports kept without a caller in the library, the benchmark or the README.
 ALLOWED = {
-    "gh_error_on_space": "entry point of the exactness-aware Gauss-Hermite error (ROADMAP item 1)",
     "smolyak_rule": "the sparse-grid rule of the MDM component oracle and of the tractability experiment (item 6)",
     "empirical_info_complexity": "the information-complexity estimate of the tractability experiment (item 6)",
     "tensor_optimal_wce": "the tensor-product optimal error of acceptance criterion 5",

@@ -701,6 +701,21 @@ class TestSolveSpd:
         assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
         assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
 
+    @pytest.mark.parametrize("n", [50, 300, 400])
+    def test_dense_estimate_comes_from_the_factor(self, n):
+        # up to _DENSE_LIMIT nodes the estimate is the eigvalsh ratio of L L^T,
+        # the matrix the solve uses, read from the buffer the factor overwrote
+        nodes = np.random.default_rng(n).standard_normal((n, 4))
+        spec = KernelSpec.gaussian((1.0,) * 4)
+        gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        buffer = np.asfortranarray(gram)
+        _, cond = _solve_spd(buffer, m)
+        lower = np.tril(buffer)
+        eigs = np.linalg.eigvalsh(lower @ lower.T)
+        assert cond == eigs[-1] / eigs[0]
+        exact = np.linalg.eigvalsh(gram)
+        assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
+
     def test_arpack_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
         # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
         gram, m = self._system(401, "gaussian")
