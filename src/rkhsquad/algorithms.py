@@ -98,8 +98,8 @@ def gh_error_on_space(n: int, spec: KernelSpec):
 
 
 def _gh_errors_on_space(ns, spec: KernelSpec):
-    """:func:`gh_error_on_space` for every n in ``ns``, one Hermite
-    recurrence per table group of :func:`worst_case._spectral_errors`."""
+    """:func:`gh_error_on_space` for every n in ``ns``, from one Hermite
+    recurrence over the nodes of all rules (:func:`worst_case._spectral_errors`)."""
     if spec.dimension != 1:
         raise ShapeMismatchError("gh_error_on_space expects a univariate kernel")
     rules = [(rule.nodes, rule.weights) for rule in map(gauss_hermite_rule, ns)]

@@ -32,6 +32,7 @@ from .errors import (
     _freeze,
 )
 
+# The recurrence streams in blocks of degrees, so this guard bounds time, not memory.
 MAX_DEGREE = 8192
 MAX_RULE_SIZE = 256
 
@@ -86,20 +87,27 @@ def hermite_table(nu_max: int, x: np.ndarray) -> np.ndarray:
     if nu_max > MAX_DEGREE:
         raise UnsupportedDegreeError(f"degree {nu_max} exceeds the guard {MAX_DEGREE}")
     x = np.asarray(x, dtype=float)
-    out = np.empty((nu_max + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if nu_max >= 1:
-        out[1] = x
-    # the recurrence runs in place on flat rows, which stay views for any shape
-    rows, x = out.reshape(nu_max + 1, x.size), x.reshape(-1)
+    _, rows = next(_hermite_blocks(nu_max, x.reshape(-1), nu_max + 1))
+    return rows.reshape((nu_max + 1,) + x.shape)
+
+
+def _hermite_blocks(nu_max: int, x: np.ndarray, block: int):
+    """Yield (lo, rows h_lo..h_{hi-1} at the flat float points x) for lo = 0, block, ... to nu_max;
+    rows is a view of one (block + 2)-row buffer that the next block overwrites."""
+    buf = np.empty((block + 2, x.size))
+    buf[1], buf[2] = 0.0, 1.0  # h_{-1}, h_0: the first step gives h_1 = (x*1 - 0*0)/1 = x exactly
+    rows = list(buf)  # row views made once: the loop below is bound by per-call overhead
     root = np.sqrt(np.arange(nu_max + 1.0)).tolist()
     term = np.empty(x.size)
-    for nu in range(1, nu_max):
-        prev, cur, nxt = rows[nu - 1], rows[nu], rows[nu + 1]
-        np.multiply(x, cur, out=nxt)
-        np.subtract(nxt, np.multiply(root[nu], prev, out=term), out=nxt)
-        np.divide(nxt, root[nu + 1], out=nxt)
-    return out
+    for lo in range(0, nu_max + 1, block):
+        hi = min(lo + block, nu_max + 1)
+        for nu in range(max(lo, 1), hi):  # rows[nu - lo + 2] holds h_nu
+            prev, cur, nxt = rows[nu - lo : nu - lo + 3]
+            np.multiply(x, cur, out=nxt)
+            np.subtract(nxt, np.multiply(root[nu - 1], prev, out=term), out=nxt)
+            np.divide(nxt, root[nu], out=nxt)
+        yield lo, buf[2 : hi - lo + 2]
+        buf[:2] = buf[block:]
 
 
 @lru_cache(maxsize=None)

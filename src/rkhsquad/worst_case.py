@@ -87,8 +87,10 @@ _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # temporaries leave the per-core L2 cache.  The blocks also fix the order of
 # w^T G w, so changing this changes wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
-# Entries of one Hermite table shared by several rules' moments (2 MB).
-_MOMENT_TABLE_ENTRIES = 2**18
+# Degrees per block of the Hermite recurrence behind moments.  A multiple of 8, as OpenBLAS
+# computes gemv rows in groups: only such blocks give the moments of one table per rule bit
+# for bit, except a rule's top degree alone in its block, which numpy takes as a dot product.
+_MOMENT_BLOCK = 64
 # Bound on the dropped terms of a Hermite-moment series, well below the float64 floor
 # of a Gauss-Hermite e^2, about 2**-111 (beta = 0.5, n >= 40).
 _MOMENT_CUT = 2.0**-160
@@ -927,24 +929,13 @@ def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
 
 def _hermite_moments(rules, degrees):
     """Hermite moments s_nu = sum_i w_i h_nu(x_i), nu = 0..deg, of flat ``(nodes, weights)``
-    rules, one degree per rule.  Consecutive rules share one :func:`hermite_table` while it
-    holds at most ``_MOMENT_TABLE_ENTRIES`` entries, or a rule past that gets one alone
-    (2,097,408 entries for 256 nodes at ``hermite.MAX_DEGREE``); the recurrence is elementwise
-    and each s is formed on a contiguous copy of the rule's columns, so s does not depend on
-    the grouping."""
-    groups, top, width = [], 0, 0  # indices of the rules sharing one table
-    for i, ((x, _), deg) in enumerate(zip(rules, degrees)):
-        if not groups or (max(top, deg) + 1) * (width + x.size) > _MOMENT_TABLE_ENTRIES:
-            groups.append([])
-            top = width = 0
-        groups[-1].append(i)
-        top, width = max(top, deg), width + x.size
-    out = []
-    for group in groups:
-        table = hermite_table(max(degrees[i] for i in group), np.concatenate([rules[i][0] for i in group]))
-        col = 0
-        for i in group:
-            (x, w), deg = rules[i], degrees[i]
-            out.append(np.ascontiguousarray(table[: deg + 1, col : col + x.size]) @ w)
-            col += x.size
+    rules, one degree per rule, from one recurrence over all their nodes in blocks of
+    ``_MOMENT_BLOCK`` degrees; each block of s is formed on a contiguous copy of the rule's columns."""
+    out = [np.empty(deg + 1) for deg in degrees]
+    edges = np.cumsum([0] + [x.size for x, _ in rules]).tolist()
+    nodes = np.concatenate([x for x, _ in rules] or [np.empty(0)])
+    for lo, rows in hermite._hermite_blocks(max(degrees, default=0), nodes, _MOMENT_BLOCK):
+        for a, b, (_, w), s in zip(edges, edges[1:], rules, out):
+            if lo < s.size:
+                s[lo : lo + len(rows)] = np.ascontiguousarray(rows[: s.size - lo, a:b]) @ w
     return out

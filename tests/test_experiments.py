@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rkhsquad import algorithms, worst_case
+from rkhsquad import algorithms, hermite
 from rkhsquad.algorithms import KernelGenerator, ParamRule, gh_error_on_space
 from rkhsquad.errors import DomainError, InsufficientDataError
 from rkhsquad.experiments import (
@@ -16,8 +16,9 @@ from rkhsquad.experiments import (
     tensor_decay_curve,
     univariate_decay_curve,
 )
+from rkhsquad.hermite import gauss_hermite_rule
 from rkhsquad.kernels import KernelSpec
-from rkhsquad.worst_case import _MOMENT_TABLE_ENTRIES, CostModel
+from rkhsquad.worst_case import CostModel
 
 
 class TestDecayEstimate:
@@ -146,32 +147,24 @@ class TestCurves:
         assert all(r[1] > 0 for r in rows)
 
     @pytest.mark.parametrize("space, param", [("hermite", 0.5), ("gaussian", 1.0)])
-    def test_univariate_curve_one_table_per_group(self, space, param, monkeypatch):
-        # the curve shares one Hermite recurrence per table group, not one
-        # per n, and each error equals the one-rule gh_error_on_space
-        calls, degrees = [], []
-        original, degree = worst_case.hermite_table, worst_case._moment_degree
+    def test_univariate_curve_one_recurrence_pass(self, space, param, monkeypatch):
+        # the curve runs one Hermite recurrence over the nodes of all 200 rules,
+        # not one per n, and each error equals the one-rule gh_error_on_space
+        for n in range(1, 201):
+            gauss_hermite_rule(n)  # cached: only moment passes reach the stream below
+        passes, stream = [], hermite._hermite_blocks
 
-        def counted(nu_max, x):
-            calls.append((nu_max, np.size(x)))
-            return original(nu_max, x)
+        def counted(nu_max, x, block):
+            passes.append(x.size)
+            return stream(nu_max, x, block)
 
-        monkeypatch.setattr(worst_case, "hermite_table", counted)
-        monkeypatch.setattr(worst_case, "_moment_degree", lambda *args: degrees.append(degree(*args)) or degrees[-1])
+        monkeypatch.setattr(hermite, "_hermite_blocks", counted)
         rows = univariate_decay_curve(space, param, 200)
-        assert sum(cols for _, cols in calls) == 200 * 201 // 2
-        assert all((deg + 1) * cols <= _MOMENT_TABLE_ENTRIES for deg, cols in calls)
-        # a table takes the next n-point rule while its top degree times its nodes fits
-        tables, top, width = 0, 0, 0
-        for n, deg in enumerate(degrees, start=1):
-            if not tables or (max(top, deg) + 1) * (width + n) > _MOMENT_TABLE_ENTRIES:
-                tables, top, width = tables + 1, 0, 0
-            top, width = max(top, deg), width + n
-        assert 1 < len(calls) == tables
-        calls.clear()
+        assert passes == [200 * 201 // 2]
+        passes.clear()
         spec = KernelSpec(space, (param,))
         assert [r[1] for r in rows] == [gh_error_on_space(n, spec)[0] for n in range(1, 201)]
-        assert len(calls) == 200
+        assert passes == list(range(1, 201))
 
     def test_tensor_curve(self):
         rows = tensor_decay_curve([1.0, 1.0], [0.5, 0.1], "gaussian")

@@ -38,7 +38,6 @@ from rkhsquad.transference import (
     transfer_sampling_to_hermite,
 )
 from rkhsquad.worst_case import (
-    _MOMENT_TABLE_ENTRIES,
     CostModel,
     MultiIndexSet,
     QuadratureRule,
@@ -1223,28 +1222,28 @@ def _gh_rules_on(spec, n_max):
 
 
 class TestSpectralBatch:
-    """One Hermite table per group of rules, bit-identical to one per rule."""
+    """One Hermite recurrence pass over the nodes of all rules, bit-identical to one table per rule."""
 
     @pytest.fixture
-    def table_calls(self, monkeypatch):
+    def passes(self, monkeypatch):
         calls = []
+        stream = hermite._hermite_blocks
 
-        def counted(nu_max, x):
-            calls.append((nu_max, np.size(x)))
-            return hermite_table(nu_max, x)
+        def counted(nu_max, x, block):
+            calls.append((nu_max, x.size))
+            return stream(nu_max, x, block)
 
-        monkeypatch.setattr(worst_case, "hermite_table", counted)
+        monkeypatch.setattr(hermite, "_hermite_blocks", counted)
         return calls
 
     @pytest.mark.parametrize("spec", [HERM_HALF, GAUSS_ONE])
-    def test_gauss_hermite_curve_bit_identical(self, spec, table_calls):
-        # n = 1..256 spans several table groups, with degrees that vary by rule
+    def test_gauss_hermite_curve_bit_identical(self, spec, passes):
+        # n = 1..256 in one pass, with degrees that vary by rule
         rules, beta = _gh_rules_on(spec, 256)
+        passes.clear()
         batch = _spectral_errors(rules, beta)
+        assert [cols for _, cols in passes] == [256 * 257 // 2]
         assert batch == [_one_rule_spectral(x, w, beta) for x, w in rules]
-        assert 1 < len(table_calls) < len(rules)
-        assert all((deg + 1) * cols <= _MOMENT_TABLE_ENTRIES for deg, cols in table_calls)
-        assert sum(cols for _, cols in table_calls) == 256 * 257 // 2
 
     @pytest.mark.parametrize("beta", [0.1, 0.6, 0.95])
     def test_random_rules_bit_identical(self, beta):
@@ -1255,29 +1254,27 @@ class TestSpectralBatch:
             rules.append((rng.normal(0.0, 1.5, size=n), rng.normal(0.0, 1.0 / n, size=n)))
         assert _spectral_errors(rules, beta) == [_one_rule_spectral(x, w, beta) for x, w in rules]
 
-    def test_moments_do_not_depend_on_the_table_budget(self, table_calls, monkeypatch):
-        # one table per rule (budget 1) and one table for all (2**30) give the same bits
+    def test_moments_do_not_depend_on_the_block(self, monkeypatch):
+        # blocks of 8, 64 and all degrees at once give the bits of one hermite_table per rule
         gh = [(r.nodes, r.weights) for r in map(gauss_hermite_rule, range(1, 201))]
         deltas = [_difference_rule(k - 1, k) for k in range(1, 61)]
         for rules in (gh, deltas):
             degrees = [_moment_degree(worst_case._rule_amplitude(x, w) ** 2 / 0.5, 0.5) for x, w in rules]
-            moments = []
-            for budget in (1, 2**30):
-                monkeypatch.setattr(worst_case, "_MOMENT_TABLE_ENTRIES", budget)
-                table_calls.clear()
-                moments.append(worst_case._hermite_moments(rules, degrees))
-            assert len(table_calls) == 1
-            assert [s.tobytes() for s in moments[0]] == [s.tobytes() for s in moments[1]]
+            per_rule = [(hermite_table(deg, x) @ w).tobytes() for (x, w), deg in zip(rules, degrees)]
+            for block in (8, 64, max(degrees) + 1):
+                monkeypatch.setattr(worst_case, "_MOMENT_BLOCK", block)
+                assert [s.tobytes() for s in worst_case._hermite_moments(rules, degrees)] == per_rule
 
-    def test_domain_and_degree_guards(self, table_calls):
+    def test_domain_and_degree_guards(self, passes):
         g = gauss_hermite_rule(3)
         with pytest.raises(DomainError):
             _spectral_errors([(g.nodes, g.weights)], 1.0)
         assert _spectral_errors([], 0.5) == []
+        passes.clear()
         # at beta = 0.9995 the Cramer degree of the 3-point rule is about 237,000: the
         # series stops at the cap, and [value, value + tail] holds the sum to degree 60,000
         ((value, tail),) = _spectral_errors([(g.nodes, g.weights)], 0.9995)
-        assert table_calls == [(hermite.MAX_DEGREE, 3)]
+        assert passes == [(hermite.MAX_DEGREE, 3)]
         assert value == pytest.approx(_series_oracle(g.nodes, g.weights, 0.9995, hermite.MAX_DEGREE), rel=1e-12)
         longer = _series_oracle(g.nodes, g.weights, 0.9995, 60_000)
         assert value * (1.0 + 1e-3) < longer <= value + tail
