@@ -55,11 +55,11 @@ from .kernels import (
 )
 from .transference import (
     TransferConstants,
-    _quadrature_twin,
+    _axis_twins,
     beta_from_sigma,
     transfer_quadrature_to_gaussian,
 )
-from .worst_case import (CostModel, QuadratureRule, _hermite_moments, _moment_degree,
+from .worst_case import (CostModel, QuadratureRule, _hermite_moments, _moment_cut,
                          _row_keys, _rule_amplitude, _spectral_errors)
 
 TENSOR_BUDGET = 10**6
@@ -92,7 +92,7 @@ def gh_error_on_space(n: int, spec: KernelSpec):
     accurate far below the cancellation floor of the Gram identity; the
     Gaussian case goes through the exact transference identity (twin rule
     error times the Gaussian initial error).  Returns ``(value, tail)``, the
-    tail bounding the series past its :func:`worst_case._moment_degree`.
+    tail bounding the series past its :func:`worst_case._moment_cut`.
     """
     return _gh_errors_on_space([n], spec)[0]
 
@@ -103,14 +103,12 @@ def _gh_errors_on_space(ns, spec: KernelSpec):
     if spec.dimension != 1:
         raise ShapeMismatchError("gh_error_on_space expects a univariate kernel")
     rules = [(rule.nodes, rule.weights) for rule in map(gauss_hermite_rule, ns)]
+    prefactor = 1.0  # the initial error of a Hermite space
     if spec.is_gaussian:
         constants = TransferConstants.integration(spec.params)
-        rules = [(x[:, 0], w) for x, w in (_quadrature_twin(constants, x[:, None], w) for x, w in rules)]
-    prefactor = initial_error(spec, INTEGRATION)
-    return [
-        (prefactor * value, prefactor * tail)
-        for value, tail in _spectral_errors(rules, _integration_beta(spec))
-    ]
+        rules, prefactor = _axis_twins(constants, 0, rules), constants.gauss_prefactor
+    spectral = _spectral_errors(rules, _integration_beta(spec))
+    return [(prefactor * value, prefactor * tail) for value, tail in spectral]
 
 
 def integration_error_lower_bound(spec: KernelSpec, n: int) -> float:
@@ -635,8 +633,9 @@ def mdm_build(
     rule beyond ``hermite.MAX_RULE_SIZE`` points.  Sets larger than the
     dollar table's last activity are never candidates.
     Ties prefer the lexicographically smaller set.  The anchor evaluation
-    is always included and charged dollar(0).  ``BudgetError`` is raised
-    once the granted components hold more than ``TENSOR_BUDGET`` nodes.
+    is always included and charged dollar(0).  ``BudgetError`` is raised once the granted
+    components hold more than ``TENSOR_BUDGET`` nodes, or when a costed candidate component's
+    terms stack more than ``TENSOR_BUDGET`` rows.
     """
     if not isfinite(budget):
         raise DomainError(f"budget {budget} is not finite")
@@ -700,7 +699,7 @@ def mdm_build(
 # Delta_1 = delta_0, the anchor value x_c = 0, where both tables are 1, so
 # only active coordinates enter a product.  By Mehler's series the tables are
 # sqrt(1 - beta_c^2) S diag(beta_c^nu) S^T and S[:, 0], row k - 1 of S the Hermite
-# moments of Delta_k, cut by worst_case._moment_degree, whose bound on the dropped
+# moments of Delta_k, cut by worst_case._moment_cut, whose bound on the dropped
 # entries enters the tail.  A Gaussian generator's Delta_k become their twins:
 # nodes e_c x and weights damped by phi(x) / phi(0).
 
@@ -718,20 +717,20 @@ def _term_rows(plan: MdmPlan):
     return rows, top
 
 
-def _tables(rules, tops, betas):
+def _tables(rules, spans, betas):
     """Per-coordinate quadratic and linear tables and the largest cut of a quadratic entry,
-    for the coordinates c of ``tops`` whose Delta_1..Delta_tops[c] are a prefix of ``rules``."""
-    amp = np.maximum.accumulate([_rule_amplitude(x, w) for x, w in rules])
+    for the coordinates c of ``spans`` whose Delta_1..Delta_t are rules[a : a + t],
+    (a, t) = spans[c], from one Hermite recurrence over all the rules."""
+    amp = [_rule_amplitude(x, w) for x, w in rules]
     cut, degrees = 0.0, {}
-    for c, t in tops.items():
+    for c, (a, t) in spans.items():
         b = float(betas[c])
-        scale = sqrt(1.0 - b * b) * amp[t - 1] ** 2 / (1.0 - b)  # the cut at degree D is scale b^(D + 1)
-        degrees[c] = _moment_degree(scale, b)
-        cut = max(cut, scale * b ** (degrees[c] + 1))
+        degrees[c], c_cut = _moment_cut(sqrt(1.0 - b * b) * max(amp[a : a + t]) ** 2 / (1.0 - b), b)
+        cut = max(cut, c_cut)
     table = np.array(_hermite_moments(rules, [max(degrees.values(), default=0)] * len(rules)))
     quad, lin = {}, {}
-    for c, t in tops.items():
-        s, b = table[:t, : degrees[c] + 1], float(betas[c])
+    for c, (a, t) in spans.items():
+        s, b = table[a : a + t, : degrees[c] + 1], float(betas[c])
         quad[c], lin[c] = sqrt(1.0 - b * b) * (s * b ** np.arange(degrees[c] + 1.0)) @ s.T, s[:, 0]
     return quad, lin, cut
 
@@ -802,21 +801,21 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     groups, top = _term_rows(plan)
     betas = gen.score_betas(trunc)
     rules = [_difference_rule(k - 1, k) for k in range(1, max(top.values(), default=0) + 1)]
+    spans = {c: (0, t) for c, t in top.items()}  # each coordinate's Delta_1..Delta_top, a prefix of rules
     twin, prefactor = 1.0, 1.0  # E and the Gaussian initial error
     if gen.family == GAUSSIAN:
         sigma = gen.params(trunc)
         constants = TransferConstants.integration(sigma[sigma > 0.0])  # e_c = 1 where sigma_j underflows
+        if max(top, default=-1) >= constants.dimension:
+            raise DomainError(f"the shape parameter of plan coordinate {max(top)} underflows to 0")
         twin, prefactor = float(np.prod(constants.e)), constants.gauss_prefactor
-        parts = []
+        twins = []
         for c, t in top.items():  # divided by e_c, the twin weight of Delta_1 = delta_0; e_c goes into E
-            local = TransferConstants.integration([sigma[c]])
-            e_c = float(local.e[0])
-            twins = (_quadrature_twin(local, x[:, None], w) for x, w in rules[:t])
-            parts.append(_tables([(y[:, 0], v / e_c) for y, v in twins], {c: t}, betas))
-    else:  # every coordinate's Delta_1..Delta_top is a prefix of one list
-        parts = [_tables(rules, top, betas)]
-    quad_tables, lin_tables = ({c: t for part in parts for c, t in part[i].items()} for i in (0, 1))
-    cut = max([0.0] + [part[2] for part in parts])
+            e_c = float(constants.e[c])
+            spans[c] = (len(twins), t)
+            twins += [(y, v / e_c) for y, v in _axis_twins(constants, c, rules[:t])]
+        rules = twins
+    quad_tables, lin_tables, cut = _tables(rules, spans, betas)
     quad = _pairwise_quadratic(groups, quad_tables)
     lin = twin * _linear_form(groups, lin_tables)
 

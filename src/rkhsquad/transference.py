@@ -131,9 +131,11 @@ def _node_damping(constants: TransferConstants, nodes: np.ndarray) -> np.ndarray
     return np.exp(-np.sum(s2[None, :] * nodes**2 / (1.0 + 2.0 * s2)[None, :], axis=1))
 
 
-def _quadrature_twin(constants: TransferConstants, nodes: np.ndarray, weights: np.ndarray):
-    """Nodes e x_i and weights (prod_j e_j) phi_c(tau^{-1} x_i) a_i of the twin rule."""
-    return nodes * constants.e[None, :], float(np.prod(constants.e)) * _node_damping(constants, nodes) * weights
+def _axis_twins(constants: TransferConstants, j: int, rules):
+    """Twins of flat ``(nodes, weights)`` rules on coordinate j: nodes e_j x_i and weights
+    e_j phi_c(tau_j^{-1} x_i) a_i, bit for bit those of :func:`transfer_quadrature_to_hermite`."""
+    e, s2 = float(constants.e[j]), constants.sigma[j] * constants.sigma[j]
+    return [(x * e, e * np.exp(-(s2 * x**2 / (1.0 + 2.0 * s2))) * w) for x, w in rules]
 
 
 def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRule:
@@ -146,7 +148,8 @@ def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRul
     constants = TransferConstants.integration(sigma)
     if rule.dimension != constants.dimension:
         raise ShapeMismatchError("rule dimension does not match sigma length")
-    return QuadratureRule(*_quadrature_twin(constants, rule.nodes, rule.weights))
+    weights = float(np.prod(constants.e)) * _node_damping(constants, rule.nodes) * rule.weights
+    return QuadratureRule(rule.nodes * constants.e[None, :], weights)
 
 
 def transfer_quadrature_to_gaussian(rule: QuadratureRule, sigma) -> QuadratureRule:

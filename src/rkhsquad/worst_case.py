@@ -887,39 +887,33 @@ def tensor_optimal_wce(factors: Sequence[QuadratureRule1D], spec: KernelSpec) ->
 
 
 def _spectral_errors(rules, beta: float):
-    """Univariate integration errors of ``(nodes, weights)`` rules on the Hermite space of ``beta``.
+    """Univariate integration errors of flat float ``(nodes, weights)`` rules on the Hermite space of ``beta``.
 
     e^2 = (1 - sum w)^2 + sum_{nu >= 1} beta^nu (sum_i w_i h_nu(x_i))^2.  All terms are
     non-negative, so tiny errors are resolvable far below the cancellation floor of the Gram
-    identity.  Each rule's series stops at :func:`_moment_degree` of its Cramer bound
+    identity.  Each rule's series stops at :func:`_moment_cut` of its Cramer bound
     a^2 beta^(D + 1) / (1 - beta) on the dropped terms, a = :func:`_rule_amplitude`, and
     that bound enters the tail.  Returns one ``(value, tail)`` per rule, the one-rule
     evaluation bit for bit.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
-    rules = [
-        (np.asarray(x, dtype=float).ravel(), np.asarray(w, dtype=float).ravel())
-        for x, w in rules
-    ]
-    scales = [_rule_amplitude(x, w) ** 2 / (1.0 - beta) for x, w in rules]
-    degrees = [_moment_degree(scale, beta) for scale in scales]
+    cuts = [_moment_cut(_rule_amplitude(x, w) ** 2 / (1.0 - beta), beta) for x, w in rules]
     out = []
-    for (x, w), deg, scale, s in zip(rules, degrees, scales, _hermite_moments(rules, degrees)):
+    for (x, w), (deg, cut), s in zip(rules, cuts, _hermite_moments(rules, [deg for deg, _ in cuts])):
         terms = beta ** np.arange(1, deg + 1) * s[1:] ** 2
         e2 = (1.0 - float(w.sum())) ** 2 + float(np.sum(terms))
         value = sqrt(e2)
-        out.append((value, sqrt(e2 + scale * beta ** (deg + 1)) - value))
+        out.append((value, sqrt(e2 + cut) - value))
     return out
 
 
-def _moment_degree(scale: float, beta: float) -> int:
-    """Where a Hermite-moment series stops: the smallest D with scale beta^(D + 1), the
-    caller's bound on the dropped terms, below ``_MOMENT_CUT``; at most ``hermite.MAX_DEGREE``,
-    where that bound still enters the caller's tail; 0 for beta = 0."""
-    if beta == 0.0:
-        return 0
-    return min(max(floor(log(_MOMENT_CUT / scale) / log(beta)), 0), hermite.MAX_DEGREE)
+def _moment_cut(scale: float, beta: float):
+    """``(D, scale beta^(D + 1))``: where a Hermite-moment series stops, the smallest D with
+    scale beta^(D + 1), the caller's bound on the dropped terms, below ``_MOMENT_CUT``, and that
+    bound; D is at most ``hermite.MAX_DEGREE``, where the bound still enters the caller's tail."""
+    degree = 0 if beta == 0.0 else min(max(floor(log(_MOMENT_CUT / scale) / log(beta)), 0), hermite.MAX_DEGREE)
+    return degree, scale * beta ** (degree + 1)
 
 
 def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
@@ -930,12 +924,12 @@ def _rule_amplitude(x: np.ndarray, w: np.ndarray) -> float:
 def _hermite_moments(rules, degrees):
     """Hermite moments s_nu = sum_i w_i h_nu(x_i), nu = 0..deg, of flat ``(nodes, weights)``
     rules, one degree per rule, from one recurrence over all their nodes in blocks of
-    ``_MOMENT_BLOCK`` degrees; each block of s is formed on a contiguous copy of the rule's columns."""
+    ``_MOMENT_BLOCK`` degrees; each block of s is one product of the rule's strided columns with w."""
     out = [np.empty(deg + 1) for deg in degrees]
     edges = np.cumsum([0] + [x.size for x, _ in rules]).tolist()
     nodes = np.concatenate([x for x, _ in rules] or [np.empty(0)])
     for lo, rows in hermite._hermite_blocks(max(degrees, default=0), nodes, _MOMENT_BLOCK):
         for a, b, (_, w), s in zip(edges, edges[1:], rules, out):
             if lo < s.size:
-                s[lo : lo + len(rows)] = np.ascontiguousarray(rows[: s.size - lo, a:b]) @ w
+                s[lo : lo + len(rows)] = rows[: s.size - lo, a:b] @ w
     return out

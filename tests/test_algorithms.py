@@ -1085,13 +1085,30 @@ class TestMdm:
         v0, _ = mdm_wce(anchor, gen_g, trunc=256)
         assert value <= v0
 
-    def test_gaussian_twins_build_one_constant_set_per_coordinate(self, monkeypatch):
-        # the global set for E and the initial error, then one per plan coordinate
+    def test_gaussian_twins_build_one_constant_set(self, monkeypatch):
+        # one set gives E, the initial error and every plan coordinate's e_c
         gen = KernelGenerator.gaussian(ParamRule.parse("j^-1.5"))
         plan = mdm_build(gen, 31623.0, CostModel.dollar([float(m) for m in range(1, 25)]))
+        assert len({c for u in plan.active_sets for c in u}) == 140
         calls = _count_integration_constants(monkeypatch)
         mdm_wce(plan, gen)
-        assert len(calls) == 1 + len({c for u in plan.active_sets for c in u}) == 141
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
+    def test_one_recurrence_pass_per_evaluation(self, name, monkeypatch):
+        # every coordinate's moments, twinned or not, come from one pass over all rules
+        gen, passes, stream = TABLE_GENERATORS[name], [], hermite._hermite_blocks
+        plan = assemble_mdm_plan(TABLE_PLAN, CostModel.unit())
+        monkeypatch.setattr(hermite, "_hermite_blocks", lambda *args: passes.append(args[0]) or stream(*args))
+        mdm_wce(plan, gen, trunc=64)
+        assert len(passes) == 1
+
+    def test_gaussian_coordinate_past_underflow_is_a_domain_error(self):
+        # sigma_1101 = 0.5^1101 underflows to 0, and a zero shape parameter has no twin
+        gen = KernelGenerator.gaussian(ParamRule.parse("0.5^j"))
+        plan = assemble_mdm_plan({(1100,): 3, (0,): 4}, CostModel.unit())
+        with pytest.raises(DomainError):
+            mdm_wce(plan, gen)
 
     @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
     def test_moment_tables_match_mehler_blocks(self, name, monkeypatch):
@@ -1101,11 +1118,8 @@ class TestMdm:
         library = algorithms._tables
         monkeypatch.setattr(algorithms, "_tables", lambda *args: seen.append(library(*args)) or seen[-1])
         mdm_wce(assemble_mdm_plan(TABLE_PLAN, CostModel.unit()), gen, trunc=64)
-        # one call for a Hermite generator, one per coordinate for a Gaussian one
-        assert len(seen) == (5 if gen.family == "gaussian" else 1)
-        quad = {c: table for part, _, _ in seen for c, table in part.items()}
-        lin = {c: table for _, part, _ in seen for c, table in part.items()}
-        cut = max(part_cut for _, _, part_cut in seen)
+        # one call for every family
+        ((quad, lin, cut),) = seen
         assert 0.0 <= cut < 1e-20
         betas, sigma = gen.score_betas(64), gen.params(64)
         for c, top in {0: 60, 1: 41, 2: 17, 3: 2, 4: 10}.items():
@@ -1124,10 +1138,10 @@ class TestMdm:
         value, tail = mdm_wce(plan, gen)
         assert tail <= 1e-10 * value
 
-        def mehler(rules, tops, betas):
+        def mehler(rules, spans, betas):
             quad, lin = {}, {}
-            for c, t in tops.items():
-                quad[c], lin[c] = _mehler_tables(rules[:t], betas[c])
+            for c, (a, t) in spans.items():
+                quad[c], lin[c] = _mehler_tables(rules[a : a + t], betas[c])
             return quad, lin, 0.0
 
         with monkeypatch.context() as m:

@@ -7,6 +7,7 @@ import pytest
 
 from rkhsquad.algorithms import KernelGenerator, ParamRule, level_choice_for_eps
 from rkhsquad.errors import DomainError, ShapeMismatchError
+from rkhsquad.hermite import gauss_hermite_rule
 from rkhsquad.kernels import (
     APPROXIMATION,
     INTEGRATION,
@@ -16,6 +17,7 @@ from rkhsquad.kernels import (
 )
 from rkhsquad.transference import (
     TransferConstants,
+    _axis_twins,
     beta_from_sigma,
     phi_c,
     sigma_from_beta,
@@ -145,6 +147,16 @@ class TestChangeOfVariables:
 
 
 class TestQuadratureTransfer:
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 10.0])
+    def test_axis_twins_match_the_rule_map(self, sigma):
+        # coordinate 1 of a two-coordinate set gives the bits of the one-coordinate rule map
+        constants = TransferConstants.integration([0.5, sigma])
+        rules = [(r.nodes, r.weights) for r in map(gauss_hermite_rule, range(1, 61))]
+        for (x, w), (y, v) in zip(rules, _axis_twins(constants, 1, rules), strict=True):
+            twin = transfer_quadrature_to_hermite(QuadratureRule(x[:, None], w), [sigma])
+            assert y.tobytes() == twin.nodes[:, 0].tobytes()
+            assert v.tobytes() == twin.weights.tobytes()
+
     def test_single_node_zero(self):
         rule = QuadratureRule(np.array([[0.0]]), np.array([2.0**-0.5]))
         twin = transfer_quadrature_to_hermite(rule, [math.sqrt(0.5)])

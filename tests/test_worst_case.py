@@ -43,7 +43,7 @@ from rkhsquad.worst_case import (
     QuadratureRule,
     SamplingMethod,
     SpectralSystem,
-    _moment_degree,
+    _moment_cut,
     _row_keys,
     _solve_spd,
     _spectral_errors,
@@ -1184,7 +1184,7 @@ def _one_rule_spectral(nodes, weights, beta):
     """The per-rule eigen-expansion error, one Hermite table per rule."""
     amp = CRAMER_CONSTANT * float(np.abs(weights) @ np.exp(nodes * nodes / 4.0))
     scale = amp * amp / (1.0 - beta)
-    degree = _moment_degree(scale, beta)
+    degree = _moment_cut(scale, beta)[0]
     s = hermite_table(degree, nodes) @ weights
     terms = beta ** np.arange(1, degree + 1) * s[1:] ** 2
     e2 = (1.0 - float(weights.sum())) ** 2 + float(np.sum(terms))
@@ -1259,11 +1259,21 @@ class TestSpectralBatch:
         gh = [(r.nodes, r.weights) for r in map(gauss_hermite_rule, range(1, 201))]
         deltas = [_difference_rule(k - 1, k) for k in range(1, 61)]
         for rules in (gh, deltas):
-            degrees = [_moment_degree(worst_case._rule_amplitude(x, w) ** 2 / 0.5, 0.5) for x, w in rules]
+            degrees = [_moment_cut(worst_case._rule_amplitude(x, w) ** 2 / 0.5, 0.5)[0] for x, w in rules]
             per_rule = [(hermite_table(deg, x) @ w).tobytes() for (x, w), deg in zip(rules, degrees)]
             for block in (8, 64, max(degrees) + 1):
                 monkeypatch.setattr(worst_case, "_MOMENT_BLOCK", block)
                 assert [s.tobytes() for s in worst_case._hermite_moments(rules, degrees)] == per_rule
+
+    def test_moment_cut_bound(self):
+        # the bound scale beta^(D + 1) at the degree D where the series stops, bit for bit
+        assert _moment_cut(3.0, 0.0) == (0, 0.0)
+        # 3 beta^(D + 1) < 2^-160 first holds at D = 161
+        assert _moment_cut(3.0, 0.5) == (161, 3.0 * 0.5**162)
+        # at beta = 0.9995 the uncapped degree is about 221,750: the cap binds, and its bound is returned
+        degree, cut = _moment_cut(1.0, 0.9995)
+        assert degree == hermite.MAX_DEGREE
+        assert cut == 0.9995 ** (hermite.MAX_DEGREE + 1) > 2.0**-160
 
     def test_domain_and_degree_guards(self, passes):
         g = gauss_hermite_rule(3)
