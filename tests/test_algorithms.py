@@ -15,7 +15,6 @@ import pytest
 
 from rkhsquad import algorithms, hermite
 from rkhsquad.algorithms import (
-    _BLOCK_CHUNK,
     KernelGenerator,
     _component_counts,
     _component_local,
@@ -25,6 +24,8 @@ from rkhsquad.algorithms import (
     _level_vectors,
     _merged_terms,
     _subset_pool,
+    _term_dag,
+    _term_rows,
     MdmPlan,
     ParamRule,
     SmolyakLevels,
@@ -755,6 +756,9 @@ class TestGreedyPlanner:
         assert held < 5e6
 
 
+_BLOCK_CHUNK = 2**21  # entries of one block slice of _mehler_tables and _pairwise_oracle (16 MB)
+
+
 def _mehler_tables(rules, beta, sigma=None):
     """Reference tables Delta_k^T K Delta_l / K(0, 0) and Delta_k^T 1 of one
     coordinate's rules Delta_1..Delta_top: the rules laid out on their distinct
@@ -776,6 +780,65 @@ def _mehler_tables(rules, beta, sigma=None):
         for lo in range(0, values.size, step)
     )
     return quad, diff.sum(axis=1)
+
+
+def _pairwise_oracle(groups, tables, vectors):
+    """The forms of algorithms._pairwise_quadratic over all term-row pairs, O(T^2):
+    sum over term-row pairs of prod_c tables[c][i_c, j_c], c in the union of the two
+    supports, and sum over rows of prod_c vectors[c][i_c].
+
+    Against a row of support S, column j carries the factor
+    prod_{c in supp_j - S} tables[c][0, j_c] whatever the row, so each group
+    computes that column vector once and multiplies in its own coordinates
+    row by row, in blocks of at most ``_BLOCK_CHUNK`` entries.
+    """
+    lin = 0.0
+    for supp, rows, w in groups:
+        terms = w.copy()
+        for j, c in enumerate(supp):
+            terms *= vectors[c][rows[:, j]]
+        lin += float(terms.sum())
+    weights = np.concatenate([w for _, _, w in groups])
+    n = weights.size
+    width = max(len(supp) for supp, _, _ in groups)
+    coord = np.full((n, width), -1)  # the support of every column, padded
+    index = np.zeros((n, width), dtype=np.intp)
+    anchor = np.ones((n, width))  # tables[c][0, j_c] for every active c of column j
+    start = 0
+    for supp, rows, _ in groups:
+        span = slice(start, start + rows.shape[0])
+        for j, c in enumerate(supp):
+            coord[span, j] = c
+            index[span, j] = rows[:, j]
+            anchor[span, j] = tables[c][0, rows[:, j]]
+        start += rows.shape[0]
+    step = max(1, _BLOCK_CHUNK // n)
+    quad = 0.0
+    for supp, rows, w in groups:
+        base = np.where(np.isin(coord, supp), 1.0, anchor).prod(axis=1)
+        columns = [np.where(coord == c, index, 0).max(axis=1) for c in supp]
+        for lo in range(0, rows.shape[0], step):
+            block = np.tile(base, (min(step, rows.shape[0] - lo), 1))
+            for j, c in enumerate(supp):
+                block *= tables[c][np.ix_(rows[lo : lo + step, j], columns[j])]
+            quad += float(w[lo : lo + step] @ block @ weights)
+    return quad, lin
+
+
+def _oracle_gap(plan, gen, monkeypatch, trunc=2048):
+    """|e^2 of mdm_wce - e^2 with the pairwise oracle|, both on the Hermite side, and
+    16 eps ||w||_1^2, with w the flattened weights (of the twin rule)."""
+    value, _ = mdm_wce(plan, gen, trunc)
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, "_pairwise_quadratic", _pairwise_oracle)
+        want, _ = mdm_wce(plan, gen, trunc)
+    prefactor, twin = 1.0, 1.0
+    if gen.family == "gaussian":
+        sigma = gen.params(trunc)
+        constants = TransferConstants.integration(sigma[sigma > 0.0])
+        prefactor, twin = constants.gauss_prefactor, float(np.prod(constants.e))
+    w1 = max(1.0, twin * float(np.abs(algorithms._flat_weights(plan.active_sets, plan.levels)).sum()))
+    return abs((value / prefactor) ** 2 - (want / prefactor) ** 2), 16 * np.finfo(float).eps * w1 * w1
 
 
 # tops 60, 41, 17, 2 and 10 on coordinates 0..4
@@ -1200,3 +1263,68 @@ class TestMdm:
             assert math.isfinite(value) and math.isfinite(tail) and tail >= 0.0, (gen, plan)
             returned += 1
         assert returned > 200
+
+
+class TestTermDag:
+    model = CostModel.dollar([float(m) for m in range(1, 25)])
+
+    @pytest.mark.parametrize("budget", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
+    def test_walk_matches_pairwise_oracle(self, name, budget, monkeypatch):
+        gen = TABLE_GENERATORS[name]
+        gap, tol = _oracle_gap(mdm_build(gen, budget, self.model), gen, monkeypatch)
+        assert gap <= tol, (gap, tol)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GENERATORS))
+    @pytest.mark.parametrize("levels", [TABLE_PLAN, {}], ids=["table-plan", "anchor-only"])
+    def test_walk_matches_pairwise_oracle_on_explicit_plans(self, name, levels, monkeypatch):
+        gen = TABLE_GENERATORS[name]
+        gap, tol = _oracle_gap(assemble_mdm_plan(levels, CostModel.unit()), gen, monkeypatch, trunc=64)
+        assert gap <= tol, (gap, tol)
+
+    def test_walk_matches_pairwise_oracle_on_a_256_point_climb(self, monkeypatch):
+        gen = KernelGenerator.hermite(ParamRule.parse("0.5^j"))
+        plan = mdm_build(gen, 600.0, CostModel.dollar([1.0, 2.0]), max_coord=1, pool_size=1)
+        assert plan.levels == (hermite.MAX_RULE_SIZE,)
+        gap, tol = _oracle_gap(plan, gen, monkeypatch, trunc=64)
+        assert gap <= tol, (gap, tol)
+
+    def test_anchor_only_plan_is_the_constant_node(self):
+        lead, kids, root = _term_dag(_term_rows(assemble_mdm_plan({}, CostModel.unit()))[0])
+        assert (lead, kids, root) == ([math.inf], [()], 0)
+        assert algorithms._pair_schedule(lead, kids, root) == {}
+
+    def test_equal_sub_sums_are_one_node(self):
+        # {(0, 2): 6, (1, 2): 6}: Delta_k on coordinate 0, or on coordinate 1 with
+        # coordinate 0 anchored, leaves the same C((2,), 6 - k), one node each
+        lead, kids, root = _term_dag(_term_rows(assemble_mdm_plan({(0, 2): 6, (1, 2): 6}, CostModel.unit()))[0])
+        assert len(lead) == 6  # the constant, the root, its anchored child and C((2,), r) for r = 2, 3, 4
+        (_, anchored), *first = kids[root]
+        (_, one), *second = kids[anchored]
+        assert lead[root] == 0 and lead[anchored] == 1 and one == 0
+        assert first == second and [i for i, _ in first] == [1, 2, 3]
+        assert all(lead[x] == 2 and kids[x] == tuple((i, 0) for i in range(1, r)) for r, (_, x) in zip((4, 3, 2), first))
+
+    def test_walk_shares_sub_sums_at_1e5(self):
+        # the 2,700 terms of this plan would make 3.6e6 term pairs; the walk
+        # evaluates a few thousand node pairs, so a fall back to all pairs fails here
+        gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
+        groups, _ = _term_rows(mdm_build(gen, 1e5, self.model, max_coord=512, pool_size=2048))
+        terms = sum(w.size for _, _, w in groups)
+        assert terms * terms / 2 > 3e6
+        lead, kids, root = _term_dag(groups)
+        pairs = sum(map(len, algorithms._pair_schedule(lead, kids, root).values()))
+        assert len(lead) + pairs <= 10**4
+
+    def test_pool_is_built_once_per_generator_and_shape(self, monkeypatch):
+        gen = KernelGenerator.hermite_twin_of_gaussian(ParamRule.parse("j^-1.5"))
+        algorithms._candidate_pool.cache_clear()
+        built, pool = [], algorithms._subset_pool
+        monkeypatch.setattr(algorithms, "_subset_pool", lambda *args: built.append(args[1:]) or pool(*args))
+        plans = [mdm_build(gen, budget, self.model, max_coord=64, pool_size=256) for budget in (100.0, 1e3, 1e3)]
+        mdm_build(gen, 100.0, self.model, max_coord=32, pool_size=256)
+        assert built == [(64, 256), (32, 256)]
+        assert plans[1] == plans[2]
+        betas, cached = algorithms._candidate_pool(gen, 64, 256)
+        assert isinstance(betas, tuple) and isinstance(cached, tuple)
+        assert cached == tuple(pool(list(betas), 64, 256))
