@@ -20,6 +20,9 @@ line:
   which is what we evaluate; the truncated series is kept as a
   cross-validation oracle with a certified error bound.
 
+Both exponents share one form, sum_j c_j (x_j^2 + y_j^2) - a_j^2 (x_j - y_j)^2
+(:func:`_exponent_form`), which Gram matrices evaluate.
+
 Multivariate kernels are coordinate-wise products.  The mean embedding
 m(x) = int M(x, y) mu(dy) and the double integral int int M dmu dmu have
 closed forms under the standard normal product measure:
@@ -149,37 +152,39 @@ class KernelSpec:
             return cls(obj["family"], tuple(obj["params"]))
 
 
-def _gaussian_exponent(sigma: float, x, y, out=None, scratch=None):
-    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel.
-
-    The result is written into ``out`` and x - y into ``scratch``, each of
-    the broadcast shape; either is allocated when it is None.  The in-place
-    steps also rebind scalars, so scalar inputs give a scalar.
-    """
-    d = np.subtract(x, y, out=scratch, dtype=float)
-    t = np.multiply(d, -(sigma * sigma), out=out)
-    t *= d
-    return t
+def _gaussian_exponent(sigma: float, x, y):
+    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel."""
+    d = np.subtract(x, y, dtype=float)
+    return -(sigma * sigma) * d * d
 
 
-def _mehler_exponent(beta: float, x, y, out=None, scratch=None):
+def _mehler_exponent(beta: float, x, y):
     """(2 beta x y - beta^2 (x^2+y^2)) / (2 (1-beta^2)), the exponent of the
-    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2).
-
-    ``out`` and ``scratch`` work as in :func:`_gaussian_exponent`; the
-    scratch holds beta^2 (x^2+y^2).
-    """
+    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     b2 = beta * beta
     # single commutative product keeps k(x,y) == k(y,x) bitwise
-    c = np.multiply(x, y, out=out)
-    c *= 2.0 * beta
-    s = np.add(x * x, y * y, out=scratch)
-    s *= b2
-    c -= s
-    c /= 2.0 * (1.0 - b2)
-    return c
+    return (2.0 * beta * (x * y) - b2 * (x * x + y * y)) / (2.0 * (1.0 - b2))
+
+
+def _exponent_form(spec: KernelSpec):
+    """Per-coordinate ``(a, c)`` with the kernel's exponent written as
+
+        sum_j c_j (x_j^2 + y_j^2) - a_j^2 (x_j - y_j)^2,
+
+    one form for both families.  Gaussian: a = sigma and c = 0.  Hermite:
+    a^2 = beta / (2 (1-beta^2)) and c = beta / (2 (1+beta)).  Expanding,
+    c - a^2 = (beta (1-beta) - beta) / (2 (1-beta^2)) = -beta^2 / (2 (1-beta^2))
+    is the weight of x^2 + y^2 and 2 a^2 = 2 beta / (2 (1-beta^2)) that of x y,
+    which gives back the Mehler exponent (2 beta x y - beta^2 (x^2+y^2)) /
+    (2 (1-beta^2)).  The Hermite kernel is the exp of this exponent divided
+    by prod_j (1-beta_j^2)^(1/2).  Returns two float arrays of length d.
+    """
+    p = np.array(spec.params, dtype=float)
+    if spec.is_gaussian:
+        return p, np.zeros_like(p)
+    return np.sqrt(p / (2.0 * (1.0 - p * p))), p / (2.0 * (1.0 + p))
 
 
 def gaussian_kernel(sigma: float, x, y):

@@ -8,10 +8,10 @@ identity
 
 with m the mean embedding and II the double integral of M.  Optimal
 weights for fixed nodes solve the Gram system G w = m.  Gram entries come
-in row blocks of the lower triangle (the kernel is symmetric bit for bit),
-each one exp of the summed per-coordinate kernel exponents, filled in place
-in buffers reused from block to block; the error sums w^T G w block by
-block without holding G.  A solve copies the blocks once into the lower
+in row blocks of the lower triangle, each the exp of exponents from two
+matrix products, one of them exact (:func:`_exponent_factors`), filled in
+place in buffers reused from block to block; the error sums w^T G w block
+by block without holding G.  A solve copies the blocks once into the lower
 triangle of one column-major G, which Cholesky factors in place.  The
 condition estimate is that of L L^T, the matrix the solve uses, and comes
 from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
@@ -42,7 +42,7 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, floor, log, prod, sqrt
+from math import exp, floor, frexp, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -63,8 +63,7 @@ from .kernels import (
     APPROXIMATION,
     CRAMER_CONSTANT,
     KernelSpec,
-    _gaussian_exponent,
-    _mehler_exponent,
+    _exponent_form,
     double_integral,
     embedding_vector,
     matched_parameters,
@@ -82,10 +81,12 @@ _DENSE_LIMIT = 400
 _LANCZOS_TOL = 1e-10
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # Gram entries per block of full rows (only its lower triangle is built).
-# Timing wce_integration at n = 1000, 2000 and 4000 (d = 6) was flat from
-# 2**14 to 2**16 entries and twice as slow from 2**17 on, once the block's
-# temporaries leave the per-core L2 cache.  The blocks also fix the order of
-# w^T G w, so changing this changes wce_integration's last bits above n = 181.
+# wce_integration at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs) took
+# 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms at
+# 2**15, 4.3-5.0, 14 and 41-49 ms at 2**16, and 4.5-5.1, 13-14 and 39 ms at
+# 2**17: the two matrix products gain a little from taller blocks.  The
+# blocks also fix the order of w^T G w, so changing this changes
+# wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
 # Degrees per block of the Hermite recurrence behind moments.  A multiple of 8, as OpenBLAS
 # computes gemv rows in groups: only such blocks give the moments of one table per rule bit
@@ -557,35 +558,80 @@ class SpectralSystem:
 # integration
 
 
+def _exponent_factors(spec: KernelSpec, nodes: np.ndarray):
+    """``(q, high, low)``: the exponents of the Gram matrix of ``nodes`` as
+    sums of two matrix products, ``high[0] @ high[1].T + low[0] @ low[1].T``.
+
+    With ``(a, c)`` of :func:`kernels._exponent_form`, the exponent of
+    M(x_i, x_j) is q_i + q_j - ||z_i - z_j||^2, with q_i = sum_k c_k x_ik^2
+    and z = a * (x - mean x); the distance does not depend on the origin.  z
+    splits exactly into zh + zl, zh on the grid 2^(e-b) with max |z| < 2^e and
+    b = floor((53 - ceil(log2 4d)) / 2).  The rows of ``high`` are
+    (zh, ph, 1) and (2 zh, -1, -ph), ph = ||zh||^2, so their products are
+    2 zh_i . zh_j - ph_i - ph_j = -||zh_i - zh_j||^2: every product and partial
+    sum is an integer multiple of 2^(2e-2b) below 2^53 of them, exact in any
+    BLAS order, with or without FMA.  The rows of ``low`` are (zl, w, u, 1)
+    and (w, zl, 1, u), w = 2 zh + zl and u = q - zl . w, whose products are the
+    rest, q_i + q_j - (zl_i - zl_j) . (w_i - w_j); its distance part is about
+    2^-b of the whole, so its rounding is negligible.  A z that is not
+    finite, or whose squares could overflow in the sums (max |z| from about
+    1e153 on), raises ``NumericalConsistencyError``.
+    """
+    a, c = _exponent_form(spec)
+    n, d = nodes.shape
+    bits = (53 - (4 * d - 1).bit_length()) // 2  # (4d - 1).bit_length() = ceil(log2 4d)
+    # non-finite nodes and overflowing squares are caught by the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (nodes - nodes.mean(axis=0)) * a
+        top = float(np.abs(z).max())
+        if not np.isfinite(top):
+            raise NumericalConsistencyError("kernel values at the nodes are not finite")
+        # a grid no finer than 2^(b - 537) keeps the products 2^(2e - 2b) above the subnormals
+        e = max(frexp(top)[1], bits - 537)
+        if 2 * e + (4 * d - 1).bit_length() > 1023:
+            raise NumericalConsistencyError(f"scaled node offsets up to {top:.3e} overflow when squared")
+        grid = 2.0 ** (e - bits)
+        zh = np.rint(z / grid) * grid
+        zl = z - zh
+        w = 2.0 * zh + zl
+        ph = np.einsum("ij,ij->i", zh, zh)
+        # the Gaussian has no q, and so no square of a far node to overflow
+        q = np.einsum("ij,ij,j->i", nodes, nodes, c) if c.any() else np.zeros(n)
+        u = q - np.einsum("ij,ij->i", zl, w)
+    ones, ph, u = np.ones((n, 1)), ph[:, None], u[:, None]
+    high = (np.concatenate([zh, ph, ones], axis=1), np.concatenate([2.0 * zh, -ones, -ph], axis=1))
+    low = (np.concatenate([zl, w, u, ones], axis=1), np.concatenate([w, zl, ones, u], axis=1))
+    return q, high, low
+
+
 def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
     """Yield ``(lo, hi, block)``: rows lo..hi-1, columns 0..hi-1 of the Gram
-    matrix of ``nodes``, the lower triangle (every kernel form is symmetric
-    bit for bit) in blocks of ``_GRAM_BLOCK_ENTRIES // n`` rows.
+    matrix of ``nodes`` in blocks of ``_GRAM_BLOCK_ENTRIES // n`` rows.
 
-    Each block is one exp of the summed per-coordinate kernel exponents,
-    divided by prod_j (1-beta_j^2)^(1/2) for the Hermite family; with one
-    coordinate its entries are bitwise those of :func:`gaussian_kernel` and
-    :func:`hermite_kernel`.  The block is a contiguous buffer reused for
+    Each block costs two matrix products of the factors of
+    :func:`_exponent_factors`: the exact part -||zh_i - zh_j||^2 first, then
+    the small rest added to it.  On the diagonal the distance is 0 outright,
+    the exponent 2 q_i, so the Gaussian diagonal is exactly 1.  The block is
+    the exp of the exponents, divided by prod_j (1-beta_j^2)^(1/2) for the
+    Hermite family; its entries above the diagonal need not equal their
+    mirror images bit for bit.  The block is a contiguous buffer reused for
     every block, so it must be consumed before the next one is asked for.  A
     block that is not finite raises ``NumericalConsistencyError``, with no
-    warning.
+    warning, as do the nodes :func:`_exponent_factors` refuses.
     """
-    exponent = _gaussian_exponent if spec.is_gaussian else _mehler_exponent
+    q, (hl, hr), (ll, lr) = _exponent_factors(spec, nodes)
     scale = 1.0 if spec.is_gaussian else prod(sqrt(1.0 - b * b) for b in spec.params)
     n = nodes.shape[0]
     step = min(n, max(1, _GRAM_BLOCK_ENTRIES // n))
-    buffers = np.empty((3, step * n))
+    buffers = np.empty((2, step * n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        total, part, work = (b[: (hi - lo) * hi].reshape(hi - lo, hi) for b in buffers)
+        total, part = (b[: (hi - lo) * hi].reshape(hi - lo, hi) for b in buffers)
         # overflowing kernel values are caught by the finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, param in enumerate(spec.params):
-                col = nodes[:, j]
-                target = total if j == 0 else part
-                exponent(param, col[lo:hi, None], col[None, :hi], out=target, scratch=work)
-                if j > 0:
-                    np.add(total, part, out=total)
+            np.matmul(hl[lo:hi], hr[:hi].T, out=total)
+            total += np.matmul(ll[lo:hi], lr[:hi].T, out=part)
+            total.ravel()[lo :: hi + 1] = 2.0 * q[lo:hi]
             block = np.exp(total, out=total)
             if not spec.is_gaussian:
                 block /= scale
@@ -620,10 +666,13 @@ def _lower_gram(spec: KernelSpec, nodes: np.ndarray, order: str = "F"):
 
 def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel,
-    its lower triangle mirrored; raises on a non-finite kernel value."""
+    its strict lower triangle mirrored, so that it is symmetric bit for bit;
+    raises on a non-finite kernel value."""
     gram, bounds = _lower_gram(spec, nodes, order="C")
     for lo, hi in bounds:
         gram[:lo, lo:hi] = gram[lo:hi, :lo].T
+        diagonal = gram[lo:hi, lo:hi]
+        np.copyto(diagonal, diagonal.T, where=~np.tri(hi - lo, dtype=bool))
     return gram
 
 

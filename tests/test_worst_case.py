@@ -439,8 +439,9 @@ def _random_spec(rng, family, d):
 
 
 def _reference_gram_rows(spec, nodes):
-    """Test-local oracle: the block evaluator as it was before it reused its
-    buffers, with a fresh array for every exponent, part and block."""
+    """Test-local oracle: the per-coordinate block evaluator, each kernel
+    exponent in its own form, with a fresh array for every exponent, part
+    and block."""
 
     def gaussian(sigma, x, y):
         d = x - y
@@ -467,14 +468,45 @@ def _reference_gram_rows(spec, nodes):
         yield rows, block
 
 
-def _reference_wce(rule, spec):
-    w = rule.weights
-    wg = np.zeros(rule.n)
+def _reference_wce2(rule, spec):
+    """Test-local: e^2 as wce_integration sums it, over the blocks of the
+    reference evaluator."""
+    w, quad = rule.weights, 0.0
     for rows, block in _reference_gram_rows(spec, rule.nodes):
-        wg += w[rows] @ block
-    m = embedding_vector(spec, rule.nodes)
-    e2 = double_integral(spec) - 2.0 * float(w @ m) + float(wg @ w)
-    return math.sqrt(max(e2, 0.0))
+        lo, hi = rows.start, min(rows.stop, rule.n)
+        wi = w[lo:hi]
+        quad += 2.0 * float(block[:, :lo] @ w[:lo] @ wi) + float(wi @ block[:, lo:hi] @ wi)
+    return double_integral(spec) - 2.0 * float(w @ embedding_vector(spec, rule.nodes)) + quad
+
+
+def _long_double_gram(spec, nodes):
+    """Test-local oracle: the Gram matrix from the per-coordinate kernel forms
+    in long double."""
+    ld = np.longdouble
+    x = nodes.astype(ld)
+    total = np.zeros((x.shape[0], x.shape[0]), dtype=ld)
+    for j, p in enumerate(spec.params):
+        p, a, b = ld(p), x[:, j, None], x[None, :, j]
+        if spec.is_gaussian:
+            total -= p * p * (a - b) ** 2
+        else:
+            total += (2 * p * a * b - p * p * (a * a + b * b)) / (2 * (1 - p * p))
+    gram = np.exp(total)
+    if not spec.is_gaussian:
+        gram /= np.prod([np.sqrt(1 - ld(p) ** 2) for p in spec.params])
+    return gram
+
+
+def _long_double_e2(rule, spec):
+    """Test-local oracle: e^2 of a rule on a Gaussian space in long double."""
+    ld = np.longdouble
+    w, x = rule.weights.astype(ld), rule.nodes.astype(ld)
+    m, ii = np.ones(rule.n, dtype=ld), ld(1)
+    for j, sigma in enumerate(spec.params):
+        s2 = ld(sigma) ** 2
+        m *= np.exp(-s2 * x[:, j] ** 2 / (1 + 2 * s2)) / np.sqrt(1 + 2 * s2)
+        ii /= np.sqrt(1 + 4 * s2)
+    return float(ii - 2 * (w @ m) + w @ _long_double_gram(spec, rule.nodes) @ w)
 
 
 def _gamma(k):
@@ -483,15 +515,44 @@ def _gamma(k):
     return k * u / (1.0 - k * u)
 
 
-def _square_gram(spec, nodes):
-    """Test-local: all n^2 entries through the library's own exponent chain,
-    with no triangle and no mirror."""
-    exponent = worst_case._gaussian_exponent if spec.is_gaussian else worst_case._mehler_exponent
-    total = sum(exponent(p, nodes[:, j, None], nodes[None, :, j]) for j, p in enumerate(spec.params))
-    gram = np.exp(total)
-    if not spec.is_gaussian:
-        gram /= math.prod(math.sqrt(1.0 - b * b) for b in spec.params)
-    return gram
+def _entry_bound(spec, nodes, want):
+    """Test-local bound on |kernel_gram - want| for ``want`` from
+    :func:`_reference_gram_rows`.
+
+    With a^2 = sigma^2, c = 0 (Gaussian) or a^2 = beta / (2 (1-beta^2)),
+    c = beta / (2 (1+beta)) (Hermite), the exponent is q_i + q_j -
+    sum_k (z_ik - z_jk)^2, q_i = sum_k c_k x_ik^2 and z = a (x - mean x).  Let
+    D_ij = sum_k (|z_ik| + |z_jk|)^2, H_ij the sum of the absolute Mehler
+    terms beta^2 (x^2 + y^2) / (2 (1-beta^2)) and beta |x y| / (1-beta^2)
+    (0 for the Gaussian) and b = floor((53 - ceil(log2 4d)) / 2).
+
+    * The library rounds z by at most six roundings, which moves z_ik - z_jk
+      by gamma_6 (|z_ik| + |z_jk|) and the distance by gamma_13 D.  Its exact
+      part adds nothing; the rest has 2d + 2 products of entries below
+      2^(1-b) max|z| and 3 max|z|, and the sums round: in all
+      gamma_(3d+16) (D + q_i + q_j + 24 d 2^-b max|z|^2).
+    * The reference rounds each coordinate term at most 8 times and their
+      sum d - 1 times: gamma_(d+7) (D + H), as sigma^2 (x_i - x_j)^2 <= D.
+    * exp and the Hermite scale add gamma_(4d+5) to each, and the quotient
+      of the two entries three of those.
+
+    All of it lies below eta = gamma_(16d+40) (1 + D + H + q_i + q_j +
+    24 d 2^-b max|z|^2), so the entries differ by at most want (e^eta - 1),
+    plus two subnormal units for values below the normal range.
+    """
+    n, d = nodes.shape
+    p = np.array(spec.params)
+    a2, c = (p * p, 0.0 * p) if spec.is_gaussian else (p / (2.0 * (1.0 - p * p)), p / (2.0 * (1.0 + p)))
+    z = np.sqrt(a2) * np.abs(nodes - nodes.mean(axis=0))
+    bits = (53 - math.ceil(math.log2(4 * d))) // 2
+    mag = np.full((n, n), 1.0 + 24 * d * 2.0**-bits * float(z.max()) ** 2)
+    for k in range(d):
+        x = nodes[:, k]
+        mag += np.add.outer(z[:, k], z[:, k]) ** 2
+        mag += np.add.outer(c[k] * x * x, c[k] * x * x)
+        if not spec.is_gaussian:
+            mag += (a2[k] - c[k]) * np.add.outer(x * x, x * x) + 2.0 * a2[k] * np.abs(np.multiply.outer(x, x))
+    return want * np.expm1(_gamma(16 * d + 40) * mag) + 2.0**-1073
 
 
 class TestKernelGram:
@@ -504,16 +565,14 @@ class TestKernelGram:
         for n in (1, 5, 300):
             nodes = rng.normal(0.0, 1.5, size=(n, d))
             want, got = _product_gram(spec, nodes), kernel_gram(spec, nodes)
-            if d == 1:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want) / want) <= 1e-12
+            assert np.max(np.abs(got - want) / want) <= 1e-12
 
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_in_place_blocks_equal_allocating_reference(self, family, d):
-        # the Gram bit for bit, for one block (n = 1, 5), blocks of 109 rows
-        # with a shorter last one (300) and 125 blocks of 16 rows (2000)
+        # the Gram within the entry bound of the reference, for one block
+        # (n = 1, 5), blocks of 109 rows with a shorter last one (300) and
+        # 125 blocks of 16 rows (2000)
         rng = np.random.default_rng(200 + d)
         spec = _random_spec(rng, family, d)
         for n in (1, 5, 300, 2000):
@@ -521,29 +580,26 @@ class TestKernelGram:
             want = np.empty((n, n))
             for rows, block in _reference_gram_rows(spec, rule.nodes):
                 want[rows] = block
-            assert np.array_equal(kernel_gram(spec, rule.nodes), want)
+            bound = _entry_bound(spec, rule.nodes, want)
+            assert np.all(np.abs(kernel_gram(spec, rule.nodes) - want) <= bound)
             got = wce_integration(rule, spec)
-            if n * n <= worst_case._GRAM_BLOCK_ENTRIES:
-                # one block: the same expression as the full-row reference
-                assert got == _reference_wce(rule, spec)
-                continue
-            # the lower triangle sums w^T G w in another order: compare e^2
-            # with an exactly rounded sum over the reference Gram, within the
-            # summation bound of each term's depth (at most n + 2 roundings)
-            # plus two roundings of the oracle's own products
+            # compare e^2 with an exactly rounded sum over the reference Gram,
+            # within the summation bound of each term's depth (at most n + 2
+            # roundings), two roundings of the oracle's own products and the
+            # entry bound weighted by |w_i| |w_j|
             w, m, ii = rule.weights, embedding_vector(spec, rule.nodes), double_integral(spec)
             terms = w[:, None] * want * w[None, :]
             e2 = math.fsum(itertools.chain([ii], -2.0 * w * m, terms.ravel()))
             scale = ii + 2.0 * float(np.abs(w * m).sum()) + float(np.abs(terms).sum())
-            tol = (_gamma(n + 2) + _gamma(2)) * scale + _gamma(3) * e2
+            tol = (_gamma(n + 2) + _gamma(2)) * scale + _gamma(3) * e2 + float(np.abs(w) @ bound @ np.abs(w))
             assert e2 > 0.0 and abs(got * got - e2) <= tol
 
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_kernel_is_symmetric_bit_for_bit(self, family, d):
-        # kernel_gram evaluates only the lower triangle and mirrors it, which
-        # is exact only because k(x, y) == k(y, x) in floating point; exact
-        # duplicate nodes and coordinates of +0.0 and -0.0 included
+        # kernel_gram mirrors its strict lower triangle, and the diagonal has
+        # the distance 0 outright; exact duplicate nodes and coordinates of
+        # +0.0 and -0.0 included
         rng = np.random.default_rng(300 + d)
         spec = _random_spec(rng, family, d)
         for n in (1, 5, 181, 182, 300, 2000):
@@ -552,9 +608,74 @@ class TestKernelGram:
             nodes[rng.random((n, d)) < 0.2] = -0.0
             dup = np.arange(n // 2, n, 7)
             nodes[dup] = nodes[dup - n // 2]
-            square = _square_gram(spec, nodes)
-            assert np.array_equal(square, square.T)
-            assert np.array_equal(kernel_gram(spec, nodes), square)
+            gram = kernel_gram(spec, nodes)
+            assert np.array_equal(gram, gram.T)
+            if family == "gaussian":
+                assert np.all(gram.diagonal() == 1.0)
+            else:
+                assert np.all(gram.diagonal() >= 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_exact_part_is_exact(self, d, scale):
+        # 2 zh_i . zh_j - ph_i - ph_j = -||zh_i - zh_j||^2 in rational
+        # arithmetic, from the whole product and from one row block of it;
+        # the diagonal needs no product, which at 1e3 would miss 1.0
+        rng = np.random.default_rng(400 + d)
+        n = 300
+        step = worst_case._GRAM_BLOCK_ENTRIES // n
+        for family in ("gaussian", "hermite"):
+            nodes = scale * rng.normal(size=(n, d))
+            spec = _random_spec(rng, family, d)
+            if family == "gaussian":
+                assert np.all(kernel_gram(spec, nodes).diagonal() == 1.0)
+            _, (left, right), _ = worst_case._exponent_factors(spec, nodes)
+            zh = left[:, :d]
+            whole, rows = left @ right.T, left[step : 2 * step] @ right[: 2 * step].T
+            for i, j in rng.integers(0, n, size=(100, 2)):
+                exact = -sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(zh[i], zh[j]))
+                assert Fraction(whole[i, j]) == exact
+                i, j = step + i % step, j % (2 * step)
+                exact = -sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(zh[i], zh[j]))
+                assert Fraction(rows[i - step, j]) == exact
+
+    @pytest.mark.parametrize(
+        "spec, centers, spread",
+        [
+            (KernelSpec.gaussian((1.0,) * 6), (0.0,), 1.0),
+            (KernelSpec.gaussian((1.5,) * 4), (5.0,), 0.25),
+            (KernelSpec.gaussian((1.5,) * 4), (5.0, -5.0), 0.25),
+            (KernelSpec.hermite((0.9,) * 4), (0.0,), 1.0),
+            (KernelSpec.hermite((0.9,) * 4), (3.0,), 0.25),
+        ],
+        ids=["gaussian-normal", "gaussian-cluster", "gaussian-two-clusters", "hermite-normal", "hermite-cluster"],
+    )
+    def test_entries_match_long_double(self, spec, centers, spread):
+        # nodes alternate between the cluster centers; entries below the
+        # normal range are measured against its smallest value
+        rng = np.random.default_rng(500)
+        n = 600
+        nodes = np.resize(centers, n)[:, None] + spread * rng.standard_normal((n, spec.dimension))
+        want = _long_double_gram(spec, nodes)
+        error = np.abs(kernel_gram(spec, nodes) - want) / np.maximum(want, np.finfo(float).tiny)
+        assert float(error.max()) <= 1e-13
+
+    def test_two_cluster_e2_against_long_double(self):
+        # optimal weights on two clusters at +-3 reach ||w||_1 of about 1,000,
+        # where the rounding of w^T G w decides e^2; summed over six rules, the
+        # error of wce_integration is at most twice that of the same sum over
+        # the reference blocks
+        spec = KernelSpec.gaussian((1.0,) * 3)
+        ours = reference = 0.0
+        for seed in range(6):
+            rng = np.random.default_rng(600 + seed)
+            nodes = np.resize([3.0, -3.0], 400)[:, None] + 0.5 * rng.standard_normal((400, 3))
+            rule = optimal_weights(nodes, spec)
+            assert np.abs(rule.weights).sum() > 500.0
+            e2 = _long_double_e2(rule, spec)
+            ours += abs(wce_integration(rule, spec) ** 2 - e2)
+            reference += abs(_reference_wce2(rule, spec) - e2)
+        assert ours <= 2.0 * reference
 
     @pytest.mark.parametrize(
         "call",
@@ -1049,6 +1170,12 @@ class TestFiniteOrRaise:
         # NaN and infinite nodes give NaN exponents
         _raises_without_warning(lambda: kernel_gram(spec, np.array([[0.0], [x]])))
         _raises_without_warning(lambda: kernel_gram(spec, np.array([[x]])))
+
+    def test_kernel_gram_far_gaussian_node(self):
+        # the squared offset of 1e200 from the node mean overflows; a lone
+        # node has the offset 0
+        _raises_without_warning(lambda: kernel_gram(GAUSS_ONE, np.array([[0.0], [1e200]])))
+        assert kernel_gram(GAUSS_ONE, np.array([[1e200]])) == 1.0
 
     def test_wce_integration_kernel_overflow(self):
         rule = QuadratureRule(self.FAR_NODES, np.array([0.5, 0.5]))
