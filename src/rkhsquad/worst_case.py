@@ -579,7 +579,8 @@ def _exponent_factors(spec: KernelSpec, nodes: np.ndarray):
     """
     a, c = _exponent_form(spec)
     n, d = nodes.shape
-    bits = (53 - (4 * d - 1).bit_length()) // 2  # (4d - 1).bit_length() = ceil(log2 4d)
+    log4d = (4 * d - 1).bit_length()  # ceil(log2 4d)
+    bits = (53 - log4d) // 2
     # non-finite nodes and overflowing squares are caught by the checks
     with np.errstate(over="ignore", invalid="ignore"):
         z = (nodes - nodes.mean(axis=0)) * a
@@ -588,7 +589,7 @@ def _exponent_factors(spec: KernelSpec, nodes: np.ndarray):
             raise NumericalConsistencyError("kernel values at the nodes are not finite")
         # a grid no finer than 2^(b - 537) keeps the products 2^(2e - 2b) above the subnormals
         e = max(frexp(top)[1], bits - 537)
-        if 2 * e + (4 * d - 1).bit_length() > 1023:
+        if 2 * e + log4d > 1023:
             raise NumericalConsistencyError(f"scaled node offsets up to {top:.3e} overflow when squared")
         grid = 2.0 ** (e - bits)
         zh = np.rint(z / grid) * grid

@@ -497,7 +497,7 @@ def _long_double_gram(spec, nodes):
     return gram
 
 
-def _long_double_e2(rule, spec):
+def _long_double_gaussian_e2(rule, spec):
     """Test-local oracle: e^2 of a rule on a Gaussian space in long double."""
     ld = np.longdouble
     w, x = rule.weights.astype(ld), rule.nodes.astype(ld)
@@ -672,7 +672,7 @@ class TestKernelGram:
             nodes = np.resize([3.0, -3.0], 400)[:, None] + 0.5 * rng.standard_normal((400, 3))
             rule = optimal_weights(nodes, spec)
             assert np.abs(rule.weights).sum() > 500.0
-            e2 = _long_double_e2(rule, spec)
+            e2 = _long_double_gaussian_e2(rule, spec)
             ours += abs(wce_integration(rule, spec) ** 2 - e2)
             reference += abs(_reference_wce2(rule, spec) - e2)
         assert ours <= 2.0 * reference
