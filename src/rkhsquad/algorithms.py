@@ -31,7 +31,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import ceil, exp, expm1, inf, isfinite, log, log1p, prod, sqrt
+from math import ceil, exp, expm1, inf, isfinite, log, log1p, nextafter, prod, sqrt
 
 import numpy as np
 
@@ -927,6 +927,9 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
         raise NumericalConsistencyError(f"squared error {e2:.3e} badly negative")
     e2 = max(e2, 0.0)
     value = sqrt(e2)
-    upper = sqrt(e2 + delta)
-    lower = sqrt(max(e2 - delta, 0.0))
-    return prefactor * value, prefactor * max(upper - value, value - lower)
+    # sqrt(e2 + delta) - value and value - sqrt(e2 - delta) as quotients, which
+    # a positive delta never rounds to 0, and the larger rounded up by one unit
+    upper = delta / (sqrt(e2 + delta) + value) if delta > 0.0 else 0.0
+    lower = value if delta >= e2 else delta / (value + sqrt(e2 - delta))
+    tail = prefactor * max(upper, lower)
+    return prefactor * value, nextafter(tail, inf) if tail > 0.0 else 0.0

@@ -15,9 +15,9 @@ by block without holding G.  A solve copies the blocks once into the lower
 triangle of one column-major G, which Cholesky factors in place.  The
 condition estimate is that of L L^T, the matrix the solve uses, and comes
 from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
-above, Lanczos to 1e-10 on L alone: L L^T as two triangular products, its
-inverse as two triangular solves.  A failed factorization or an estimate
-above 1e14 raises ConditioningError.  Non-finite kernel values
+above, Lanczos (:func:`_lanczos_top`) on L alone: L L^T as two triangular
+products, its inverse as two triangular solves.  A failed factorization or
+an estimate above 1e14 raises ConditioningError.  Non-finite kernel values
 raise NumericalConsistencyError where the blocks are made.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
@@ -32,8 +32,8 @@ by a rigorous tail bound (Cramer envelope for the eigenfunctions plus the
 eigenvalue tail mass), so the true error lies in [value, value + tail].
 The largest eigenvalue outside the set sits on an outside successor nu + e_j.
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
-its norm comes from ARPACK on a matrix-free operator at O(|Lambda| n) time
-and memory per product, with a dense SVD only when ARPACK fails.
+its norm comes from the same Lanczos on T^T T, at O(|Lambda| n) time and
+memory per product, with a dense SVD only when Lanczos does not converge.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -47,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     ConditioningError,
@@ -75,10 +74,16 @@ MAX_GRAM_CONDITION = 1e14
 # Up to this many Gram nodes the condition estimate takes the dense
 # eigvalsh of L L^T; above it Lanczos works on products with L L^T and its inverse.
 _DENSE_LIMIT = 400
-# ARPACK's relative stopping accuracy for the Lanczos extremes.  The estimate
-# only meets MAX_GRAM_CONDITION, which 2e-10 in the ratio cannot decide; 0
-# (machine precision) costs a second restart on most n = 2000 Grams.
+# Lanczos stops once its Ritz residual is at most _LANCZOS_TOL times the Ritz
+# value; the value's own error is about the residual squared over the gap.
+# On the benchmark's operators (seed 1: the approx-spline error operators and
+# the quad-gram Grams at n = 1,500-2,000) a run took 8-14 and 13-18 steps at
+# 1e-10, 10-17 and 17-22 at 1e-14, and 26-36 and 34-48 at 0.  The condition
+# estimate only meets MAX_GRAM_CONDITION, and the error norms agree with a
+# dense SVD to 1e-12, so 1e-10 is enough for both.  A run that reaches
+# _LANCZOS_STEPS returns None and its caller takes the dense fallback.
 _LANCZOS_TOL = 1e-10
+_LANCZOS_STEPS = 64
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # Gram entries per block of full rows (only its lower triangle is built).
 # wce_integration at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs) took
@@ -711,31 +716,58 @@ def _error_from_e2(e2: float) -> float:
     return sqrt(max(e2, 0.0))
 
 
+def _lanczos_top(apply, size: int):
+    """``(theta, x)``: the largest eigenvalue of a symmetric positive
+    semidefinite operator and its unit Ritz vector, by Lanczos from the
+    uniform vector; None if ``_LANCZOS_STEPS`` steps do not converge.
+
+    Each new direction is orthogonalized against the whole basis twice, so
+    the basis stays orthonormal to rounding.  The basis grows by one row per
+    step.  After step k the top eigenpair (theta, y) of the tridiagonal T_k
+    gives the Ritz residual ||A x - theta x|| = beta_k |y_k|; the run stops
+    when that is at most ``_LANCZOS_TOL`` theta (an exact breakdown,
+    beta_k = 0, included) or the basis spans the space.
+    """
+    basis = np.full((1, size), 1.0 / sqrt(size))
+    alpha, beta = [], []
+    for k in range(_LANCZOS_STEPS):
+        w = apply(basis[k])
+        h = basis @ w
+        w = w - basis.T @ h  # apply may return its argument
+        h2 = basis @ w
+        w -= basis.T @ h2
+        alpha.append(h[k] + h2[k])
+        b = float(np.linalg.norm(w))
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if b * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or k + 1 == size:
+            x = y[:, -1] @ basis
+            x /= np.linalg.norm(x)
+            return float(theta[-1]), x
+        beta.append(b)
+        basis.resize((k + 2, size), refcheck=False)  # no view of basis outlives a step
+        np.divide(w, b, out=basis[k + 1])
+    return None
+
+
 def _lanczos_extremes(factor):
     """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
-    factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``,
-    lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
-    ``trsv``.  The upper triangle of the factor is never read."""
+    factor L alone, or None if either run does not converge: lambda_max from
+    x -> L (L^T x) as two BLAS ``trmv``, lambda_min as 1 / lambda_max(G^-1)
+    with G^-1 = L^-T L^-1 applied as two ``trsv``.  The upper triangle of
+    the factor is never read."""
     lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
     n = lower.shape[0]
-    v0 = np.full(n, 1.0 / sqrt(n))
-    opts = {"k": 1, "v0": v0, "tol": _LANCZOS_TOL, "return_eigenvectors": False}
     trmv, trsv = scipy.linalg.get_blas_funcs(("trmv", "trsv"), (lower,))
 
     def product(x):
-        y = trmv(lower, np.ravel(x), lower=1, trans=1)
-        return trmv(lower, y, lower=1, overwrite_x=1)
+        return trmv(lower, trmv(lower, x, lower=1, trans=1), lower=1, overwrite_x=1)
 
     def solve(x):
-        y = trsv(lower, np.ravel(x), lower=1)
-        return trsv(lower, y, lower=1, trans=1, overwrite_x=1)
+        return trsv(lower, trsv(lower, x, lower=1), lower=1, trans=1, overwrite_x=1)
 
-    def largest(matvec):
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-        return float(scipy.sparse.linalg.eigsh(op, **opts)[0])
-
-    hi = largest(product)
-    return 1.0 / largest(solve), hi
+    hi = _lanczos_top(product, n)
+    inv = None if hi is None else _lanczos_top(solve, n)
+    return None if inv is None else (1.0 / inv[0], hi[0])
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
@@ -744,7 +776,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     Only the lower triangle of ``gram`` is read, and a column-major ``gram``
     is overwritten by its factor L.  The extreme eigenvalues are those of
     L L^T: up to ``_DENSE_LIMIT`` nodes from its ``eigvalsh``, above it from
-    Lanczos on L (``eigvalsh`` again if ARPACK does not converge).  A failed
+    Lanczos on L (:func:`_lanczos_extremes`; ``eigvalsh`` again if it does
+    not converge in ``_LANCZOS_STEPS`` steps).  A failed
     factorization or an estimate above ``MAX_GRAM_CONDITION`` raises
     ``ConditioningError``.  The Gram comes from :func:`_lower_gram` or
     :func:`kernel_gram`, which check it finite.
@@ -755,13 +788,10 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
-    lo = None
-    if gram.shape[0] > _DENSE_LIMIT:
-        try:
-            lo, hi = _lanczos_extremes(factor)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            pass
-    if lo is None:
+    extremes = _lanczos_extremes(factor) if gram.shape[0] > _DENSE_LIMIT else None
+    if extremes is not None:
+        lo, hi = extremes
+    else:
         lower = np.tril(factor[0])
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -799,41 +829,34 @@ def _error_operator(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> n
 
 
 def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> float:
-    """Spectral norm of the error operator diag(s) - A B^T, A = C^T, B = s * P.
+    """Spectral norm of the error operator T = diag(s) - A B^T, A = C^T, B = s * P.
 
-    ARPACK gets a matrix-free operator whose products cost O(|Lambda| n) at
-    every size.  The dense matrix is built only if ARPACK fails or refuses
-    (it refuses a single index), and only up to ``_DENSE_FALLBACK_LIMIT``
-    indices, past which the failure raises ``NumericalConsistencyError``.
+    Lanczos runs on T^T T as two products with T's factors, O(|Lambda| n)
+    time and memory each, and the norm is ||T v|| for the top Ritz vector v.
+    The dense matrix is built only if Lanczos does not converge, and only up
+    to ``_DENSE_FALLBACK_LIMIT`` indices, past which that raises
+    ``NumericalConsistencyError``.
     """
     size = sqrt_lam.size
     A = coeff.T
     B = P * sqrt_lam[:, None]
 
-    def matvec(x):
-        x = np.ravel(x)
+    def forward(x):
         return sqrt_lam * x - A @ (B.T @ x)
 
-    def rmatvec(y):
-        y = np.ravel(y)
+    def normal(x):
+        y = forward(x)
         return sqrt_lam * y - B @ (A.T @ y)
 
-    op = scipy.sparse.linalg.LinearOperator(
-        (size, size), matvec=matvec, rmatvec=rmatvec, dtype=float
-    )
-    v0 = np.full(size, 1.0 / sqrt(size))
-    try:
-        s = scipy.sparse.linalg.svds(op, k=1, v0=v0, return_singular_vectors=False)
-        return float(s[0])
-    except (scipy.sparse.linalg.ArpackError, ValueError) as err:
-        # iterative solver can stall on (near-)degenerate matrices; svds
-        # raises ValueError on a 1 x 1 operator
-        if size > _DENSE_FALLBACK_LIMIT:
-            raise NumericalConsistencyError(
-                f"ARPACK failed on the {size}-index error operator ({err}) and a dense"
-                f" fallback is only built up to {_DENSE_FALLBACK_LIMIT} indices"
-            ) from err
-        return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
+    top = _lanczos_top(normal, size)
+    if top is not None:
+        return float(np.linalg.norm(forward(top[1])))
+    if size > _DENSE_FALLBACK_LIMIT:
+        raise NumericalConsistencyError(
+            f"Lanczos did not converge in {_LANCZOS_STEPS} steps on the {size}-index error"
+            f" operator and a dense fallback is only built up to {_DENSE_FALLBACK_LIMIT} indices"
+        )
+    return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
 
 
 def wce_approximation(method: SamplingMethod, system: SpectralSystem):

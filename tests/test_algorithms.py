@@ -994,7 +994,7 @@ class TestMdm:
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_wce_tail_decreases_in_trunc(self, gen):
-        # geometric rules reach a tail of exactly 0 from trunc 128 on
+        # from trunc 128 on, geometric rules keep only the tail of the degree cut
         plan = mdm_build(gen, 100.0, self.model, max_coord=8, pool_size=64)
         (v1, t1), (_, t2), (v3, t3) = (mdm_wce(plan, gen, trunc=t) for t in (12, 128, 1024))
         assert t1 > 0.0

@@ -3,16 +3,19 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
-from rkhsquad import hermite, worst_case
+from rkhsquad import errors, hermite, worst_case
 from rkhsquad.algorithms import _difference_rule
 from rkhsquad.errors import (
     ConditioningError,
@@ -836,18 +839,16 @@ class TestSolveSpd:
         exact = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
 
-    def test_arpack_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
+    def test_lanczos_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
         # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
         gram, m = self._system(401, "gaussian")
         w_lanczos, _ = _solve_spd(gram, m)
-
-        def stall(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+        monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 2)
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        assert worst_case._lanczos_extremes(factor) is None
         buffer = np.asfortranarray(gram)
         w, cond = _solve_spd(buffer, m)
-        lower = np.tril(scipy.linalg.cho_factor(gram, lower=True, check_finite=False)[0])
+        lower = np.tril(factor[0])
         assert np.array_equal(np.tril(buffer), lower)
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         assert cond == eigs[-1] / eigs[0]
@@ -1067,13 +1068,64 @@ def _dense_error_norm(method, system):
     return math.sqrt(scipy.linalg.eigh(G @ G.T, eigvals_only=True, subset_by_index=[top, top])[0])
 
 
+class TestLanczosTop:
+    def test_import_leaves_out_scipy_sparse(self):
+        code = "import sys, rkhsquad; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        src = str(Path(worst_case.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "[]"
+
+    def test_diagonal_operator_grows_its_basis_by_the_step(self):
+        # four distinct eigenvalues: the Krylov space closes after four steps
+        size = 200_000
+        diagonal = np.array([0.0, 0.5, 1.0, 3.0])[np.arange(size) % 4]
+        steps = []
+
+        def apply(x):
+            steps.append(1)
+            return diagonal * x
+
+        tracemalloc.start()
+        try:
+            theta, x = worst_case._lanczos_top(apply, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theta == pytest.approx(3.0, rel=1e-14, abs=0.0)
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
+        assert np.abs(x[diagonal < 3.0]).max() < 1e-12
+        assert len(steps) <= 4
+        assert peak <= (len(steps) + 4) * size * 8
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_tiny_operators_are_exact(self, size):
+        rng = np.random.default_rng(size)
+        root = rng.standard_normal((size, size))
+        matrix = root @ root.T
+        theta, x = worst_case._lanczos_top(lambda v: matrix @ v, size)
+        assert theta == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-14)
+        assert np.linalg.norm(matrix @ x - theta * x) <= 1e-13 * theta
+
+    def test_zero_operator(self):
+        theta, x = worst_case._lanczos_top(np.zeros_like, 50)
+        assert theta == 0.0 and np.linalg.norm(x) == pytest.approx(1.0)
+
+
+def _no_dense_operator(*args):
+    raise AssertionError("the dense error operator was built")
+
+
 class TestMatrixFreeNorm:
     """wce_approximation's matrix-free norm against the dense operator."""
 
     @pytest.mark.parametrize("degree", [0, 40, (19, 19)])  # |Lambda| = 1, 41, 400
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
-    def test_small_index_sets_match_dense(self, family, degree):
-        # |Lambda| = 1 takes the dense fallback: svds refuses a 1 x 1 operator
+    def test_small_index_sets_match_dense(self, family, degree, monkeypatch):
+        # no size builds the dense operator; at |Lambda| = 1 Lanczos breaks down
+        # exactly after its first step, with the exact value
+        monkeypatch.setattr(worst_case, "_error_operator", _no_dense_operator)
         idx = MultiIndexSet.box(np.ndim(degree) + 1, degree)
         spec = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.hermite)((0.5, 0.3)[: idx.dimension])
         system = SpectralSystem(spec, idx)
@@ -1113,27 +1165,22 @@ class TestMatrixFreeNorm:
         assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
 
     @staticmethod
-    def _stalled_arpack(monkeypatch, degree):
-        import scipy.sparse.linalg
-
-        def stall(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackError(-9999)
-
+    def _stalled_lanczos(monkeypatch, degree):
         rng = np.random.default_rng(41)
         system = SpectralSystem(KernelSpec.hermite((0.5, 0.3)), MultiIndexSet.box(2, degree))
         method = spline_method(rng.normal(size=(5, 2)), system)
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
+        monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 2)
         return method, system
 
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        method, system = self._stalled_arpack(monkeypatch, 40)
+    def test_lanczos_failure_falls_back_to_dense(self, monkeypatch):
+        method, system = self._stalled_lanczos(monkeypatch, 40)
         value, _ = wce_approximation(method, system)
         assert value == _dense_error_norm(method, system)
 
-    def test_arpack_failure_without_dense_fallback_raises(self, monkeypatch):
+    def test_lanczos_failure_without_dense_fallback_raises(self, monkeypatch):
         # |Lambda| = 5,776 is past the dense fallback's 5,000 indices
-        method, system = self._stalled_arpack(monkeypatch, 75)
-        with pytest.raises(NumericalConsistencyError, match="ARPACK failed on the 5776-index"):
+        method, system = self._stalled_lanczos(monkeypatch, 75)
+        with pytest.raises(NumericalConsistencyError, match="Lanczos did not converge in 2 steps on the 5776-index"):
             wce_approximation(method, system)
 
     def test_d3_degree_40_transference_identity(self):
@@ -1148,6 +1195,11 @@ class TestMatrixFreeNorm:
         prefactor = initial_error(KernelSpec.gaussian(tuple(sigma)), APPROXIMATION)
         assert 0.0 < e_g < prefactor and 0.0 <= tail_g < 1e-6 and 0.0 <= tail_h < 1e-6
         assert abs(e_g - prefactor * e_h) <= tail_g + prefactor * tail_h + 1e-14
+
+
+ERROR_TYPES = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == errors.__name__
+)
 
 
 def _raises_without_warning(call):
@@ -1216,6 +1268,35 @@ class TestFiniteOrRaise:
         assert np.all(np.isfinite(system.eigenfunction_matrix(method.nodes)))
         with pytest.raises(NumericalConsistencyError):
             wce_approximation(method, system)
+
+    def test_spline_wce_approximation_is_finite_or_typed(self):
+        # random index sets of 1..500 indices in d <= 3, node scales up to 10,
+        # spline coefficients scaled by 1e-8..1e8 and zero methods: every call
+        # returns a finite value and a tail >= 0, or raises an rkhsquad error
+        rng = np.random.default_rng(8)
+        returned = 0
+        for case in range(200):
+            d = int(rng.integers(1, 4))
+            spec = _random_spec(rng, "gaussian" if case % 2 else "hermite", d)
+            rows = _random_lower_set(rng, d, int(rng.integers(1, 4)), (499, 21, 7)[d - 1])
+            if len(rows) > 500:
+                continue
+            idx = MultiIndexSet(rows)
+            system = SpectralSystem(spec, idx)
+            nodes = rng.uniform(0.0, 10.0) * rng.standard_normal((int(rng.integers(1, 7)), d))
+            try:
+                if rng.random() < 0.2:
+                    method = SamplingMethod.zero(d, idx)
+                else:
+                    spline = spline_method(nodes, system)
+                    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+                    method = SamplingMethod(spline.nodes, scale * spline.coeff_table, idx)
+                value, tail = wce_approximation(method, system)
+            except ERROR_TYPES:
+                continue
+            assert math.isfinite(value) and math.isfinite(tail) and tail >= 0.0, (spec, idx.size, nodes)
+            returned += 1
+        assert returned > 100
 
     @pytest.mark.parametrize("nodes, coeffs", [
         ([[np.nan]], [[1.0, 0.0]]),
