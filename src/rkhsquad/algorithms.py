@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _is_int,
     _json_input,
 )
 from . import hermite
@@ -189,7 +190,10 @@ class SmolyakLevels:
     level: int
 
     def __post_init__(self):
-        schedule = tuple(int(m) for m in self.schedule)
+        schedule = tuple(self.schedule)
+        if not (all(_is_int(m, floats=True) for m in schedule) and _is_int(self.level)):
+            raise DomainError(f"schedule sizes and level must be integers, got {schedule} and {self.level!r}")
+        schedule = tuple(map(int, schedule))
         if not schedule or schedule[0] < 1:
             raise DomainError("schedule must start at a positive size")
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -303,13 +307,18 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
     ``dim`` ambient coordinates (default max(u) + 1) with inactive
     coordinates pinned at zero.
     """
-    u = tuple(sorted(int(j) for j in u))
+    u = tuple(u)
+    if not all(_is_int(j, floats=True) for j in u):
+        raise DomainError(f"coordinate indices must be integers, got {u}")
+    u = tuple(sorted(map(int, u)))
     if len(u) == 0 or len(set(u)) != len(u) or u[0] < 0:
         raise DomainError("u must be a non-empty set of distinct coordinate indices")
     q = levels.level
     if q < len(u):
         raise DomainError(f"level {q} below |u| = {len(u)}")
     dim = u[-1] + 1 if dim is None else dim
+    if not _is_int(dim):
+        raise DomainError(f"dim must be an integer, got {dim!r}")
     if dim <= u[-1]:
         raise ShapeMismatchError("ambient dimension too small for u")
     key = (len(u), levels.schedule, q)
@@ -489,10 +498,6 @@ class KernelGenerator:
 # multivariate decomposition methods
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
-
-
 @dataclass(frozen=True)
 class MdmPlan:
     """A finite family of active sets with their Smolyak levels and the plan's cost.
@@ -511,10 +516,10 @@ class MdmPlan:
         if not isfinite(self.cost):
             raise DomainError(f"plan cost {self.cost} is not finite")
         sets = self.active_sets
-        if len(self.levels) != len(sets) or not all(map(_is_count, self.levels)):
+        if len(self.levels) != len(sets) or not all(_is_int(q) and q >= 0 for q in self.levels):
             raise DomainError(f"need one non-negative int level per active set, got {self.levels}")
         for u in sets:
-            if not (u and all(map(_is_count, u)) and list(u) == sorted(set(u))):
+            if not (u and all(_is_int(c) and c >= 0 for c in u) and list(u) == sorted(set(u))):
                 raise DomainError(f"active set {u} is not a strictly increasing set of coordinates")
         if any(b <= a for a, b in zip(sets, sets[1:])):
             raise DomainError("active sets must be strictly increasing, without duplicates")
@@ -558,8 +563,11 @@ def _flat_weights(sets, levels) -> np.ndarray:
 
 
 def _flatten_components(sets, levels) -> QuadratureRule:
-    """The dense flattened rule of an MDM plan, rows in :func:`_flat_weights` order."""
+    """The dense flattened rule of an MDM plan, rows in :func:`_flat_weights` order,
+    refused before its node matrix is allocated when it has more than ``TENSOR_BUDGET`` rows."""
     weights = _flat_weights(sets, levels)
+    if weights.size > TENSOR_BUDGET:
+        raise BudgetError(f"the flattened MDM rule holds {weights.size} nodes, beyond {TENSOR_BUDGET}")
     nodes = np.zeros((weights.size, max((u[-1] + 1 for u in sets), default=1)))
     row = 1  # row 0 is the anchor
     for u, (keys, _) in zip(sets, map(_component_local, map(len, sets), levels)):
@@ -582,6 +590,8 @@ def assemble_mdm_plan(active_levels, model: CostModel) -> MdmPlan:
     is :func:`worst_case.rule_cost` of the flattened rule, summed over its
     rows in their order without building it.
     """
+    if not all(_is_int(q, floats=True) and all(_is_int(j, floats=True) for j in u) for u, q in active_levels.items()):
+        raise DomainError("active sets and their levels must hold integers")
     pairs = sorted((tuple(sorted(int(j) for j in u)), int(q)) for u, q in active_levels.items())
     if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
         raise DomainError("duplicate active sets")
@@ -615,10 +625,11 @@ def _subset_pool(betas, max_coord: int, pool_size: int):
 
 @lru_cache(maxsize=None)
 def _candidate_pool(gen: KernelGenerator, max_coord: int, pool_size: int):
-    """The score betas of coordinates 1..max_coord and their :func:`_subset_pool`,
-    both tuples: one build per generator and pool shape, shared by every budget."""
-    betas = tuple(gen.score_betas(max_coord).tolist())
-    return betas, tuple(_subset_pool(betas, max_coord, pool_size))
+    """The :func:`_subset_pool` of the score betas of coordinates 1..max_coord as a
+    tuple of ``(u, score, beta_u)``, beta_u = max_{c in u} beta_c: one build per
+    generator and pool shape, shared by every budget."""
+    betas = gen.score_betas(max_coord).tolist()
+    return tuple((u, score, max(betas[c] for c in u)) for u, score in _subset_pool(betas, max_coord, pool_size))
 
 
 def mdm_build(
@@ -640,28 +651,27 @@ def mdm_build(
     rule beyond ``hermite.MAX_RULE_SIZE`` points.  Sets larger than the
     dollar table's last activity are never candidates.
     Ties prefer the lexicographically smaller set.  The anchor evaluation
-    is always included and charged dollar(0).  ``BudgetError`` is raised once the granted
-    components hold more than ``TENSOR_BUDGET`` nodes, or when a costed candidate component's
-    terms stack more than ``TENSOR_BUDGET`` rows.
+    is always included and charged dollar(0).  ``BudgetError`` is raised when a
+    costed candidate component's terms stack more than ``TENSOR_BUDGET`` rows.
     """
     if not isfinite(budget):
         raise DomainError(f"budget {budget} is not finite")
-    for name, value in (("max_coord", max_coord), ("pool_size", pool_size)):
+    for name, value, floats in (("max_coord", max_coord, False), ("pool_size", pool_size, True)):
+        if not _is_int(value, floats):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
     anchor_cost = model.charge_rows([0])
     if budget < anchor_cost:
         raise BudgetError(f"budget {budget} below the anchor evaluation cost {anchor_cost}")
-    betas, pool = _candidate_pool(gen, max_coord, pool_size)
+    pool = _candidate_pool(gen, max_coord, pool_size)
 
     @lru_cache(maxsize=None)
-    def comp(size: int, q: int) -> tuple:
-        # (cost, size) of the anchored component, which depends on |u| only
-        counts = _component_counts(size, q)
-        return model.charge_rows(counts), counts.size
+    def comp(size: int, q: int) -> float:
+        # the cost of the anchored component, which depends on |u| only
+        return model.charge_rows(_component_counts(size, q))
 
     remaining = budget - anchor_cost
-    granted = 0  # the sum of the chosen components' sizes, the plan's budgets
     chosen: dict[tuple, int] = {}
     options = []
 
@@ -669,24 +679,20 @@ def mdm_build(
         # level q of u: the step from q - 1, unless its top rule is past the largest one
         if q - 2 * (len(u) - 1) > hermite.MAX_RULE_SIZE:
             return
-        (cost, size), (prev_cost, prev_size) = comp(len(u), q), comp(len(u), q - 1)
-        dcost, dpe = cost - prev_cost, score * beta_u ** (q - 1 - len(u)) * (1.0 - beta_u)
+        dcost, dpe = comp(len(u), q) - comp(len(u), q - 1), score * beta_u ** (q - 1 - len(u)) * (1.0 - beta_u)
         # a free upgrade (odd rules reuse the anchor node) is always worth taking
         ratio = inf if dcost <= 0 else dpe / dcost
-        heapq.heappush(options, (-ratio, u, q, dcost, size - prev_size, score, beta_u))
+        heapq.heappush(options, (-ratio, u, q, dcost, score, beta_u))
 
-    for u, score in pool:
+    for u, score, beta_u in pool:
         if model.mode == "unit" or len(u) < len(model.table):  # u's nodes have activity <= |u|
-            push(u, 2 * len(u), score, max(betas[c] for c in u))
+            push(u, 2 * len(u), score, beta_u)
 
     while options:
-        _, u, q, dcost, dsize, score, beta_u = heapq.heappop(options)
+        _, u, q, dcost, score, beta_u = heapq.heappop(options)
         if dcost > remaining:
             continue
         remaining -= dcost
-        granted += dsize
-        if granted > TENSOR_BUDGET:
-            raise BudgetError(f"granted MDM components hold {granted} nodes, beyond {TENSOR_BUDGET}")
         chosen[u] = q
         push(u, q + 1, score, beta_u)
 
@@ -876,6 +882,8 @@ def mdm_wce(plan: MdmPlan, gen: KernelGenerator, trunc: int = 2048):
     of the twin rule, E = prod_c e_c times the twins of the tensor terms,
     on the Hermite space of its ``score_betas``.  Returns ``(value, tail_bound)``.
     """
+    if not _is_int(trunc):
+        raise DomainError(f"trunc must be an integer, got {trunc!r}")
     dim = max((u[-1] + 1 for u in plan.active_sets), default=1)
     if dim > trunc:
         raise ShapeMismatchError(f"plan touches coordinate {dim - 1}, beyond trunc = {trunc}")

@@ -8,6 +8,8 @@ messages to branch on failure modes.
 import json
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class UnsupportedDegreeError(ValueError):
     """Polynomial degree above the supported guard."""
@@ -56,6 +58,15 @@ def _json_input(obj, what: str):
         raise  # a constructor's own error keeps its type
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"invalid {what} JSON: {exc!r}") from exc
+
+
+def _is_int(value, floats: bool = False) -> bool:
+    """Whether ``value`` is an int or a numpy integer, not a bool, checked in O(1) where a
+    count enters.  With ``floats``, for arguments that have always been read through
+    ``int()``, a float with no fractional part passes too."""
+    if isinstance(value, (int, np.integer)):
+        return not isinstance(value, bool)
+    return floats and isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
 def _freeze(record, **arrays) -> None:

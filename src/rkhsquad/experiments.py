@@ -22,7 +22,7 @@ from .algorithms import (
     mdm_wce,
     tensor_rule_for_eps,
 )
-from .errors import DomainError, InsufficientDataError, NumericalConsistencyError
+from .errors import DomainError, InsufficientDataError, NumericalConsistencyError, _is_int
 from .hermite import gauss_hermite_rule
 from .kernels import GAUSSIAN, HERMITE, KernelSpec
 from .transference import TransferConstants
@@ -132,8 +132,8 @@ def univariate_decay_curve(space: str, param: float, n_max: int):
     """
     if space not in (GAUSSIAN, HERMITE):
         raise DomainError(f"space must be 'gaussian' or 'hermite', got {space!r}")
-    if n_max < 1:
-        raise DomainError("n_max must be positive")
+    if not _is_int(n_max) or n_max < 1:
+        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
     spec = KernelSpec(space, (param,))
     errors = []
     for n, (value, tail) in enumerate(_gh_errors_on_space(range(1, n_max + 1), spec), start=1):

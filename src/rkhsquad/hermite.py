@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedDegreeError,
     UnsupportedSizeError,
     _freeze,
+    _is_int,
 )
 
 # The recurrence streams in blocks of degrees, so this guard bounds time, not memory.
@@ -82,8 +83,8 @@ def hermite_table(nu_max: int, x: np.ndarray) -> np.ndarray:
     Returns an array of shape (nu_max + 1,) + x.shape, filled by the
     three-term recurrence vectorized over points.
     """
-    if nu_max < 0:
-        raise UnsupportedDegreeError("degree must be non-negative")
+    if not _is_int(nu_max) or nu_max < 0:
+        raise UnsupportedDegreeError(f"degree must be a non-negative integer, got {nu_max!r}")
     if nu_max > MAX_DEGREE:
         raise UnsupportedDegreeError(f"degree {nu_max} exceeds the guard {MAX_DEGREE}")
     x = np.asarray(x, dtype=float)
@@ -126,8 +127,8 @@ def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     n : int
         Number of nodes, 1 <= n <= 256.
     """
-    if not 1 <= n <= MAX_RULE_SIZE:
-        raise UnsupportedSizeError(f"rule size {n} outside [1, {MAX_RULE_SIZE}]")
+    if not (_is_int(n) and 1 <= n <= MAX_RULE_SIZE):
+        raise UnsupportedSizeError(f"rule size {n!r} is not an integer in [1, {MAX_RULE_SIZE}]")
     diag = np.zeros(n)
     offdiag = np.sqrt(np.arange(1.0, n))
     try:

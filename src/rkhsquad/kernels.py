@@ -152,22 +152,6 @@ class KernelSpec:
             return cls(obj["family"], tuple(obj["params"]))
 
 
-def _gaussian_exponent(sigma: float, x, y):
-    """-sigma^2 (x-y)^2, the exponent of the Gaussian kernel."""
-    d = np.subtract(x, y, dtype=float)
-    return -(sigma * sigma) * d * d
-
-
-def _mehler_exponent(beta: float, x, y):
-    """(2 beta x y - beta^2 (x^2+y^2)) / (2 (1-beta^2)), the exponent of the
-    Mehler form; the kernel is its exp times (1-beta^2)^(-1/2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b2 = beta * beta
-    # single commutative product keeps k(x,y) == k(y,x) bitwise
-    return (2.0 * beta * (x * y) - b2 * (x * x + y * y)) / (2.0 * (1.0 - b2))
-
-
 def _exponent_form(spec: KernelSpec):
     """Per-coordinate ``(a, c)`` with the kernel's exponent written as
 
@@ -189,17 +173,24 @@ def _exponent_form(spec: KernelSpec):
 
 def gaussian_kernel(sigma: float, x, y):
     """exp(-sigma^2 (x-y)^2); accepts scalars or broadcastable arrays."""
-    return np.exp(_gaussian_exponent(sigma, x, y))
+    d = np.subtract(x, y, dtype=float)
+    return np.exp(-(sigma * sigma) * d * d)
 
 
 def hermite_kernel(beta: float, x, y):
-    """Closed (Mehler) form of sum_nu beta^nu h_nu(x) h_nu(y).
+    """Closed (Mehler) form of sum_nu beta^nu h_nu(x) h_nu(y),
+
+        exp((2 beta x y - beta^2 (x^2+y^2)) / (2 (1-beta^2))) / (1-beta^2)^(1/2).
 
     Accepts scalars or broadcastable arrays; beta must lie in (0, 1).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("base parameter must lie strictly inside (0, 1)")
-    return np.exp(_mehler_exponent(beta, x, y)) / np.sqrt(1.0 - beta * beta)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b2 = beta * beta
+    # single commutative product keeps k(x,y) == k(y,x) bitwise
+    return np.exp((2.0 * beta * (x * y) - b2 * (x * x + y * y)) / (2.0 * (1.0 - b2))) / np.sqrt(1.0 - b2)
 
 
 def hermite_kernel_series(beta: float, x, y, terms: int = 400):

@@ -54,6 +54,7 @@ from .errors import (
     NumericalConsistencyError,
     ShapeMismatchError,
     _freeze,
+    _is_int,
     _json_input,
 )
 from . import hermite
@@ -262,8 +263,11 @@ class MultiIndexSet:
 
         ``degree`` is one degree for every coordinate (a scalar or a 0-d
         array) or a sequence of per-coordinate degrees.  Degrees that are
-        not non-negative integers raise ``DomainError``.
+        not non-negative integers, or a dimension that is not an integer,
+        raise ``DomainError``.
         """
+        if not _is_int(dimension):
+            raise DomainError(f"dimension must be an integer, got {dimension!r}")
         degrees = [degree] * dimension if np.ndim(degree) == 0 else list(degree)
         if len(degrees) != dimension:
             raise ShapeMismatchError("one degree per coordinate required")
@@ -423,6 +427,8 @@ class SamplingMethod:
     @classmethod
     def zero(cls, dimension: int, index_set: MultiIndexSet) -> "SamplingMethod":
         """The zero method: one dead node at the origin."""
+        if not _is_int(dimension):
+            raise DomainError(f"dimension must be an integer, got {dimension!r}")
         return cls(np.zeros((1, dimension)), np.zeros((1, index_set.size)), index_set)
 
     def to_json(self) -> dict:

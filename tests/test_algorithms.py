@@ -900,12 +900,15 @@ class TestMdm:
     def test_size_guard(self, monkeypatch):
         from rkhsquad import algorithms
 
+        # the budget guards the dense rule only: the planner holds no node count
         plan = mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
-        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", sum(plan.budgets))
+        rows = plan.flattened.n
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", rows)
+        assert plan.flattened.n == rows
+        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", rows - 1)
         assert mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256) == plan
-        monkeypatch.setattr(algorithms, "TENSOR_BUDGET", sum(plan.budgets) - 1)
-        with pytest.raises(BudgetError):
-            mdm_build(self.gen, 1000.0, self.model, max_coord=64, pool_size=256)
+        with pytest.raises(BudgetError, match=f"holds {rows} nodes"):
+            plan.flattened
 
     def test_build_and_wce_never_flatten(self, monkeypatch):
         from rkhsquad import algorithms
@@ -1063,6 +1066,21 @@ class TestMdm:
             make()
         assert time.perf_counter() - start < 1.0
         assert (6, 40) not in algorithms._LOCAL_COMPONENT_CACHE
+
+    def test_json_plan_past_the_node_budget_flattens_to_a_refusal(self):
+        # 60 disjoint pairs at level 40: each component stacks 402,819 rows and merges
+        # to 20,445, so the plan loads, but its dense rule would hold 1,226,641 rows
+        plan = MdmPlan.from_json({"active_sets": [[2 * i, 2 * i + 1] for i in range(60)],
+                                  "levels": [40] * 60, "cost": 0.0})
+        assert _component_rows(2, 40) == 402_819 and plan.budgets[0] == 20_445
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="1226641 nodes"):
+                plan.flattened
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6  # the node matrix alone would take 1.2 GB
 
     def test_levels_match_active_sets(self):
         plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)
@@ -1325,6 +1343,7 @@ class TestTermDag:
         mdm_build(gen, 100.0, self.model, max_coord=32, pool_size=256)
         assert built == [(64, 256), (32, 256)]
         assert plans[1] == plans[2]
-        betas, cached = algorithms._candidate_pool(gen, 64, 256)
-        assert isinstance(betas, tuple) and isinstance(cached, tuple)
-        assert cached == tuple(pool(list(betas), 64, 256))
+        cached = algorithms._candidate_pool(gen, 64, 256)
+        betas = gen.score_betas(64).tolist()
+        assert isinstance(cached, tuple)
+        assert cached == tuple((u, score, max(betas[c] for c in u)) for u, score in pool(betas, 64, 256))
