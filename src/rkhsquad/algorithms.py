@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _frozen,
     _is_int,
     _json_input,
 )
@@ -136,14 +137,20 @@ def tensor_rule(factors) -> QuadratureRule:
     size = prod(f.n for f in factors)
     if size > TENSOR_BUDGET:
         raise BudgetError(f"tensor grid of {size} nodes exceeds the budget {TENSOR_BUDGET}")
-    return QuadratureRule(*_product_grid([f.nodes for f in factors], [f.weights for f in factors]))
+    return QuadratureRule(*_frozen(*_product_grid([f.nodes for f in factors], [f.weights for f in factors])))
 
 
 def _product_grid(node_lists, weight_lists):
     """Rows of the product grid of per-coordinate node lists, in lexicographic
-    position order, and the products of their weights."""
-    nodes = np.stack(np.broadcast_arrays(*np.ix_(*node_lists)), axis=-1).reshape(-1, len(node_lists))
-    return nodes, reduce(np.multiply.outer, weight_lists).ravel()
+    position order, and the products of their weights, each filled in an array of its own."""
+    shape = tuple(map(len, node_lists))
+    nodes = np.empty((prod(shape), len(shape)), dtype=node_lists[0].dtype)
+    grid = nodes.reshape(shape + (len(shape),))
+    for j, column in enumerate(np.ix_(*node_lists)):
+        grid[..., j] = column
+    weights = np.empty(nodes.shape[0])
+    np.multiply.outer(reduce(np.multiply.outer, weight_lists[:-1], 1.0), weight_lists[-1], out=weights.reshape(shape))
+    return nodes, weights
 
 
 def level_choice_for_eps(eps: float, sigma) -> np.ndarray:
@@ -327,7 +334,7 @@ def smolyak_rule(u, levels: SmolyakLevels, dim: int | None = None) -> Quadrature
     keys, weights = _LOCAL_SMOLYAK_CACHE[key]
     nodes = np.zeros((keys.shape[0], dim))
     nodes[:, list(u)] = keys
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_frozen(nodes), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +581,7 @@ def _flatten_components(sets, levels) -> QuadratureRule:
         live = keys[keys.any(axis=1)]
         nodes[row : row + len(live), list(u)] = live
         row += len(live)
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_frozen(nodes, weights))
 
 
 def _component_counts(size: int, level: int) -> np.ndarray:

@@ -7,6 +7,7 @@ messages to branch on failure modes.
 
 import json
 from contextlib import contextmanager
+from math import isfinite
 
 import numpy as np
 
@@ -69,8 +70,32 @@ def _is_int(value, floats: bool = False) -> bool:
     return floats and isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
+def _adopt(value) -> np.ndarray:
+    """``value`` itself if it is a read-only float64 array that owns its data, as the
+    library's builders leave what they allocate (:func:`_frozen`); anything else as a
+    private float64 copy, so that a caller's buffer is never shared."""
+    if type(value) is np.ndarray and value.dtype == np.float64 and value.flags.owndata and not value.flags.writeable:
+        return value
+    return np.array(value, dtype=float)
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, each made read-only in place, for a value type to adopt without a copy;
+    only for arrays that the caller has just allocated and shares with no one."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _finite(array: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite, an empty one included, read from
+    its min and max, which a NaN reaches too, so no temporary of the array's size is made."""
+    return array.size == 0 or (isfinite(array.min()) and isfinite(array.max()))
+
+
 def _freeze(record, **arrays) -> None:
-    """Set each array, made read-only, on the frozen dataclass ``record``; pass copies of a caller's buffers."""
+    """Set each array, made read-only, on the frozen dataclass ``record``.  The arrays come
+    from :func:`_adopt`: an adopted array was read-only already, and a copy is private."""
     for name, array in arrays.items():
         array.flags.writeable = False
         object.__setattr__(record, name, array)

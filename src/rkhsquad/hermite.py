@@ -26,10 +26,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
+    DomainError,
     NumericalConsistencyError,
     UnsupportedDegreeError,
     UnsupportedSizeError,
+    _adopt,
+    _finite,
     _freeze,
+    _frozen,
     _is_int,
 )
 
@@ -45,7 +49,7 @@ _SYMMETRY_TOL = 1e-12
 class QuadratureRule1D:
     """Nodes and weights of a quadrature rule for the standard normal measure.
 
-    Invariants checked at construction: strictly increasing nodes, positive
+    Invariants checked at construction: finite entries, strictly increasing nodes, positive
     weights summing to one within 1e-13, and node symmetry about zero
     within 1e-12.
     """
@@ -54,12 +58,14 @@ class QuadratureRule1D:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        nodes = _adopt(self.nodes)
+        weights = _adopt(self.weights)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.shape != weights.shape:
             raise UnsupportedSizeError("nodes and weights must be 1D arrays of equal length")
         if nodes.size == 0:
             raise UnsupportedSizeError("a quadrature rule needs at least one node")
+        if not (_finite(nodes) and _finite(weights)):
+            raise DomainError("nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise NumericalConsistencyError("nodes must be strictly increasing")
         if np.any(weights <= 0):
@@ -111,7 +117,6 @@ def _hermite_blocks(nu_max: int, x: np.ndarray, block: int):
         buf[:2] = buf[block:]
 
 
-@lru_cache(maxsize=None)
 def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     """The n-point Gauss-Hermite rule for the standard normal measure.
 
@@ -125,10 +130,17 @@ def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     Parameters
     ----------
     n : int
-        Number of nodes, 1 <= n <= 256.
+        Number of nodes, 1 <= n <= 256.  Rules are cached by ``int(n)``, so a numpy
+        integer shares the rule of the equal int.
     """
     if not (_is_int(n) and 1 <= n <= MAX_RULE_SIZE):
         raise UnsupportedSizeError(f"rule size {n!r} is not an integer in [1, {MAX_RULE_SIZE}]")
+    return _gauss_hermite_rule(int(n))
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite_rule(n: int) -> QuadratureRule1D:
+    """:func:`gauss_hermite_rule` for a checked int ``n``, built once."""
     diag = np.zeros(n)
     offdiag = np.sqrt(np.arange(1.0, n))
     try:
@@ -142,5 +154,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule1D:
     weights = 1.0 / np.sum(table * table, axis=0)
     weights = 0.5 * (weights + weights[::-1])
     weights = weights / weights.sum()
-    return QuadratureRule1D(nodes, weights)
+    return QuadratureRule1D(*_frozen(nodes, weights))
 
+
+gauss_hermite_rule.cache_info = _gauss_hermite_rule.cache_info  # misses count the rules built

@@ -36,7 +36,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError, _frozen
 from .kernels import (
     APPROXIMATION,
     INTEGRATION,
@@ -149,7 +149,7 @@ def transfer_quadrature_to_hermite(rule: QuadratureRule, sigma) -> QuadratureRul
     if rule.dimension != constants.dimension:
         raise ShapeMismatchError("rule dimension does not match sigma length")
     weights = float(np.prod(constants.e)) * _node_damping(constants, rule.nodes) * rule.weights
-    return QuadratureRule(rule.nodes * constants.e[None, :], weights)
+    return QuadratureRule(*_frozen(rule.nodes * constants.e[None, :], weights))
 
 
 def transfer_quadrature_to_gaussian(rule: QuadratureRule, sigma) -> QuadratureRule:
@@ -159,7 +159,7 @@ def transfer_quadrature_to_gaussian(rule: QuadratureRule, sigma) -> QuadratureRu
         raise ShapeMismatchError("rule dimension does not match sigma length")
     nodes = rule.nodes / constants.e[None, :]
     weights = rule.weights / (float(np.prod(constants.e)) * _node_damping(constants, nodes))
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(*_frozen(nodes, weights))
 
 
 def spectral_pair(sigma, index_set: MultiIndexSet):
@@ -187,11 +187,8 @@ def transfer_sampling_to_hermite(method: SamplingMethod, sigma) -> SamplingMetho
     if method.dimension != constants.dimension:
         raise ShapeMismatchError("method dimension does not match sigma length")
     scale = _sampling_row_scale(constants, method.nodes)
-    return SamplingMethod(
-        method.nodes * constants.c[None, :],
-        method.coeff_table * scale[:, None],
-        method.index_set,
-    )
+    nodes, coeff = _frozen(method.nodes * constants.c[None, :], method.coeff_table * scale[:, None])
+    return SamplingMethod(nodes, coeff, method.index_set)
 
 
 def transfer_sampling_to_gaussian(method: SamplingMethod, sigma) -> SamplingMethod:
@@ -201,4 +198,4 @@ def transfer_sampling_to_gaussian(method: SamplingMethod, sigma) -> SamplingMeth
         raise ShapeMismatchError("method dimension does not match sigma length")
     nodes = method.nodes / constants.c[None, :]
     scale = _sampling_row_scale(constants, nodes)
-    return SamplingMethod(nodes, method.coeff_table / scale[:, None], method.index_set)
+    return SamplingMethod(*_frozen(nodes, method.coeff_table / scale[:, None]), method.index_set)

@@ -42,7 +42,7 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, floor, frexp, log, prod, sqrt
+from math import exp, floor, frexp, isfinite, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,10 @@ from .errors import (
     DomainError,
     NumericalConsistencyError,
     ShapeMismatchError,
+    _adopt,
+    _finite,
     _freeze,
+    _frozen,
     _is_int,
     _json_input,
 )
@@ -87,11 +90,15 @@ _LANCZOS_TOL = 1e-10
 _LANCZOS_STEPS = 64
 _DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
 # Gram entries per block of full rows (only its lower triangle is built).
-# wce_integration at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs) took
-# 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms at
-# 2**15, 4.3-5.0, 14 and 41-49 ms at 2**16, and 4.5-5.1, 13-14 and 39 ms at
-# 2**17: the two matrix products gain a little from taller blocks.  The
-# blocks also fix the order of w^T G w, so changing this changes
+# wce_integration alone at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs)
+# took 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms
+# at 2**15, 4.3-5.0, 14 and 41-49 ms at 2**16, and 4.5-5.1, 13-14 and 39 ms at
+# 2**17.  But whole Gram ops (optimal_weights, then wce_integration of the rule
+# and of its Hermite twin, at n = 1500, 2000, 2000 and d = 4, 4, 6; seven
+# repetitions, two alternating runs on 2 vCPUs) took 62-79, 118-123 and 119-131
+# ms at 2**15 against 93-340, 188-317 and 184-400 ms at 2**17, and cho_factor
+# ran slower right after a 2**17 Gram build.  Why is not pinned down; 2**15
+# stays.  The blocks also fix the order of w^T G w, so changing this changes
 # wce_integration's last bits above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
 # Degrees per block of the Hermite recurrence behind moments.  A multiple of 8, as OpenBLAS
@@ -115,13 +122,13 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
-        weights = np.array(self.weights, dtype=float).ravel()
+        nodes = np.atleast_2d(_adopt(self.nodes))
+        weights = _adopt(self.weights).ravel()
         if nodes.shape[0] != weights.size:
             raise ShapeMismatchError(f"{nodes.shape[0]} nodes but {weights.size} weights")
         if weights.size < 1:
             raise ShapeMismatchError("a rule needs at least one node")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        if not (_finite(nodes) and _finite(weights)):
             raise DomainError("nodes and weights must be finite")
         _freeze(self, nodes=nodes, weights=weights)
 
@@ -145,7 +152,7 @@ class QuadratureRule:
     @classmethod
     def from_json(cls, obj) -> "QuadratureRule":
         with _json_input(obj, "rule") as obj:
-            return cls(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["weights"], dtype=float))
+            return cls(obj["nodes"], obj["weights"])
 
 
 _MAX_INDEX_ENTRY = 2**62
@@ -405,14 +412,14 @@ class SamplingMethod:
     index_set: MultiIndexSet
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
-        coeff = np.atleast_2d(np.array(self.coeff_table, dtype=float))
+        nodes = np.atleast_2d(_adopt(self.nodes))
+        coeff = np.atleast_2d(_adopt(self.coeff_table))
         if coeff.shape != (nodes.shape[0], self.index_set.size):
             raise ShapeMismatchError(f"coefficient table {coeff.shape} does not match "
                                      f"{nodes.shape[0]} nodes x {self.index_set.size} indices")
         if nodes.shape[1] != self.index_set.dimension:
             raise ShapeMismatchError("node dimension does not match index-set dimension")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(coeff))):
+        if not (_finite(nodes) and _finite(coeff)):
             raise DomainError("nodes and coefficients must be finite")
         _freeze(self, nodes=nodes, coeff_table=coeff)
 
@@ -441,11 +448,7 @@ class SamplingMethod:
     @classmethod
     def from_json(cls, obj) -> "SamplingMethod":
         with _json_input(obj, "sampling method") as obj:
-            return cls(
-                np.asarray(obj["nodes"], dtype=float),
-                np.asarray(obj["coeffs"], dtype=float),
-                MultiIndexSet(obj["index_set"]),
-            )
+            return cls(obj["nodes"], obj["coeffs"], MultiIndexSet(obj["index_set"]))
 
 
 def _eigenvalues(factor: np.ndarray, beta: np.ndarray, rows: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -732,18 +735,22 @@ def _lanczos_top(apply, size: int):
     step.  After step k the top eigenpair (theta, y) of the tridiagonal T_k
     gives the Ritz residual ||A x - theta x|| = beta_k |y_k|; the run stops
     when that is at most ``_LANCZOS_TOL`` theta (an exact breakdown,
-    beta_k = 0, included) or the basis spans the space.
+    beta_k = 0, included) or the basis spans the space.  A step whose
+    products or norm overflow raises ``NumericalConsistencyError``.
     """
     basis = np.full((1, size), 1.0 / sqrt(size))
     alpha, beta = [], []
     for k in range(_LANCZOS_STEPS):
-        w = apply(basis[k])
-        h = basis @ w
-        w = w - basis.T @ h  # apply may return its argument
-        h2 = basis @ w
-        w -= basis.T @ h2
-        alpha.append(h[k] + h2[k])
-        b = float(np.linalg.norm(w))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+            w = apply(basis[k])
+            h = basis @ w
+            w = w - basis.T @ h  # apply may return its argument
+            h2 = basis @ w
+            w -= basis.T @ h2
+            alpha.append(h[k] + h2[k])
+            b = float(np.linalg.norm(w))
+        if not (isfinite(b) and isfinite(alpha[-1])):
+            raise NumericalConsistencyError(f"Lanczos overflowed at step {k + 1} on an operator of size {size}")
         theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         if b * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or k + 1 == size:
             x = y[:, -1] @ basis
@@ -821,7 +828,7 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
     gram, _ = _lower_gram(spec, nodes)
     m = embedding_vector(spec, nodes)
     w, _ = _solve_spd(gram, m)
-    return QuadratureRule(nodes, w)
+    return QuadratureRule(nodes, *_frozen(w))
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +914,7 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
     P = system.eigenfunction_matrix(nodes)  # [nu, j]
     rhs = (P * system.eigenvalues[:, None]).T  # [j, nu]
     coeff, _ = _solve_spd(gram, rhs)
-    return SamplingMethod(nodes, coeff, system.index_set)
+    return SamplingMethod(nodes, *_frozen(coeff), system.index_set)
 
 
 # ---------------------------------------------------------------------------

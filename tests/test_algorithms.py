@@ -152,6 +152,18 @@ class TestTensorRule:
         with pytest.raises(BudgetError):
             tensor_rule([gauss_hermite_rule(256)] * 3)
 
+    def test_grid_is_held_once(self):
+        # the rule keeps the grid's own arrays: no copy of the 64,000 x 3 node matrix
+        factors = [gauss_hermite_rule(40)] * 3
+        tracemalloc.start()
+        try:
+            rule = tensor_rule(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.nodes.shape == (64_000, 3)
+        assert peak <= 1.1 * (rule.nodes.nbytes + rule.weights.nbytes)
+
 
 class TestTensorRuleForEps:
     def test_level_choice_d2(self):
@@ -1081,6 +1093,20 @@ class TestMdm:
         finally:
             tracemalloc.stop()
         assert peak < 50e6  # the node matrix alone would take 1.2 GB
+
+    def test_flattened_rule_holds_one_node_matrix(self):
+        # the rule keeps the node matrix it is built in, and checks it finite without a
+        # temporary of its size: the flatten peaks at that matrix, not at twice it
+        plan = mdm_build(self.gen, 31623.0, self.model)
+        plan.budgets  # builds every component, so the flatten below only fills the matrix
+        tracemalloc.start()
+        try:
+            rule = plan.flattened
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.nodes.shape == (10_775, 140)
+        assert peak <= 1.1 * rule.nodes.nbytes
 
     def test_levels_match_active_sets(self):
         plan = assemble_mdm_plan({(0,): 3, (0, 1): 6}, self.model)

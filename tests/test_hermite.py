@@ -102,6 +102,14 @@ class TestGaussHermiteRule:
         with pytest.raises(UnsupportedSizeError):
             gauss_hermite_rule(257)
 
+    def test_numpy_integer_shares_the_rule_of_the_equal_int(self):
+        # the cache keys on int(n): a numpy size finds the rule of its int and builds none
+        rule = gauss_hermite_rule(np.int64(37))
+        misses = gauss_hermite_rule.cache_info().misses
+        assert gauss_hermite_rule(37) is rule
+        assert gauss_hermite_rule(np.int32(37)) is rule and gauss_hermite_rule(np.uint16(37)) is rule
+        assert gauss_hermite_rule.cache_info().misses == misses
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 256])
     def test_rule_invariants(self, n):
         rule = gauss_hermite_rule(n)

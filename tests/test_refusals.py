@@ -100,6 +100,8 @@ REFUSALS = {
     "rule-1d-empty": (UnsupportedSizeError, lambda: QuadratureRule1D([], [])),
     "rule-1d-decreasing-nodes": (NumericalConsistencyError, lambda: QuadratureRule1D([1.0, -1.0], [0.5, 0.5])),
     "rule-1d-negative-weight": (NumericalConsistencyError, lambda: QuadratureRule1D([-1.0, 1.0], [1.5, -0.5])),
+    "rule-1d-nan-node": (DomainError, lambda: QuadratureRule1D([np.nan], [1.0])),
+    "rule-1d-nan-weights": (DomainError, lambda: QuadratureRule1D([-1.0, 1.0], [np.nan, np.nan])),
     "gauss-hermite-float-size": (UnsupportedSizeError, lambda: gauss_hermite_rule(3.0)),
     "hermite-table-fractional-degree": (UnsupportedDegreeError, lambda: hermite_table(2.5, np.zeros(2))),
     # kernels

@@ -23,7 +23,7 @@ from rkhsquad.errors import (
     NumericalConsistencyError,
     ShapeMismatchError,
 )
-from rkhsquad.hermite import gauss_hermite_rule, hermite_table
+from rkhsquad.hermite import QuadratureRule1D, gauss_hermite_rule, hermite_table
 from rkhsquad.kernels import (
     APPROXIMATION,
     CRAMER_CONSTANT,
@@ -88,6 +88,67 @@ class TestQuadratureRule:
             QuadratureRule(np.array(nodes), np.array(weights))
         with pytest.raises(DomainError):
             QuadratureRule.from_json({"nodes": nodes, "weights": weights})
+
+
+def _read_only(values, dtype=float):
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+# each value type with a valid pair of array fields: (constructor, names, values)
+_ADOPTERS = {
+    "QuadratureRule": (QuadratureRule, ("nodes", "weights"), ([[0.0, 1.0], [2.0, -1.0]], [0.25, 0.75])),
+    "QuadratureRule1D": (QuadratureRule1D, ("nodes", "weights"), ([-1.0, 1.0], [0.5, 0.5])),
+    "SamplingMethod": (
+        lambda nodes, coeff: SamplingMethod(nodes, coeff, MultiIndexSet.box(1, 2)),
+        ("nodes", "coeff_table"),
+        ([[0.0], [1.0]], [[0.5, 0.0, 0.25], [0.0, 1.0, 0.0]]),
+    ),
+}
+
+
+class TestArrayAdoption:
+    """A read-only float64 array that owns its data is kept; any other array is copied."""
+
+    @pytest.mark.parametrize("name", sorted(_ADOPTERS))
+    def test_frozen_owning_arrays_are_shared(self, name):
+        make, fields, values = _ADOPTERS[name]
+        arrays = [_read_only(v) for v in values]
+        held = make(*arrays)
+        for field, array in zip(fields, arrays):
+            assert np.shares_memory(getattr(held, field), array)
+            assert not getattr(held, field).flags.writeable
+
+    @pytest.mark.parametrize("kind", ["writable", "read-only-view", "float32", "list"])
+    @pytest.mark.parametrize("name", sorted(_ADOPTERS))
+    def test_other_arrays_are_copied(self, name, kind):
+        make, fields, values = _ADOPTERS[name]
+        if kind == "writable":
+            arrays = [np.array(v) for v in values]
+        elif kind == "read-only-view":
+            arrays = [np.array(v)[...] for v in values]
+            for array in arrays:
+                array.flags.writeable = False
+        elif kind == "float32":
+            arrays = [_read_only(v, np.float32) for v in values]
+        else:
+            arrays = [list(v) for v in values]
+        held = make(*arrays)
+        for field, array, v in zip(fields, arrays, values):
+            got = getattr(held, field)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got, np.array(v, dtype=float).reshape(got.shape))
+            if isinstance(array, np.ndarray):
+                assert not np.shares_memory(got, array)
+        if kind == "writable":
+            assert all(array.flags.writeable for array in arrays)
+
+    def test_empty_arrays_pass_the_finiteness_check(self):
+        # a node matrix without columns is finite; a rule without nodes is refused by its shape
+        assert QuadratureRule(_read_only(np.zeros((2, 0))), np.array([0.5, 0.5])).dimension == 0
+        with pytest.raises(ShapeMismatchError):
+            QuadratureRule(np.zeros((0, 1)), np.zeros(0))
 
 
 class TestMultiIndexSet:
@@ -1268,6 +1329,16 @@ class TestFiniteOrRaise:
         assert np.all(np.isfinite(system.eigenfunction_matrix(method.nodes)))
         with pytest.raises(NumericalConsistencyError):
             wce_approximation(method, system)
+
+    def test_lanczos_norm_overflow(self):
+        # a coefficient of 1e100 puts entries of about 1e200 in T^T T: the norm of the
+        # first Lanczos vector overflows, which raises instead of warning
+        idx = MultiIndexSet.box(1, 3)
+        method = SamplingMethod(np.array([[0.0]]), np.array([[1e100, 0.0, 0.0, 0.0]]), idx)
+        for spec in (HERM_HALF, GAUSS_ONE):
+            _raises_without_warning(lambda: wce_approximation(method, SpectralSystem(spec, idx)))
+        with pytest.raises(NumericalConsistencyError, match="Lanczos overflowed at step 1"):
+            wce_approximation(method, SpectralSystem(HERM_HALF, idx))
 
     def test_spline_wce_approximation_is_finite_or_typed(self):
         # random index sets of 1..500 indices in d <= 3, node scales up to 10,
