@@ -16,8 +16,10 @@ triangle of one column-major G, which Cholesky factors in place.  The
 condition estimate is that of L L^T, the matrix the solve uses, and comes
 from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
 above, Lanczos (:func:`_lanczos_top`) on L alone: L L^T as two triangular
-products, its inverse as two triangular solves.  A failed factorization or
-an estimate above 1e14 raises ConditioningError.  Non-finite kernel values
+products, its inverse as two triangular solves from a seeded random start.
+Above 400 nodes Lanczos is the only solver, and a run that does not
+converge raises NumericalConsistencyError.  A failed factorization or an
+estimate above 1e14 raises ConditioningError.  Non-finite kernel values
 raise NumericalConsistencyError where the blocks are made.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
@@ -33,7 +35,8 @@ eigenvalue tail mass), so the true error lies in [value, value + tail].
 The largest eigenvalue outside the set sits on an outside successor nu + e_j.
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
 its norm comes from the same Lanczos on T^T T, at O(|Lambda| n) time and
-memory per product, with a dense SVD only when Lanczos does not converge.
+memory per product; no dense operator is built at any size, and a run that
+does not converge raises NumericalConsistencyError.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -84,11 +87,14 @@ _DENSE_LIMIT = 400
 # the quad-gram Grams at n = 1,500-2,000) a run took 8-14 and 13-18 steps at
 # 1e-10, 10-17 and 17-22 at 1e-14, and 26-36 and 34-48 at 0.  The condition
 # estimate only meets MAX_GRAM_CONDITION, and the error norms agree with a
-# dense SVD to 1e-12, so 1e-10 is enough for both.  A run that reaches
-# _LANCZOS_STEPS returns None and its caller takes the dense fallback.
+# dense SVD to 1e-12, so 1e-10 is enough for both.  Above _DENSE_LIMIT Lanczos
+# is the only solver, and a run that reaches _LANCZOS_STEPS raises.  Random
+# Grams at n = 401-2,000 took at most 45 steps, spline error norms at
+# sigma = 0.2-20 at most 34.  Clustered spectra take more: norms at sigma = 100
+# 64-79 steps, at 1e4 up to 388, circulant Grams up to 448 at n = 2,000.  All
+# 512 steps cost 6 s at size 2,000, 15-17 s at 68,921 (282 MB basis; 2 vCPUs).
 _LANCZOS_TOL = 1e-10
-_LANCZOS_STEPS = 64
-_DENSE_FALLBACK_LIMIT = 5000  # a dense operator of 5,000 indices holds 200 MB
+_LANCZOS_STEPS = 512
 # Gram entries per block of full rows (only its lower triangle is built).
 # wce_integration alone at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs)
 # took 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms
@@ -725,20 +731,23 @@ def _error_from_e2(e2: float) -> float:
     return sqrt(max(e2, 0.0))
 
 
-def _lanczos_top(apply, size: int):
+def _lanczos_top(apply, start: np.ndarray):
     """``(theta, x)``: the largest eigenvalue of a symmetric positive
-    semidefinite operator and its unit Ritz vector, by Lanczos from the
-    uniform vector; None if ``_LANCZOS_STEPS`` steps do not converge.
+    semidefinite operator and its unit Ritz vector, by Lanczos from the unit
+    vector ``start``.
 
     Each new direction is orthogonalized against the whole basis twice, so
     the basis stays orthonormal to rounding.  The basis grows by one row per
     step.  After step k the top eigenpair (theta, y) of the tridiagonal T_k
     gives the Ritz residual ||A x - theta x|| = beta_k |y_k|; the run stops
     when that is at most ``_LANCZOS_TOL`` theta (an exact breakdown,
-    beta_k = 0, included) or the basis spans the space.  A step whose
-    products or norm overflow raises ``NumericalConsistencyError``.
+    beta_k = 0, included) or the basis spans the space.  So a start on an
+    eigenvector stops after one step at its eigenvalue, whichever it is.  A
+    run that has not stopped after ``_LANCZOS_STEPS`` steps, or a step whose
+    products or norm overflow, raises ``NumericalConsistencyError``.
     """
-    basis = np.full((1, size), 1.0 / sqrt(size))
+    size = start.size
+    basis = start[None, :].copy()  # owns its data, so it can be resized below
     alpha, beta = [], []
     for k in range(_LANCZOS_STEPS):
         with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
@@ -759,15 +768,19 @@ def _lanczos_top(apply, size: int):
         beta.append(b)
         basis.resize((k + 2, size), refcheck=False)  # no view of basis outlives a step
         np.divide(w, b, out=basis[k + 1])
-    return None
+    raise NumericalConsistencyError(
+        f"Lanczos did not converge in {_LANCZOS_STEPS} steps on an operator of size {size}"
+    )
 
 
 def _lanczos_extremes(factor):
     """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
-    factor L alone, or None if either run does not converge: lambda_max from
-    x -> L (L^T x) as two BLAS ``trmv``, lambda_min as 1 / lambda_max(G^-1)
-    with G^-1 = L^-T L^-1 applied as two ``trsv``.  The upper triangle of
-    the factor is never read."""
+    factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``, and
+    lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
+    ``trsv``.  The inverse run starts from a normal draw of ``default_rng(0)``:
+    the uniform start is the top eigenvector of a Gram whose rows have equal
+    sums, and would stop it at 1 / lambda_max.  The upper triangle of the
+    factor is never read."""
     lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
     n = lower.shape[0]
     trmv, trsv = scipy.linalg.get_blas_funcs(("trmv", "trsv"), (lower,))
@@ -778,9 +791,10 @@ def _lanczos_extremes(factor):
     def solve(x):
         return trsv(lower, trsv(lower, x, lower=1), lower=1, trans=1, overwrite_x=1)
 
-    hi = _lanczos_top(product, n)
-    inv = None if hi is None else _lanczos_top(solve, n)
-    return None if inv is None else (1.0 / inv[0], hi[0])
+    draw = np.random.default_rng(0).standard_normal(n)
+    hi, _ = _lanczos_top(product, np.full(n, 1.0 / sqrt(n)))
+    inv, _ = _lanczos_top(solve, draw / np.linalg.norm(draw))
+    return 1.0 / inv, hi
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
@@ -789,8 +803,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     Only the lower triangle of ``gram`` is read, and a column-major ``gram``
     is overwritten by its factor L.  The extreme eigenvalues are those of
     L L^T: up to ``_DENSE_LIMIT`` nodes from its ``eigvalsh``, above it from
-    Lanczos on L (:func:`_lanczos_extremes`; ``eigvalsh`` again if it does
-    not converge in ``_LANCZOS_STEPS`` steps).  A failed
+    Lanczos on L (:func:`_lanczos_extremes`), whose failure to converge
+    raises ``NumericalConsistencyError``.  A failed
     factorization or an estimate above ``MAX_GRAM_CONDITION`` raises
     ``ConditioningError``.  The Gram comes from :func:`_lower_gram` or
     :func:`kernel_gram`, which check it finite.
@@ -801,9 +815,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
-    extremes = _lanczos_extremes(factor) if gram.shape[0] > _DENSE_LIMIT else None
-    if extremes is not None:
-        lo, hi = extremes
+    if gram.shape[0] > _DENSE_LIMIT:
+        lo, hi = _lanczos_extremes(factor)
     else:
         lower = np.tril(factor[0])
         eigs = np.linalg.eigvalsh(lower @ lower.T)
@@ -835,20 +848,13 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
 # L2-approximation
 
 
-def _error_operator(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Dense error operator (I - (P C)^T) diag(sqrt_lam), |Lambda| x |Lambda|."""
-    inner = P @ coeff  # [nu, m]
-    return (np.eye(sqrt_lam.size) - inner.T) * sqrt_lam[None, :]
-
-
 def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> float:
     """Spectral norm of the error operator T = diag(s) - A B^T, A = C^T, B = s * P.
 
-    Lanczos runs on T^T T as two products with T's factors, O(|Lambda| n)
-    time and memory each, and the norm is ||T v|| for the top Ritz vector v.
-    The dense matrix is built only if Lanczos does not converge, and only up
-    to ``_DENSE_FALLBACK_LIMIT`` indices, past which that raises
-    ``NumericalConsistencyError``.
+    Lanczos runs on T^T T from the uniform vector, as two products with T's
+    factors, O(|Lambda| n) time and memory each, and the norm is ||T v|| for
+    the top Ritz vector v.  No dense matrix is built at any size; a run that
+    does not converge raises ``NumericalConsistencyError``.
     """
     size = sqrt_lam.size
     A = coeff.T
@@ -861,15 +867,8 @@ def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> fl
         y = forward(x)
         return sqrt_lam * y - B @ (A.T @ y)
 
-    top = _lanczos_top(normal, size)
-    if top is not None:
-        return float(np.linalg.norm(forward(top[1])))
-    if size > _DENSE_FALLBACK_LIMIT:
-        raise NumericalConsistencyError(
-            f"Lanczos did not converge in {_LANCZOS_STEPS} steps on the {size}-index error"
-            f" operator and a dense fallback is only built up to {_DENSE_FALLBACK_LIMIT} indices"
-        )
-    return float(scipy.linalg.svdvals(_error_operator(sqrt_lam, P, coeff))[0])
+    _, v = _lanczos_top(normal, np.full(size, 1.0 / sqrt(size)))
+    return float(np.linalg.norm(forward(v)))
 
 
 def wce_approximation(method: SamplingMethod, system: SpectralSystem):

@@ -854,6 +854,11 @@ class TestOptimalWeights:
             assert lhs == pytest.approx(double_integral(spec), rel=1e-9)
 
 
+def _uniform(size):
+    """The unit vector with equal entries, the start of the error norm's run."""
+    return np.full(size, 1.0 / math.sqrt(size))
+
+
 class TestSolveSpd:
     """The Cholesky-first solve against eigvalsh as the condition oracle."""
 
@@ -900,22 +905,43 @@ class TestSolveSpd:
         exact = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
 
-    def test_lanczos_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
-        # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
+    def test_lanczos_no_convergence_raises(self, monkeypatch):
+        # above _DENSE_LIMIT Lanczos is the only solver: a stalled run refuses
         gram, m = self._system(401, "gaussian")
-        w_lanczos, _ = _solve_spd(gram, m)
         monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 2)
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        assert worst_case._lanczos_extremes(factor) is None
-        buffer = np.asfortranarray(gram)
-        w, cond = _solve_spd(buffer, m)
-        lower = np.tril(factor[0])
-        assert np.array_equal(np.tril(buffer), lower)
-        eigs = np.linalg.eigvalsh(lower @ lower.T)
-        assert cond == eigs[-1] / eigs[0]
-        exact = np.linalg.eigvalsh(gram)
-        assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
-        assert np.array_equal(w, w_lanczos)
+        with pytest.raises(NumericalConsistencyError, match="Lanczos did not converge in 2 steps on an operator of size 401"):
+            _solve_spd(gram, m)
+
+    @staticmethod
+    def _circle(radius):
+        # evenly spaced nodes on a circle: a circulant Gram, whose rows have equal
+        # sums, so the uniform vector is its top eigenvector
+        t = 2.0 * np.pi * np.arange(500) / 500
+        nodes = radius * np.column_stack([np.cos(t), np.sin(t)])
+        spec = KernelSpec.gaussian((1.0, 1.0))
+        return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+
+    @pytest.mark.parametrize("radius", [40.0, 60.0])  # the inverse run takes 86 steps at 60
+    def test_equal_row_sums_condition_estimate(self, radius):
+        gram, m = self._circle(radius)
+        eigs = np.linalg.eigvalsh(gram)
+        _, cond = _solve_spd(gram.copy(), m)
+        assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
+
+    def test_uniform_start_on_an_eigenvector_stops_at_once(self):
+        # why the inverse run needs another start: from the circle Gram's top
+        # eigenvector Lanczos stops after one step, at that eigenvalue
+        gram, _ = self._circle(40.0)
+        steps = []
+
+        def apply(x):
+            steps.append(1)
+            return gram @ x
+
+        theta, _ = worst_case._lanczos_top(apply, _uniform(500))
+        assert len(steps) == 1
+        assert theta == pytest.approx(gram.sum(axis=1).mean(), rel=1e-14)
+        assert theta == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-12)
 
     def test_lanczos_reads_only_the_lower_factor(self):
         # cho_factor leaves Gram entries above the diagonal; NaN there must reach
@@ -1148,9 +1174,10 @@ class TestLanczosTop:
             steps.append(1)
             return diagonal * x
 
+        start = _uniform(size)  # the caller's, so not traced
         tracemalloc.start()
         try:
-            theta, x = worst_case._lanczos_top(apply, size)
+            theta, x = worst_case._lanczos_top(apply, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1165,17 +1192,13 @@ class TestLanczosTop:
         rng = np.random.default_rng(size)
         root = rng.standard_normal((size, size))
         matrix = root @ root.T
-        theta, x = worst_case._lanczos_top(lambda v: matrix @ v, size)
+        theta, x = worst_case._lanczos_top(lambda v: matrix @ v, _uniform(size))
         assert theta == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-14)
         assert np.linalg.norm(matrix @ x - theta * x) <= 1e-13 * theta
 
     def test_zero_operator(self):
-        theta, x = worst_case._lanczos_top(np.zeros_like, 50)
+        theta, x = worst_case._lanczos_top(np.zeros_like, _uniform(50))
         assert theta == 0.0 and np.linalg.norm(x) == pytest.approx(1.0)
-
-
-def _no_dense_operator(*args):
-    raise AssertionError("the dense error operator was built")
 
 
 class TestMatrixFreeNorm:
@@ -1183,10 +1206,8 @@ class TestMatrixFreeNorm:
 
     @pytest.mark.parametrize("degree", [0, 40, (19, 19)])  # |Lambda| = 1, 41, 400
     @pytest.mark.parametrize("family", ["gaussian", "hermite"])
-    def test_small_index_sets_match_dense(self, family, degree, monkeypatch):
-        # no size builds the dense operator; at |Lambda| = 1 Lanczos breaks down
-        # exactly after its first step, with the exact value
-        monkeypatch.setattr(worst_case, "_error_operator", _no_dense_operator)
+    def test_small_index_sets_match_dense(self, family, degree):
+        # at |Lambda| = 1 Lanczos breaks down exactly after its first step, with the exact value
         idx = MultiIndexSet.box(np.ndim(degree) + 1, degree)
         spec = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.hermite)((0.5, 0.3)[: idx.dimension])
         system = SpectralSystem(spec, idx)
@@ -1225,23 +1246,37 @@ class TestMatrixFreeNorm:
         value, _ = wce_approximation(method, system)
         assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
 
-    @staticmethod
-    def _stalled_lanczos(monkeypatch, degree):
+    @pytest.mark.parametrize("degree", [40, 75])  # |Lambda| = 1,681 and 5,776
+    def test_lanczos_no_convergence_raises(self, monkeypatch, degree):
         rng = np.random.default_rng(41)
         system = SpectralSystem(KernelSpec.hermite((0.5, 0.3)), MultiIndexSet.box(2, degree))
         method = spline_method(rng.normal(size=(5, 2)), system)
         monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 2)
-        return method, system
+        size = system.index_set.size
+        with pytest.raises(NumericalConsistencyError, match=f"Lanczos did not converge in 2 steps on an operator of size {size}"):
+            wce_approximation(method, system)
 
-    def test_lanczos_failure_falls_back_to_dense(self, monkeypatch):
-        method, system = self._stalled_lanczos(monkeypatch, 40)
+    # Clustered spectra at sigma = 100, which Lanczos finishes past 64 steps; each
+    # case checks that against a cap of 64 after its value.
+    def test_zero_method_on_a_clustered_spectrum(self, monkeypatch):
+        # 6,561 indices: the zero method's error is the initial error (66 steps)
+        spec = KernelSpec.gaussian((100.0, 100.0))
+        idx = MultiIndexSet.box(2, 80)
+        method, system = SamplingMethod.zero(2, idx), SpectralSystem(spec, idx)
         value, _ = wce_approximation(method, system)
-        assert value == _dense_error_norm(method, system)
+        assert value == pytest.approx(initial_error(spec, APPROXIMATION), rel=1e-12, abs=0.0)
+        monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 64)
+        with pytest.raises(NumericalConsistencyError, match="did not converge in 64 steps"):
+            wce_approximation(method, system)
 
-    def test_lanczos_failure_without_dense_fallback_raises(self, monkeypatch):
-        # |Lambda| = 5,776 is past the dense fallback's 5,000 indices
-        method, system = self._stalled_lanczos(monkeypatch, 75)
-        with pytest.raises(NumericalConsistencyError, match="Lanczos did not converge in 2 steps on the 5776-index"):
+    def test_spline_on_a_clustered_spectrum(self, monkeypatch):
+        # 10 nodes over 301 indices (72 steps)
+        system = SpectralSystem(KernelSpec.gaussian((100.0,)), MultiIndexSet.box(1, 300))
+        method = spline_method(np.random.default_rng(1).normal(size=(10, 1)), system)
+        value, _ = wce_approximation(method, system)
+        assert value == pytest.approx(_dense_error_norm(method, system), rel=1e-12, abs=0.0)
+        monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 64)
+        with pytest.raises(NumericalConsistencyError, match="did not converge in 64 steps"):
             wce_approximation(method, system)
 
     def test_d3_degree_40_transference_identity(self):
