@@ -16,9 +16,8 @@ triangle of one column-major G, which Cholesky factors in place.  The
 condition estimate is that of L L^T, the matrix the solve uses, and comes
 from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
 above, Lanczos (:func:`_lanczos_top`) on L alone: L L^T as two triangular
-products, its inverse as two triangular solves from a seeded random start.
-Above 400 nodes Lanczos is the only solver, and a run that does not
-converge raises NumericalConsistencyError.  A failed factorization or an
+products, its inverse as two triangular solves from a seeded random start,
+handing over to eigvalsh after 64 steps.  A failed factorization or an
 estimate above 1e14 raises ConditioningError.  Non-finite kernel values
 raise NumericalConsistencyError where the blocks are made.
 
@@ -36,7 +35,7 @@ The largest eigenvalue outside the set sits on an outside successor nu + e_j.
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
 its norm comes from the same Lanczos on T^T T, at O(|Lambda| n) time and
 memory per product; no dense operator is built at any size, and a run that
-does not converge raises NumericalConsistencyError.
+does not converge in 512 steps raises NumericalConsistencyError.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -87,14 +86,16 @@ _DENSE_LIMIT = 400
 # the quad-gram Grams at n = 1,500-2,000) a run took 8-14 and 13-18 steps at
 # 1e-10, 10-17 and 17-22 at 1e-14, and 26-36 and 34-48 at 0.  The condition
 # estimate only meets MAX_GRAM_CONDITION, and the error norms agree with a
-# dense SVD to 1e-12, so 1e-10 is enough for both.  Above _DENSE_LIMIT Lanczos
-# is the only solver, and a run that reaches _LANCZOS_STEPS raises.  Random
-# Grams at n = 401-2,000 took at most 45 steps, spline error norms at
-# sigma = 0.2-20 at most 34.  Clustered spectra take more: norms at sigma = 100
-# 64-79 steps, at 1e4 up to 388, circulant Grams up to 448 at n = 2,000.  All
-# 512 steps cost 6 s at size 2,000, 15-17 s at 68,921 (282 MB basis; 2 vCPUs).
+# dense SVD to 1e-12, so 1e-10 is enough for both.  Random Grams at n = 401-2,000
+# took at most 45 steps, spline norms at sigma = 0.2-20 at most 34; clustered
+# spectra more: norms at sigma = 100 64-79, at 1e4 up to 388, the inverse runs of
+# equispaced or circulant Grams about n / 2.  The error norm has no other solver,
+# so it raises only after _LANCZOS_STEPS (all 512: 11-13 s at size 68,921, 2 vCPUs).
+# A Gram run hands over to eigvalsh of L L^T after 64 steps: at n = 2,000 (1-D
+# equispaced, sigma = 1) eigvalsh took 0.9 s, 64 inverse steps 0.13 s, 512 1.5 s.
 _LANCZOS_TOL = 1e-10
 _LANCZOS_STEPS = 512
+_GRAM_LANCZOS_STEPS = 64
 # Gram entries per block of full rows (only its lower triangle is built).
 # wce_integration alone at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs)
 # took 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms
@@ -731,7 +732,24 @@ def _error_from_e2(e2: float) -> float:
     return sqrt(max(e2, 0.0))
 
 
-def _lanczos_top(apply, start: np.ndarray):
+def _top_ritz(alpha: list, beta: list):
+    """(theta, |y_k|): the largest eigenvalue of the k x k tridiagonal with
+    diagonal ``alpha`` and off-diagonal ``beta``, and the last entry of its
+    unit eigenvector, by LAPACK bisection and inverse iteration in O(k)."""
+    k = len(alpha)
+    if k == 1:  # the wrappers take no empty off-diagonal
+        return alpha[0], 1.0
+    d, e = np.array(alpha), np.array(beta)
+    # range 2 selects eigenvalues by their 1-based index, here the k-th alone;
+    # order "B" is the block order stein needs
+    found, theta, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, "B")
+    y, info2 = scipy.linalg.lapack.dstein(d, e, theta[:1], block, split)
+    if info or info2 or found != 1:
+        raise NumericalConsistencyError(f"stebz/stein failed ({info}, {info2}) on a {k} x {k} tridiagonal")
+    return theta[0], abs(y[-1, 0])
+
+
+def _lanczos_top(apply, start: np.ndarray, steps: int):
     """``(theta, x)``: the largest eigenvalue of a symmetric positive
     semidefinite operator and its unit Ritz vector, by Lanczos from the unit
     vector ``start``.
@@ -742,14 +760,16 @@ def _lanczos_top(apply, start: np.ndarray):
     gives the Ritz residual ||A x - theta x|| = beta_k |y_k|; the run stops
     when that is at most ``_LANCZOS_TOL`` theta (an exact breakdown,
     beta_k = 0, included) or the basis spans the space.  So a start on an
-    eigenvector stops after one step at its eigenvalue, whichever it is.  A
-    run that has not stopped after ``_LANCZOS_STEPS`` steps, or a step whose
+    eigenvector stops after one step at its eigenvalue, whichever it is.
+    A step takes T_k's top pair alone (:func:`_top_ritz`); the pair
+    returned is the dense ``eigh`` of the last T_k, as the goldens record.
+    A run that has not stopped after ``steps`` steps, or a step whose
     products or norm overflow, raises ``NumericalConsistencyError``.
     """
     size = start.size
     basis = start[None, :].copy()  # owns its data, so it can be resized below
     alpha, beta = [], []
-    for k in range(_LANCZOS_STEPS):
+    for k in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
             w = apply(basis[k])
             h = basis @ w
@@ -760,27 +780,26 @@ def _lanczos_top(apply, start: np.ndarray):
             b = float(np.linalg.norm(w))
         if not (isfinite(b) and isfinite(alpha[-1])):
             raise NumericalConsistencyError(f"Lanczos overflowed at step {k + 1} on an operator of size {size}")
-        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        if b * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or k + 1 == size:
+        theta, last = _top_ritz(alpha, beta)
+        if b * last <= _LANCZOS_TOL * theta or k + 1 == size:
+            theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             x = y[:, -1] @ basis
             x /= np.linalg.norm(x)
             return float(theta[-1]), x
         beta.append(b)
         basis.resize((k + 2, size), refcheck=False)  # no view of basis outlives a step
         np.divide(w, b, out=basis[k + 1])
-    raise NumericalConsistencyError(
-        f"Lanczos did not converge in {_LANCZOS_STEPS} steps on an operator of size {size}"
-    )
+    raise NumericalConsistencyError(f"Lanczos did not converge in {steps} steps on an operator of size {size}")
 
 
 def _lanczos_extremes(factor):
     """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
     factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``, and
     lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
-    ``trsv``.  The inverse run starts from a normal draw of ``default_rng(0)``:
-    the uniform start is the top eigenvector of a Gram whose rows have equal
-    sums, and would stop it at 1 / lambda_max.  The upper triangle of the
-    factor is never read."""
+    ``trsv``, each run capped at ``_GRAM_LANCZOS_STEPS``.  The inverse run
+    starts from a normal draw of ``default_rng(0)``: the uniform start is the
+    top eigenvector of a Gram whose rows have equal sums, and would stop it
+    at 1 / lambda_max.  The upper triangle of the factor is never read."""
     lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
     n = lower.shape[0]
     trmv, trsv = scipy.linalg.get_blas_funcs(("trmv", "trsv"), (lower,))
@@ -792,8 +811,8 @@ def _lanczos_extremes(factor):
         return trsv(lower, trsv(lower, x, lower=1), lower=1, trans=1, overwrite_x=1)
 
     draw = np.random.default_rng(0).standard_normal(n)
-    hi, _ = _lanczos_top(product, np.full(n, 1.0 / sqrt(n)))
-    inv, _ = _lanczos_top(solve, draw / np.linalg.norm(draw))
+    hi, _ = _lanczos_top(product, np.full(n, 1.0 / sqrt(n)), _GRAM_LANCZOS_STEPS)
+    inv, _ = _lanczos_top(solve, draw / np.linalg.norm(draw), _GRAM_LANCZOS_STEPS)
     return 1.0 / inv, hi
 
 
@@ -803,8 +822,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
     Only the lower triangle of ``gram`` is read, and a column-major ``gram``
     is overwritten by its factor L.  The extreme eigenvalues are those of
     L L^T: up to ``_DENSE_LIMIT`` nodes from its ``eigvalsh``, above it from
-    Lanczos on L (:func:`_lanczos_extremes`), whose failure to converge
-    raises ``NumericalConsistencyError``.  A failed
+    Lanczos on L (:func:`_lanczos_extremes`; ``eigvalsh`` again if a run
+    stalls or overflows).  A failed
     factorization or an estimate above ``MAX_GRAM_CONDITION`` raises
     ``ConditioningError``.  The Gram comes from :func:`_lower_gram` or
     :func:`kernel_gram`, which check it finite.
@@ -815,9 +834,13 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
+    lo = hi = None
     if gram.shape[0] > _DENSE_LIMIT:
-        lo, hi = _lanczos_extremes(factor)
-    else:
+        try:
+            lo, hi = _lanczos_extremes(factor)
+        except NumericalConsistencyError:  # eigvalsh below answers
+            pass
+    if lo is None:
         lower = np.tril(factor[0])
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -867,7 +890,7 @@ def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> fl
         y = forward(x)
         return sqrt_lam * y - B @ (A.T @ y)
 
-    _, v = _lanczos_top(normal, np.full(size, 1.0 / sqrt(size)))
+    _, v = _lanczos_top(normal, np.full(size, 1.0 / sqrt(size)), _LANCZOS_STEPS)
     return float(np.linalg.norm(forward(v)))
 
 

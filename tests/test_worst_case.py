@@ -873,6 +873,9 @@ class TestSolveSpd:
             spec = constants.gaussian_spec()
             if family == "hermite-d4":
                 spec, nodes = constants.hermite_spec(), nodes * constants.e[None, :]
+        elif family == "equispaced":
+            # 1-D nodes 2 apart: condition 1.08, a clustered spectrum that stalls Lanczos
+            spec, nodes = KernelSpec.gaussian((1.0,)), 2.0 * np.arange(n)[:, None]
         else:
             spec = KernelSpec.gaussian((1.0,) * 6) if family == "gaussian" else KernelSpec.hermite((0.8,) * 6)
             nodes = rng.standard_normal((n, 6))
@@ -881,7 +884,7 @@ class TestSolveSpd:
     @pytest.mark.parametrize(
         "n, family",
         [(n, f) for n in (401, 1000, 2000) for f in ("gaussian", "hermite")]
-        + [(1500, "gaussian-d4"), (1500, "hermite-d4")],
+        + [(1500, "gaussian-d4"), (1500, "hermite-d4"), (700, "equispaced")],
     )
     def test_condition_estimate_matches_eigvalsh(self, n, family):
         gram, m = self._system(n, family)
@@ -905,12 +908,30 @@ class TestSolveSpd:
         exact = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
 
-    def test_lanczos_no_convergence_raises(self, monkeypatch):
-        # above _DENSE_LIMIT Lanczos is the only solver: a stalled run refuses
+    def test_lanczos_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
+        # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
         gram, m = self._system(401, "gaussian")
-        monkeypatch.setattr(worst_case, "_LANCZOS_STEPS", 2)
+        w_lanczos, _ = _solve_spd(gram, m)
+        monkeypatch.setattr(worst_case, "_GRAM_LANCZOS_STEPS", 2)
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         with pytest.raises(NumericalConsistencyError, match="Lanczos did not converge in 2 steps on an operator of size 401"):
-            _solve_spd(gram, m)
+            worst_case._lanczos_extremes(factor)
+        buffer = np.asfortranarray(gram)
+        w, cond = _solve_spd(buffer, m)
+        lower = np.tril(factor[0])
+        assert np.array_equal(np.tril(buffer), lower)
+        eigs = np.linalg.eigvalsh(lower @ lower.T)
+        assert cond == eigs[-1] / eigs[0]
+        exact = np.linalg.eigvalsh(gram)
+        assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
+        assert np.array_equal(w, w_lanczos)
+
+    # Equispaced nodes on a line: well-conditioned Toeplitz Grams whose clustered
+    # spectra Lanczos resolves only after about n / 2 steps, so eigvalsh answers.
+    @pytest.mark.parametrize("h, n", [(2.0, 700), (1.0, 2000)])  # condition 1.08 and 5.9
+    def test_optimal_weights_on_an_equispaced_line(self, h, n):
+        rule = optimal_weights(h * np.arange(n)[:, None], KernelSpec.gaussian((1.0,)))
+        assert rule.n == n and np.isfinite(rule.weights).all()
 
     @staticmethod
     def _circle(radius):
@@ -921,7 +942,8 @@ class TestSolveSpd:
         spec = KernelSpec.gaussian((1.0, 1.0))
         return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
 
-    @pytest.mark.parametrize("radius", [40.0, 60.0])  # the inverse run takes 86 steps at 60
+    # at radius 60 the inverse run needs 86 steps, past the Gram cap, so eigvalsh answers
+    @pytest.mark.parametrize("radius", [40.0, 60.0])
     def test_equal_row_sums_condition_estimate(self, radius):
         gram, m = self._circle(radius)
         eigs = np.linalg.eigvalsh(gram)
@@ -938,7 +960,7 @@ class TestSolveSpd:
             steps.append(1)
             return gram @ x
 
-        theta, _ = worst_case._lanczos_top(apply, _uniform(500))
+        theta, _ = worst_case._lanczos_top(apply, _uniform(500), worst_case._LANCZOS_STEPS)
         assert len(steps) == 1
         assert theta == pytest.approx(gram.sum(axis=1).mean(), rel=1e-14)
         assert theta == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-12)
@@ -1177,7 +1199,7 @@ class TestLanczosTop:
         start = _uniform(size)  # the caller's, so not traced
         tracemalloc.start()
         try:
-            theta, x = worst_case._lanczos_top(apply, start)
+            theta, x = worst_case._lanczos_top(apply, start, worst_case._LANCZOS_STEPS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1192,13 +1214,40 @@ class TestLanczosTop:
         rng = np.random.default_rng(size)
         root = rng.standard_normal((size, size))
         matrix = root @ root.T
-        theta, x = worst_case._lanczos_top(lambda v: matrix @ v, _uniform(size))
+        theta, x = worst_case._lanczos_top(lambda v: matrix @ v, _uniform(size), worst_case._LANCZOS_STEPS)
         assert theta == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-14)
         assert np.linalg.norm(matrix @ x - theta * x) <= 1e-13 * theta
 
     def test_zero_operator(self):
-        theta, x = worst_case._lanczos_top(np.zeros_like, _uniform(50))
+        theta, x = worst_case._lanczos_top(np.zeros_like, _uniform(50), worst_case._LANCZOS_STEPS)
         assert theta == 0.0 and np.linalg.norm(x) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k, split", [(1, False), (2, False), (7, False), (60, False), (7, True), (60, True)])
+    def test_top_ritz_matches_dense_eigh(self, k, split):
+        rng = np.random.default_rng(k)
+        alpha, beta = list(rng.random(k)), list(rng.random(k - 1))
+        if split:
+            beta[k // 2] = 0.0  # LAPACK splits the tridiagonal into two blocks
+        theta, last = worst_case._top_ritz(alpha, beta)
+        values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        assert theta == pytest.approx(values[-1], rel=1e-14, abs=0.0)
+        assert last == pytest.approx(abs(vectors[-1, -1]), rel=1e-10, abs=1e-15)
+
+    def test_dense_eigh_only_for_the_returned_pair(self, monkeypatch):
+        # the steps take the tridiagonal's top pair alone, so a run costs O(k^2)
+        # in them; the dense eigh runs once, on the last tridiagonal
+        diagonal = np.linspace(0.0, 1.0, 2000) ** 4
+        steps, shapes = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+
+        def apply(x):
+            steps.append(1)
+            return diagonal * x
+
+        theta, _ = worst_case._lanczos_top(apply, _uniform(2000), worst_case._LANCZOS_STEPS)
+        assert theta == pytest.approx(1.0, rel=1e-12)
+        assert len(steps) > 20 and shapes == [(len(steps), len(steps))]
 
 
 class TestMatrixFreeNorm:
