@@ -11,15 +11,19 @@ weights for fixed nodes solve the Gram system G w = m.  Gram entries come
 in row blocks of the lower triangle, each the exp of exponents from two
 matrix products, one of them exact (:func:`_exponent_factors`), filled in
 place in buffers reused from block to block; the error sums w^T G w block
-by block without holding G.  A solve copies the blocks once into the lower
-triangle of one column-major G, which Cholesky factors in place.  The
+by block without holding G.  A solve copies the blocks once into panels
+of 256 rows of the lower triangle, each column-major (:func:`_lower_gram`,
+about half of n^2 entries), and Cholesky factors them in place a block row
+at a time (:func:`_cholesky`); up to 256 nodes the one panel is LAPACK's
+column-major lower triangle, factored by ``cho_factor`` as a whole.  The
 condition estimate is that of L L^T, the matrix the solve uses, and comes
 from the factor L at every size: eigvalsh of L L^T up to 400 nodes and,
-above, Lanczos (:func:`_lanczos_top`) on L alone: L L^T as two triangular
-products, its inverse as two triangular solves from a seeded random start,
-handing over to eigvalsh after 64 steps.  A failed factorization or an
-estimate above 1e14 raises ConditioningError.  Non-finite kernel values
-raise NumericalConsistencyError where the blocks are made.
+above, Lanczos (:func:`_lanczos_top`) on the panels of L alone: L L^T as
+triangular and rectangular products, its inverse as triangular solves from
+a seeded random start, to a Ritz residual of 1e-6 of the value, handing
+over to eigvalsh after 64 steps.  A failed factorization or an estimate
+above 1e14 raises ConditioningError.  Non-finite kernel values raise
+NumericalConsistencyError where the blocks are made.
 
 L2-approximation.  A sampling method A(f) = sum_i f(x_i) a_i with
 coefficient functions a_i expanded over an orthonormal system {E_nu} of
@@ -34,8 +38,9 @@ eigenvalue tail mass), so the true error lies in [value, value + tail].
 The largest eigenvalue outside the set sits on an outside successor nu + e_j.
 T is diag(sqrt(lambda)) minus a rank-n term, so it is kept as its factors:
 its norm comes from the same Lanczos on T^T T, at O(|Lambda| n) time and
-memory per product; no dense operator is built at any size, and a run that
-does not converge in 512 steps raises NumericalConsistencyError.
+memory per product, after scaling T by a power of two when its norm may
+pass 2^240; no dense operator is built at any size, and a run that does
+not converge in 512 steps raises NumericalConsistencyError.
 
 Costs.  Unit cost counts nodes.  The dollar model charges each node
 dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
@@ -44,7 +49,7 @@ dollar(Act(x)) where Act(x) is its number of non-zero coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, floor, frexp, isfinite, log, prod, sqrt
+from math import exp, floor, frexp, isfinite, ldexp, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -80,33 +85,58 @@ MAX_GRAM_CONDITION = 1e14
 # Up to this many Gram nodes the condition estimate takes the dense
 # eigvalsh of L L^T; above it Lanczos works on products with L L^T and its inverse.
 _DENSE_LIMIT = 400
-# Lanczos stops once its Ritz residual is at most _LANCZOS_TOL times the Ritz
+# Lanczos stops once its Ritz residual is at most a tolerance times the Ritz
 # value; the value's own error is about the residual squared over the gap.
 # On the benchmark's operators (seed 1: the approx-spline error operators and
 # the quad-gram Grams at n = 1,500-2,000) a run took 8-14 and 13-18 steps at
-# 1e-10, 10-17 and 17-22 at 1e-14, and 26-36 and 34-48 at 0.  The condition
-# estimate only meets MAX_GRAM_CONDITION, and the error norms agree with a
-# dense SVD to 1e-12, so 1e-10 is enough for both.  Random Grams at n = 401-2,000
-# took at most 45 steps, spline norms at sigma = 0.2-20 at most 34; clustered
-# spectra more: norms at sigma = 100 64-79, at 1e4 up to 388, the inverse runs of
-# equispaced or circulant Grams about n / 2.  The error norm has no other solver,
-# so it raises only after _LANCZOS_STEPS (all 512: 11-13 s at size 68,921, 2 vCPUs).
+# 1e-10, 10-17 and 17-22 at 1e-14, and 26-36 and 34-48 at 0.  The error norms
+# agree with a dense SVD to 1e-12 at 1e-10, and are printed, so _LANCZOS_TOL
+# stays there.  The Gram runs only meet MAX_GRAM_CONDITION: at _GRAM_LANCZOS_TOL
+# = 1e-6 the (lambda_max, lambda_min) runs on the three quad-gram Grams of seed 1
+# take (8, 10), (11, 10) and (9, 12) steps against (13, 14), (18, 15) and (14, 16),
+# and twelve Grams of N(0, I) nodes (d = 4, 6, 8, n = 1,500 and 2,000, both
+# families) keep their estimates within 7.1e-8 of eigvalsh of L L^T, the largest
+# gaps at conditions above 1e12, where eigvalsh's own lambda_min is about u cond
+# off.  The clustered 700-node equispaced Gram (h = 2) came out 3.9e-9 off at
+# 1e-6 but 1.7e-5 at 1e-4, too loose for the 1e-6 of the tests.  Random Grams at
+# n = 401-2,000 took at most 45 steps at 1e-10, spline norms at sigma = 0.2-20 at
+# most 34; clustered spectra more: norms at sigma = 100 64-79, at 1e4 up to 388,
+# the inverse runs of equispaced or circulant Grams about n / 2.  The error norm
+# has no other solver, so it raises only after _LANCZOS_STEPS (all 512: 11-13 s
+# at size 68,921, 2 vCPUs).
 # A Gram run hands over to eigvalsh of L L^T after 64 steps: at n = 2,000 (1-D
 # equispaced, sigma = 1) eigvalsh took 0.9 s, 64 inverse steps 0.13 s, 512 1.5 s.
 _LANCZOS_TOL = 1e-10
 _LANCZOS_STEPS = 512
+_GRAM_LANCZOS_TOL = 1e-6
 _GRAM_LANCZOS_STEPS = 64
-# Gram entries per block of full rows (only its lower triangle is built).
+# Columns per panel of the Gram store (_lower_gram): the store holds
+# n(n+1)/2 + n _PANEL / 2 entries at most, 18 MB at n = 2,000 against 32 MB for
+# the whole matrix.  Filling and factoring the panels of N(0, I) nodes
+# (d = 4, sigma = 1; three calls each on 2 vCPUs) took 34-35 and 64-66 ms at
+# n = 1,500 and 2,000 with 256 columns, 36-38 and 61-69 with 128, 43-45 and
+# 69-82 with 384, 38-39 and 70-80 with 512; filling the whole column-major
+# lower triangle and cho_factor took 30-41 and 53-78 ms (a first cho_factor
+# in a fresh process once 0.85 s).
+_PANEL = 256
+# An error operator whose norm may pass 2**_NORM_EXPONENT is scaled below 1 by a
+# power of two before its Lanczos run: the run's vectors reach ||T||^2 and their
+# squared norms ||T||^4, which overflow from about 2**256 on.
+_NORM_EXPONENT = 240
+# Gram entries per block of full rows (only its lower triangle is built).  A
+# solve copies each block into the panels of _lower_gram that its rows fall in;
+# a block need not divide _PANEL (21 rows at n = 1,500).
 # wce_integration alone at n = 1000, 2000 and 4000 (d = 6, two runs on 2 vCPUs)
 # took 5.5-9.2, 22-27 and 61-65 ms at 2**14 entries, 4.5-4.8, 16-21 and 43-46 ms
 # at 2**15, 4.3-5.0, 14 and 41-49 ms at 2**16, and 4.5-5.1, 13-14 and 39 ms at
 # 2**17.  But whole Gram ops (optimal_weights, then wce_integration of the rule
 # and of its Hermite twin, at n = 1500, 2000, 2000 and d = 4, 4, 6; seven
 # repetitions, two alternating runs on 2 vCPUs) took 62-79, 118-123 and 119-131
-# ms at 2**15 against 93-340, 188-317 and 184-400 ms at 2**17, and cho_factor
-# ran slower right after a 2**17 Gram build.  Why is not pinned down; 2**15
-# stays.  The blocks also fix the order of w^T G w, so changing this changes
-# wce_integration's last bits above n = 181.
+# ms at 2**15 against 93-340, 188-317 and 184-400 ms at 2**17 (with the whole
+# Gram in one column-major array), and cho_factor ran slower right after a
+# 2**17 Gram build.  Why is not pinned down; 2**15 stays.  The blocks also fix
+# the order of w^T G w, so changing this changes wce_integration's last bits
+# above n = 181.
 _GRAM_BLOCK_ENTRIES = 2**15
 # Degrees per block of the Hermite recurrence behind moments.  A multiple of 8, as OpenBLAS
 # computes gemv rows in groups: only such blocks give the moments of one table per rule bit
@@ -663,12 +693,9 @@ def _gram_rows(spec: KernelSpec, nodes: np.ndarray):
         yield lo, hi, block
 
 
-def _lower_gram(spec: KernelSpec, nodes: np.ndarray, order: str = "F"):
-    """Gram matrix of node rows with only the row blocks of :func:`_gram_rows`
-    written (the lower triangle and the diagonal blocks; zeros elsewhere
-    above the diagonal), and the ``(lo, hi)`` bounds of those blocks.
-    Column-major by default, the layout LAPACK factors in place.  Raises on
-    a shape mismatch or a non-finite kernel value."""
+def _gram_nodes(spec: KernelSpec, nodes) -> np.ndarray:
+    """Node rows as a float array, one or more of the kernel's dimension, or a
+    ``ShapeMismatchError``."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[1] != spec.dimension:
         raise ShapeMismatchError(
@@ -676,23 +703,48 @@ def _lower_gram(spec: KernelSpec, nodes: np.ndarray, order: str = "F"):
         )
     if nodes.shape[0] == 0:
         raise ShapeMismatchError("a Gram matrix needs at least one node")
-    gram = np.zeros((nodes.shape[0], nodes.shape[0]), order=order)
-    bounds = []
+    return nodes
+
+
+def _panel_span(panel: np.ndarray):
+    """``(lo, hi)``: the rows of a panel of :func:`_lower_gram`, whose last columns they are."""
+    return panel.shape[1] - panel.shape[0], panel.shape[1]
+
+
+def _lower_gram(spec: KernelSpec, nodes: np.ndarray) -> list:
+    """Lower triangle of the Gram matrix of node rows as a list of panels.
+
+    Panel p holds rows lo..hi-1 (lo = p ``_PANEL``) and columns 0..hi-1 in
+    one column-major array, so that its last hi - lo columns, the diagonal
+    block, are the contiguous matrix LAPACK factors in place.  n(n+1)/2 +
+    n ``_PANEL`` / 2 entries at most, against n^2 for the whole matrix.  The
+    row blocks of :func:`_gram_rows` are copied in where they fall, entries
+    above the diagonal of a diagonal block included, which nothing reads;
+    zeros elsewhere above it.  Up to ``_PANEL`` nodes the one panel is the
+    column-major matrix with the lower triangle of :func:`kernel_gram`.
+    Raises on a shape mismatch or a non-finite kernel value."""
+    nodes = _gram_nodes(spec, nodes)
+    n = nodes.shape[0]
+    panels = [np.zeros((min(lo + _PANEL, n) - lo, min(lo + _PANEL, n)), order="F") for lo in range(0, n, _PANEL)]
     # copied from contiguous blocks: ufuncs writing straight into the strided
-    # triangle of G ran about 20% slower
+    # panels ran about 20% slower
     for lo, hi, block in _gram_rows(spec, nodes):
-        gram[lo:hi, :hi] = block
-        bounds.append((lo, hi))
-    return gram, bounds
+        for panel in panels[lo // _PANEL : (hi - 1) // _PANEL + 1]:
+            top, end = _panel_span(panel)
+            a, b = max(lo, top), min(hi, end)  # rows a..b-1 hold columns 0..b-1
+            panel[a - top : b - top, :b] = block[a - lo : b - lo, :b]
+    return panels
 
 
 def kernel_gram(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Gram matrix M(x_i, x_j) of node rows under the tensor-product kernel,
     its strict lower triangle mirrored, so that it is symmetric bit for bit;
     raises on a non-finite kernel value."""
-    gram, bounds = _lower_gram(spec, nodes, order="C")
-    for lo, hi in bounds:
-        gram[:lo, lo:hi] = gram[lo:hi, :lo].T
+    nodes = _gram_nodes(spec, nodes)
+    gram = np.empty((nodes.shape[0], nodes.shape[0]))
+    for lo, hi, block in _gram_rows(spec, nodes):
+        gram[lo:hi, :hi] = block
+        gram[:lo, lo:hi] = block[:, :lo].T
         diagonal = gram[lo:hi, lo:hi]
         np.copyto(diagonal, diagonal.T, where=~np.tri(hi - lo, dtype=bool))
     return gram
@@ -749,7 +801,7 @@ def _top_ritz(alpha: list, beta: list):
     return theta[0], abs(y[-1, 0])
 
 
-def _lanczos_top(apply, start: np.ndarray, steps: int):
+def _lanczos_top(apply, start: np.ndarray, steps: int, tol: float = _LANCZOS_TOL):
     """``(theta, x)``: the largest eigenvalue of a symmetric positive
     semidefinite operator and its unit Ritz vector, by Lanczos from the unit
     vector ``start``.
@@ -758,7 +810,7 @@ def _lanczos_top(apply, start: np.ndarray, steps: int):
     the basis stays orthonormal to rounding.  The basis grows by one row per
     step.  After step k the top eigenpair (theta, y) of the tridiagonal T_k
     gives the Ritz residual ||A x - theta x|| = beta_k |y_k|; the run stops
-    when that is at most ``_LANCZOS_TOL`` theta (an exact breakdown,
+    when that is at most ``tol`` theta (an exact breakdown,
     beta_k = 0, included) or the basis spans the space.  So a start on an
     eigenvector stops after one step at its eigenvalue, whichever it is.
     A step takes T_k's top pair alone (:func:`_top_ritz`); the pair
@@ -781,7 +833,7 @@ def _lanczos_top(apply, start: np.ndarray, steps: int):
         if not (isfinite(b) and isfinite(alpha[-1])):
             raise NumericalConsistencyError(f"Lanczos overflowed at step {k + 1} on an operator of size {size}")
         theta, last = _top_ritz(alpha, beta)
-        if b * last <= _LANCZOS_TOL * theta or k + 1 == size:
+        if b * last <= tol * theta or k + 1 == size:
             theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             x = y[:, -1] @ basis
             x /= np.linalg.norm(x)
@@ -792,56 +844,135 @@ def _lanczos_top(apply, start: np.ndarray, steps: int):
     raise NumericalConsistencyError(f"Lanczos did not converge in {steps} steps on an operator of size {size}")
 
 
-def _lanczos_extremes(factor):
-    """(lambda_min, lambda_max) of G = L L^T by Lanczos on the lower Cholesky
-    factor L alone: lambda_max from x -> L (L^T x) as two BLAS ``trmv``, and
-    lambda_min as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1 applied as two
-    ``trsv``, each run capped at ``_GRAM_LANCZOS_STEPS``.  The inverse run
-    starts from a normal draw of ``default_rng(0)``: the uniform start is the
-    top eigenvector of a Gram whose rows have equal sums, and would stop it
-    at 1 / lambda_max.  The upper triangle of the factor is never read."""
-    lower = np.asfortranarray(factor[0])  # f2py would copy a C-ordered factor per call
-    n = lower.shape[0]
-    trmv, trsv = scipy.linalg.get_blas_funcs(("trmv", "trsv"), (lower,))
+def _cholesky(panels: list) -> None:
+    """Overwrite the panels of :func:`_lower_gram` with those of the lower
+    Cholesky factor L, G = L L^T, a block row at a time.
+
+    For panel p, each block L_pq, q < p, is (G_pq - L_p,<q L_q,<q^T) L_qq^-T,
+    one ``gemm`` and one ``trsm``; then the diagonal block G_pp - L_p,<p
+    L_p,<p^T, one ``syrk``, is factored by ``cho_factor`` in place.  Every
+    operand is a contiguous column-major slice of a panel, so no call copies.
+    One panel is ``cho_factor`` of the whole matrix.  Entries above the
+    diagonal are never read.  A diagonal block that is not numerically
+    positive definite raises ``LinAlgError``."""
+    gemm, trsm, syrk = scipy.linalg.get_blas_funcs(("gemm", "trsm", "syrk"), (panels[0],))
+    for p, panel in enumerate(panels):
+        for prev in panels[:p]:
+            lo, hi = _panel_span(prev)
+            block = panel[:, lo:hi]
+            if lo:
+                gemm(-1.0, panel[:, :lo], prev[:, :lo], 1.0, block, trans_b=1, overwrite_c=1)
+            trsm(1.0, prev[:, lo:], block, side=1, lower=1, trans_a=1, overwrite_b=1)
+        lo, _ = _panel_span(panel)
+        if lo:
+            syrk(-1.0, panel[:, :lo], 1.0, panel[:, lo:], lower=1, overwrite_c=1)
+        scipy.linalg.cho_factor(panel[:, lo:], lower=True, overwrite_a=True, check_finite=False)
+
+
+def _cho_solve(panels: list, rhs: np.ndarray) -> np.ndarray:
+    """Solution of L L^T x = rhs, a vector or a matrix of columns, for the
+    factor panels of :func:`_cholesky`: L y = rhs forward and L^T x = y
+    backward, a panel at a time, each a ``trsm`` with its diagonal block and
+    a ``gemm`` with the rest.  One panel is LAPACK's ``potrs`` bit for bit."""
+    gemm, trsm = scipy.linalg.get_blas_funcs(("gemm", "trsm"), (panels[0],))
+    x = np.array(rhs, dtype=float, order="F")
+    cols = x.reshape(x.shape[0], -1)  # a view: its writes are x's
+    for panel in panels:
+        lo, hi = _panel_span(panel)
+        if lo:
+            cols[lo:hi] = gemm(-1.0, panel[:, :lo], cols[:lo], 1.0, cols[lo:hi])
+        cols[lo:hi] = trsm(1.0, panel[:, lo:], cols[lo:hi], lower=1)
+    for panel in reversed(panels):
+        lo, hi = _panel_span(panel)
+        cols[lo:hi] = trsm(1.0, panel[:, lo:], cols[lo:hi], lower=1, trans_a=1)
+        if lo:
+            cols[:lo] = gemm(-1.0, panel[:, :lo], cols[lo:hi], 1.0, cols[:lo], trans_a=1)
+    return x
+
+
+def _lanczos_extremes(panels: list):
+    """(lambda_min, lambda_max) of G = L L^T by Lanczos on the factor panels
+    of :func:`_cholesky` alone: lambda_max from x -> L (L^T x), and lambda_min
+    as 1 / lambda_max(G^-1) with G^-1 = L^-T L^-1, each a ``trmv`` or ``trsv``
+    with every diagonal block and a ``gemv`` with the rest of its panel.  Each
+    run is capped at ``_GRAM_LANCZOS_STEPS`` and stops at ``_GRAM_LANCZOS_TOL``.
+    The inverse run starts from a normal draw of ``default_rng(0)``: the
+    uniform start is the top eigenvector of a Gram whose rows have equal
+    sums, and would stop it at 1 / lambda_max.  Entries above the diagonal
+    are never read."""
+    n = panels[-1].shape[1]
+    gemv, trmv, trsv = scipy.linalg.get_blas_funcs(("gemv", "trmv", "trsv"), (panels[0],))
 
     def product(x):
-        return trmv(lower, trmv(lower, x, lower=1, trans=1), lower=1, overwrite_x=1)
+        y, z = np.empty(n), np.empty(n)
+        for panel in panels:  # y = L^T x; later panels add to the rows set before
+            lo, hi = _panel_span(panel)
+            y[lo:hi] = trmv(panel[:, lo:], x[lo:hi], lower=1, trans=1)
+            if lo:
+                gemv(1.0, panel[:, :lo], x[lo:hi], 1.0, y[:lo], trans=1, overwrite_y=1)
+        for panel in panels:  # z = L y
+            lo, hi = _panel_span(panel)
+            z[lo:hi] = trmv(panel[:, lo:], y[lo:hi], lower=1)
+            if lo:
+                gemv(1.0, panel[:, :lo], y[:lo], 1.0, z[lo:hi], overwrite_y=1)
+        return z
 
     def solve(x):
-        return trsv(lower, trsv(lower, x, lower=1), lower=1, trans=1, overwrite_x=1)
+        y = x.copy()
+        for panel in panels:  # L^-1
+            lo, hi = _panel_span(panel)
+            if lo:
+                gemv(-1.0, panel[:, :lo], y[:lo], 1.0, y[lo:hi], overwrite_y=1)
+            trsv(panel[:, lo:], y[lo:hi], lower=1, overwrite_x=1)
+        for panel in reversed(panels):  # L^-T
+            lo, hi = _panel_span(panel)
+            trsv(panel[:, lo:], y[lo:hi], lower=1, trans=1, overwrite_x=1)
+            if lo:
+                gemv(-1.0, panel[:, :lo], y[lo:hi], 1.0, y[:lo], trans=1, overwrite_y=1)
+        return y
 
     draw = np.random.default_rng(0).standard_normal(n)
-    hi, _ = _lanczos_top(product, np.full(n, 1.0 / sqrt(n)), _GRAM_LANCZOS_STEPS)
-    inv, _ = _lanczos_top(solve, draw / np.linalg.norm(draw), _GRAM_LANCZOS_STEPS)
+    hi, _ = _lanczos_top(product, np.full(n, 1.0 / sqrt(n)), _GRAM_LANCZOS_STEPS, _GRAM_LANCZOS_TOL)
+    inv, _ = _lanczos_top(solve, draw / np.linalg.norm(draw), _GRAM_LANCZOS_STEPS, _GRAM_LANCZOS_TOL)
     return 1.0 / inv, hi
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
+def _dense_lower(panels: list) -> np.ndarray:
+    """The factor L of the panels as one dense row-major matrix, zeros above the diagonal."""
+    n = panels[-1].shape[1]
+    lower = np.zeros((n, n))
+    for panel in panels:
+        lo, hi = _panel_span(panel)
+        lower[lo:hi, :lo] = panel[:, :lo]
+        lower[lo:hi, lo:hi] = np.tril(panel[:, lo:])
+    return lower
+
+
+def _solve_spd(panels: list, rhs: np.ndarray):
     """Cholesky solve with an explicit condition estimate; no regularization.
 
-    Only the lower triangle of ``gram`` is read, and a column-major ``gram``
-    is overwritten by its factor L.  The extreme eigenvalues are those of
-    L L^T: up to ``_DENSE_LIMIT`` nodes from its ``eigvalsh``, above it from
-    Lanczos on L (:func:`_lanczos_extremes`; ``eigvalsh`` again if a run
-    stalls or overflows).  A failed
+    ``panels`` come from :func:`_lower_gram`, which checks them finite, and
+    are overwritten by the factor L (:func:`_cholesky`).  The extreme
+    eigenvalues are those of L L^T: up to ``_DENSE_LIMIT`` nodes from its
+    ``eigvalsh``, above it from Lanczos on L (:func:`_lanczos_extremes`;
+    ``eigvalsh`` again if a run stalls or overflows).  A failed
     factorization or an estimate above ``MAX_GRAM_CONDITION`` raises
-    ``ConditioningError``.  The Gram comes from :func:`_lower_gram` or
-    :func:`kernel_gram`, which check it finite.
+    ``ConditioningError``.
     """
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
+        _cholesky(panels)
     except np.linalg.LinAlgError as err:
         raise ConditioningError(
             f"Gram matrix is not numerically positive definite ({err})", np.inf
         ) from err
     lo = hi = None
-    if gram.shape[0] > _DENSE_LIMIT:
+    if panels[-1].shape[1] > _DENSE_LIMIT:
         try:
-            lo, hi = _lanczos_extremes(factor)
+            lo, hi = _lanczos_extremes(panels)
         except NumericalConsistencyError:  # eigvalsh below answers
             pass
     if lo is None:
-        lower = np.tril(factor[0])
+        lower = _dense_lower(panels)
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         lo, hi = float(eigs[0]), float(eigs[-1])
     cond = np.inf if lo <= 0.0 else hi / lo
@@ -850,20 +981,21 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray):
             f"Gram matrix condition estimate {cond:.3e} exceeds {MAX_GRAM_CONDITION:.1e}",
             cond,
         )
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False), cond
+    return _cho_solve(panels, rhs), cond
 
 
 def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
     """Worst-case optimal quadrature weights for fixed nodes.
 
-    Solves G w = m, with G held once and factored in place.  Ill-conditioning
-    (estimate above 1e14) is reported, never regularized away; kernel values
-    that are not finite raise ``NumericalConsistencyError``.
+    Solves G w = m, with the lower triangle of G held once in panels and
+    factored in place.  Ill-conditioning (estimate above 1e14) is reported,
+    never regularized away; kernel values that are not finite raise
+    ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram, _ = _lower_gram(spec, nodes)
+    panels = _lower_gram(spec, nodes)
     m = embedding_vector(spec, nodes)
-    w, _ = _solve_spd(gram, m)
+    w, _ = _solve_spd(panels, m)
     return QuadratureRule(nodes, *_frozen(w))
 
 
@@ -871,17 +1003,42 @@ def optimal_weights(nodes: np.ndarray, spec: KernelSpec) -> QuadratureRule:
 # L2-approximation
 
 
+def _norm_shift(sqrt_lam: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
+    """e with ||diag(s) - A B^T|| < 2^e when that bound passes 2^``_NORM_EXPONENT``, else 0.
+
+    ||T|| <= max s + ||A||_F ||B||_F, each factor below 2^(its exponent) times
+    the square root of its size, the exponents those of ``frexp``."""
+
+    def exponent(x):
+        return frexp(float(max(x.max(), -x.min())))[1]
+
+    half_size = ((A.size * B.size - 1).bit_length() + 1) // 2  # sqrt(|A| |B|) <= 2^half_size
+    e = max(exponent(sqrt_lam), exponent(A) + exponent(B) + half_size) + 1
+    return e if e > _NORM_EXPONENT else 0
+
+
 def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> float:
     """Spectral norm of the error operator T = diag(s) - A B^T, A = C^T, B = s * P.
 
     Lanczos runs on T^T T from the uniform vector, as two products with T's
     factors, O(|Lambda| n) time and memory each, and the norm is ||T v|| for
-    the top Ritz vector v.  No dense matrix is built at any size; a run that
-    does not converge raises ``NumericalConsistencyError``.
+    the top Ritz vector v.  A T whose norm may pass 2^``_NORM_EXPONENT``
+    (:func:`_norm_shift`) is scaled by 2^-e first, s and the larger of A and
+    B, and the norm by 2^e after, so that no product overflows; every other T
+    runs as it is.  No dense matrix is built at any size; a run that does not
+    converge, or a norm that overflows when scaled back, raises
+    ``NumericalConsistencyError``.
     """
     size = sqrt_lam.size
     A = coeff.T
     B = P * sqrt_lam[:, None]
+    shift = _norm_shift(sqrt_lam, A, B)
+    if shift:
+        sqrt_lam = np.ldexp(sqrt_lam, -shift)
+        if np.abs(A).max() >= np.abs(B).max():
+            A = np.ldexp(A, -shift)
+        else:
+            B = np.ldexp(B, -shift)
 
     def forward(x):
         return sqrt_lam * x - A @ (B.T @ x)
@@ -891,7 +1048,11 @@ def _spectral_norm(sqrt_lam: np.ndarray, P: np.ndarray, coeff: np.ndarray) -> fl
         return sqrt_lam * y - B @ (A.T @ y)
 
     _, v = _lanczos_top(normal, np.full(size, 1.0 / sqrt(size)), _LANCZOS_STEPS)
-    return float(np.linalg.norm(forward(v)))
+    norm = float(np.linalg.norm(forward(v)))
+    try:
+        return ldexp(norm, shift)
+    except OverflowError:
+        raise NumericalConsistencyError(f"error operator norm {norm} * 2**{shift} overflows") from None
 
 
 def wce_approximation(method: SamplingMethod, system: SpectralSystem):
@@ -914,8 +1075,9 @@ def wce_approximation(method: SamplingMethod, system: SpectralSystem):
     # tail sqrt-eigenvalue and c a Frobenius bound on the coupling block.
     d_tail = sqrt(system.max_tail_eigenvalue())
     amp = np.array([system.node_amplitude_bound(row) for row in method.nodes])
-    coeff_norms = np.linalg.norm(method.coeff_table, axis=1)
-    s_bound = float(amp @ coeff_norms)
+    with np.errstate(over="ignore"):  # an overflowing bound is caught by the check below
+        coeff_norms = np.linalg.norm(method.coeff_table, axis=1)
+        s_bound = float(amp @ coeff_norms)
     c_tail = s_bound * sqrt(system.tail_eigenvalue_sum())
     upper = sqrt(max(g * g, c_tail * c_tail + d_tail * d_tail) + g * c_tail)
     if not (np.isfinite(g) and np.isfinite(upper)):
@@ -932,10 +1094,10 @@ def spline_method(nodes: np.ndarray, system: SpectralSystem) -> SamplingMethod:
     nodes raise ``NumericalConsistencyError``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    gram, _ = _lower_gram(system.spec, nodes)
+    panels = _lower_gram(system.spec, nodes)
     P = system.eigenfunction_matrix(nodes)  # [nu, j]
     rhs = (P * system.eigenvalues[:, None]).T  # [j, nu]
-    coeff, _ = _solve_spd(gram, rhs)
+    coeff, _ = _solve_spd(panels, rhs)
     return SamplingMethod(nodes, *_frozen(coeff), system.index_set)
 
 
@@ -952,14 +1114,14 @@ def rule_cost(rule_or_method, model: CostModel) -> float:
 # stable special-form error computations
 
 
-def _coordinate_forms(factors: Sequence[QuadratureRule1D], spec: KernelSpec):
-    """Yield ``(weights, double integral, embedding, Gram)`` of each product-rule factor."""
+def _coordinate_forms(factors: Sequence[QuadratureRule1D], spec: KernelSpec, gram=kernel_gram):
+    """Yield ``(weights, double integral, embedding, gram(spec_j, nodes))`` of each product-rule factor."""
     if len(factors) != spec.dimension:
         raise ShapeMismatchError("one univariate factor per kernel coordinate required")
     for factor, param in zip(factors, spec.params):
         sub = KernelSpec(spec.family, (param,))
         nodes = factor.nodes[:, None]
-        yield factor.weights, double_integral(sub), embedding_vector(sub, nodes), kernel_gram(sub, nodes)
+        yield factor.weights, double_integral(sub), embedding_vector(sub, nodes), gram(sub, nodes)
 
 
 def tensor_wce_integration(factors: Sequence[QuadratureRule1D], spec: KernelSpec) -> float:
@@ -986,8 +1148,8 @@ def tensor_optimal_wce(factors: Sequence[QuadratureRule1D], spec: KernelSpec) ->
     """
     prod_di = 1.0
     one_minus = 1.0
-    for _, di, m, gram in _coordinate_forms(factors, spec):
-        w, _ = _solve_spd(gram, m)
+    for _, di, m, panels in _coordinate_forms(factors, spec, _lower_gram):
+        w, _ = _solve_spd(panels, m)
         r = 1.0 - float(m @ w) / di
         prod_di *= di
         one_minus *= min(max(1.0 - r, 0.0), 1.0)

@@ -46,6 +46,7 @@ from rkhsquad.worst_case import (
     QuadratureRule,
     SamplingMethod,
     SpectralSystem,
+    _lower_gram,
     _moment_cut,
     _row_keys,
     _solve_spd,
@@ -859,6 +860,16 @@ def _uniform(size):
     return np.full(size, 1.0 / math.sqrt(size))
 
 
+def _dense_lower(panels):
+    """The factor L held in the panels of ``_lower_gram`` as one dense matrix."""
+    n = panels[-1].shape[1]
+    lower = np.zeros((n, n))
+    for panel in panels:
+        lo, hi = panel.shape[1] - panel.shape[0], panel.shape[1]
+        lower[lo:hi, :hi] = panel
+    return np.tril(lower)
+
+
 class TestSolveSpd:
     """The Cholesky-first solve against eigvalsh as the condition oracle."""
 
@@ -879,7 +890,7 @@ class TestSolveSpd:
         else:
             spec = KernelSpec.gaussian((1.0,) * 6) if family == "gaussian" else KernelSpec.hermite((0.8,) * 6)
             nodes = rng.standard_normal((n, 6))
-        return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        return spec, nodes
 
     @pytest.mark.parametrize(
         "n, family",
@@ -887,8 +898,9 @@ class TestSolveSpd:
         + [(1500, "gaussian-d4"), (1500, "hermite-d4"), (700, "equispaced")],
     )
     def test_condition_estimate_matches_eigvalsh(self, n, family):
-        gram, m = self._system(n, family)
-        w, cond = _solve_spd(gram, m)
+        spec, nodes = self._system(n, family)
+        gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        w, cond = _solve_spd(_lower_gram(spec, nodes), m)
         eigs = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
         assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
@@ -896,30 +908,34 @@ class TestSolveSpd:
     @pytest.mark.parametrize("n", [50, 300, 400])
     def test_dense_estimate_comes_from_the_factor(self, n):
         # up to _DENSE_LIMIT nodes the estimate is the eigvalsh ratio of L L^T,
-        # the matrix the solve uses, read from the buffer the factor overwrote
+        # the matrix the solve uses, read from the panels the factor overwrote
+        # (two panels at 300 and 400 nodes)
         nodes = np.random.default_rng(n).standard_normal((n, 4))
         spec = KernelSpec.gaussian((1.0,) * 4)
         gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
-        buffer = np.asfortranarray(gram)
-        _, cond = _solve_spd(buffer, m)
-        lower = np.tril(buffer)
+        panels = _lower_gram(spec, nodes)
+        _, cond = _solve_spd(panels, m)
+        lower = _dense_lower(panels)
+        assert np.allclose(lower @ lower.T, gram, rtol=0.0, atol=1e-13)
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         assert cond == eigs[-1] / eigs[0]
         exact = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
 
     def test_lanczos_no_convergence_falls_back_to_eigvalsh(self, monkeypatch):
-        # a column-major Gram is overwritten by its factor, so the fallback reads L L^T
-        gram, m = self._system(401, "gaussian")
-        w_lanczos, _ = _solve_spd(gram, m)
+        # the panels are overwritten by the factor, so the fallback reads L L^T
+        spec, nodes = self._system(401, "gaussian")
+        gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        w_lanczos, _ = _solve_spd(_lower_gram(spec, nodes), m)
         monkeypatch.setattr(worst_case, "_GRAM_LANCZOS_STEPS", 2)
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        factor = _lower_gram(spec, nodes)
+        worst_case._cholesky(factor)
         with pytest.raises(NumericalConsistencyError, match="Lanczos did not converge in 2 steps on an operator of size 401"):
             worst_case._lanczos_extremes(factor)
-        buffer = np.asfortranarray(gram)
-        w, cond = _solve_spd(buffer, m)
-        lower = np.tril(factor[0])
-        assert np.array_equal(np.tril(buffer), lower)
+        panels = _lower_gram(spec, nodes)
+        w, cond = _solve_spd(panels, m)
+        assert all(np.array_equal(a, b) for a, b in zip(panels, factor))
+        lower = _dense_lower(factor)
         eigs = np.linalg.eigvalsh(lower @ lower.T)
         assert cond == eigs[-1] / eigs[0]
         exact = np.linalg.eigvalsh(gram)
@@ -938,22 +954,20 @@ class TestSolveSpd:
         # evenly spaced nodes on a circle: a circulant Gram, whose rows have equal
         # sums, so the uniform vector is its top eigenvector
         t = 2.0 * np.pi * np.arange(500) / 500
-        nodes = radius * np.column_stack([np.cos(t), np.sin(t)])
-        spec = KernelSpec.gaussian((1.0, 1.0))
-        return kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        return KernelSpec.gaussian((1.0, 1.0)), radius * np.column_stack([np.cos(t), np.sin(t)])
 
     # at radius 60 the inverse run needs 86 steps, past the Gram cap, so eigvalsh answers
     @pytest.mark.parametrize("radius", [40.0, 60.0])
     def test_equal_row_sums_condition_estimate(self, radius):
-        gram, m = self._circle(radius)
-        eigs = np.linalg.eigvalsh(gram)
-        _, cond = _solve_spd(gram.copy(), m)
+        spec, nodes = self._circle(radius)
+        eigs = np.linalg.eigvalsh(kernel_gram(spec, nodes))
+        _, cond = _solve_spd(_lower_gram(spec, nodes), embedding_vector(spec, nodes))
         assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
 
     def test_uniform_start_on_an_eigenvector_stops_at_once(self):
         # why the inverse run needs another start: from the circle Gram's top
         # eigenvector Lanczos stops after one step, at that eigenvalue
-        gram, _ = self._circle(40.0)
+        gram = kernel_gram(*self._circle(40.0))
         steps = []
 
         def apply(x):
@@ -966,34 +980,96 @@ class TestSolveSpd:
         assert theta == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-12)
 
     def test_lanczos_reads_only_the_lower_factor(self):
-        # cho_factor leaves Gram entries above the diagonal; NaN there must reach
-        # neither the triangular products nor the solves, in either memory order
-        gram, _ = self._system(401, "hermite")
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        want = worst_case._lanczos_extremes(factor)
-        dirty = factor[0].copy()
-        dirty[np.triu_indices(401, 1)] = np.nan
-        for c in (np.asfortranarray(dirty), np.ascontiguousarray(dirty)):
-            assert worst_case._lanczos_extremes((c, True)) == want
+        # the diagonal blocks of the panels hold Gram entries above the diagonal;
+        # NaN there must reach neither the factorization, the triangular products
+        # and solves of Lanczos, nor the final solve
+        spec, nodes = self._system(401, "hermite")
+        m = embedding_vector(spec, nodes)
+        clean, dirty = _lower_gram(spec, nodes), _lower_gram(spec, nodes)
+        for panel in dirty:
+            block = panel[:, panel.shape[1] - panel.shape[0] :]
+            block[np.triu_indices(block.shape[0], 1)] = np.nan
+        for panels in (clean, dirty):
+            worst_case._cholesky(panels)
+        assert all(np.array_equal(np.tril(a, a.shape[1] - a.shape[0]), np.tril(b, b.shape[1] - b.shape[0]))
+                   for a, b in zip(clean, dirty))
+        assert worst_case._lanczos_extremes(dirty) == worst_case._lanczos_extremes(clean)
+        assert worst_case._cho_solve(dirty, m).tobytes() == worst_case._cho_solve(clean, m).tobytes()
 
     @pytest.mark.parametrize("n", [300, 401])
     def test_in_place_solve_matches_the_mirrored_gram(self, n):
-        # optimal_weights factors one column-major lower triangle in place; the
-        # weights and the condition estimate are those of the full kernel_gram
+        # optimal_weights factors the panels of the lower triangle in place: they
+        # hold the lower triangle of kernel_gram, column-major, 256 rows at a time,
+        # and the weights and the condition estimate are those of the full Gram
         nodes = np.random.default_rng(n).standard_normal((n, 4))
         spec = KernelSpec.gaussian((1.0,) * 4)
         gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
-        want_w, want_cond = _solve_spd(gram, m)
-        lower, _ = worst_case._lower_gram(spec, nodes)
-        assert lower.flags.f_contiguous and np.array_equal(np.tril(lower), np.tril(gram))
-        w, cond = _solve_spd(lower, m)
-        assert cond == want_cond
-        assert w.tobytes() == want_w.tobytes() == optimal_weights(nodes, spec).weights.tobytes()
+        panels = _lower_gram(spec, nodes)
+        assert [p.shape for p in panels] == [(256, 256), (n - 256, n)]
+        assert all(p.flags.f_contiguous for p in panels)
+        assert np.array_equal(_dense_lower(panels), np.tril(gram))
+        w, cond = _solve_spd(panels, m)
+        exact = np.linalg.eigvalsh(gram)
+        assert cond == pytest.approx(exact[-1] / exact[0], rel=1e-6)
+        assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
+        assert w.tobytes() == optimal_weights(nodes, spec).weights.tobytes()
+
+    # a panel's rows: 255, 256 and 257 nodes fill one panel or spill one row over;
+    # 513 leaves one row in a third panel, 768 fills three
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 768])
+    def test_panel_edges_meet_the_backward_error_bound(self, n):
+        # ||G w - m|| <= 4 (n + 1) u ||G|| ||w||: the normwise backward error of a
+        # Cholesky solve, gamma_{3n+1}, plus the rounding of the residual, gamma_n
+        # (the worst case for any SPD matrix has one more factor n); a dense solve
+        # of kernel_gram in float64 meets the same bound
+        nodes = np.random.default_rng(n).standard_normal((n, 4))
+        spec = KernelSpec.gaussian((1.0,) * 4)
+        gram, m = kernel_gram(spec, nodes), embedding_vector(spec, nodes)
+        w = optimal_weights(nodes, spec).weights
+        dense = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), m)
+        unit = np.finfo(float).eps / 2
+        for x in (w, dense):
+            bound = 4 * (n + 1) * unit * np.linalg.norm(gram, 2) * np.linalg.norm(x)
+            assert np.linalg.norm(gram @ x - m) <= bound
+        if n <= 256:  # one panel: the dense solve's arithmetic
+            assert w.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 181, 256])
+    def test_one_panel_keeps_the_dense_bits(self, n):
+        # up to 256 nodes the panel is the column-major lower triangle that
+        # cho_factor and cho_solve worked on whole, so spline coefficients,
+        # optimal weights and the tensor optimal error keep their bits
+        nodes = np.random.default_rng(n).standard_normal((n, 3))
+        system = SpectralSystem(KernelSpec.gaussian((0.8, 1.3, 1.0)), MultiIndexSet.box(3, 4))
+        gram = kernel_gram(system.spec, nodes)
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        rhs = (system.eigenfunction_matrix(nodes) * system.eigenvalues[:, None]).T
+        coeff = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        assert spline_method(nodes, system).coeff_table.tobytes() == coeff.tobytes()
+        m = embedding_vector(system.spec, nodes)
+        w = scipy.linalg.cho_solve(factor, m, check_finite=False)
+        assert optimal_weights(nodes, system.spec).weights.tobytes() == w.tobytes()
+
+    def test_tensor_optimal_wce_keeps_the_dense_bits(self):
+        # the per-axis optimal errors from cho_factor and cho_solve of the mirrored Gram
+        factors = [gauss_hermite_rule(k) for k in (3, 8, 20)]
+        spec = KernelSpec.gaussian((1.0, 0.5, 2.0))
+        prod_di, one_minus = 1.0, 1.0
+        for rule, param in zip(factors, spec.params):
+            sub, x = KernelSpec.gaussian((param,)), rule.nodes[:, None]
+            m, di = embedding_vector(sub, x), double_integral(sub)
+            factor = scipy.linalg.cho_factor(kernel_gram(sub, x), lower=True, check_finite=False)
+            r = 1.0 - float(m @ scipy.linalg.cho_solve(factor, m, check_finite=False)) / di
+            prod_di *= di
+            one_minus *= min(max(1.0 - r, 0.0), 1.0)
+        assert tensor_optimal_wce(factors, spec) == math.sqrt(prod_di * (1.0 - one_minus))
 
     def test_optimal_weights_holds_one_gram(self):
-        # a mirrored Gram plus LAPACK's column-major copy of it would peak at 2.03 n^2 doubles
-        n = 1500
-        nodes = np.random.default_rng(15).standard_normal((n, 4))
+        # the panels hold n (n + 1) / 2 + 128 n doubles, 0.56 n^2 at n = 2,000; the
+        # whole column-major Gram alone is n^2, and a mirrored Gram plus LAPACK's
+        # column-major copy of it would peak at 2.03 n^2
+        n = 2000
+        nodes = np.random.default_rng(20).standard_normal((n, 4))
         spec = KernelSpec.gaussian((1.0,) * 4)
         tracemalloc.start()
         try:
@@ -1001,7 +1077,7 @@ class TestSolveSpd:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * n * n
+        assert peak < 0.7 * 8 * n * n
 
 
 class TestSpectralSystem:
@@ -1414,15 +1490,45 @@ class TestFiniteOrRaise:
         with pytest.raises(NumericalConsistencyError):
             wce_approximation(method, system)
 
-    def test_lanczos_norm_overflow(self):
-        # a coefficient of 1e100 puts entries of about 1e200 in T^T T: the norm of the
-        # first Lanczos vector overflows, which raises instead of warning
+    @staticmethod
+    def _huge_method(coeff, spec):
+        # one node at 0 over box(1, 3), and the dense spectral norm of its error operator
         idx = MultiIndexSet.box(1, 3)
-        method = SamplingMethod(np.array([[0.0]]), np.array([[1e100, 0.0, 0.0, 0.0]]), idx)
+        method = SamplingMethod(np.array([[0.0]]), np.array([[coeff, 0.0, 0.0, 0.0]]), idx)
+        system = SpectralSystem(spec, idx)
+        s = np.sqrt(system.eigenvalues)
+        B = system.eigenfunction_matrix(method.nodes) * s[:, None]
+        return method, system, np.linalg.norm(np.diag(s) - method.coeff_table.T @ B.T, 2)
+
+    def test_lanczos_norm_overflow(self):
+        # a coefficient of 1e100 would put entries of about 1e200 in T^T T and overflow
+        # the norm of the first Lanczos vector; T is scaled by a power of two first,
+        # so the norm is the dense one (1.0606601717798212e100 on hermite 0.5)
         for spec in (HERM_HALF, GAUSS_ONE):
-            _raises_without_warning(lambda: wce_approximation(method, SpectralSystem(spec, idx)))
-        with pytest.raises(NumericalConsistencyError, match="Lanczos overflowed at step 1"):
-            wce_approximation(method, SpectralSystem(HERM_HALF, idx))
+            method, system, dense = self._huge_method(1e100, spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, _ = wce_approximation(method, system)
+            assert value == pytest.approx(dense, rel=1e-12)
+
+    def test_squared_norm_overflow(self):
+        # at 1e160 the norm is finite, but its square in the tail bound overflows
+        for spec in (HERM_HALF, GAUSS_ONE):
+            method, system, dense = self._huge_method(1e160, spec)
+            s = np.sqrt(system.eigenvalues)
+            P = system.eigenfunction_matrix(method.nodes)
+            assert worst_case._spectral_norm(s, P, method.coeff_table) == pytest.approx(dense, rel=1e-12)
+            _raises_without_warning(lambda: wce_approximation(method, system))
+
+    def test_ordinary_norms_are_not_scaled(self):
+        # up to 2**240 the operator runs as it is, so the norm keeps its bits
+        idx = MultiIndexSet.box(2, 5)
+        system = SpectralSystem(KernelSpec.gaussian((0.7, 1.2)), idx)
+        nodes = np.random.default_rng(5).standard_normal((4, 2))
+        s, P = np.sqrt(system.eigenvalues), system.eigenfunction_matrix(nodes)
+        coeff = spline_method(nodes, system).coeff_table
+        assert worst_case._norm_shift(s, coeff.T, P * s[:, None]) == 0
+        assert worst_case._norm_shift(s, 1e80 * coeff.T, P * s[:, None]) > worst_case._NORM_EXPONENT
 
     def test_spline_wce_approximation_is_finite_or_typed(self):
         # random index sets of 1..500 indices in d <= 3, node scales up to 10,
