@@ -1014,8 +1014,8 @@ class TestSolveSpd:
         assert np.allclose(gram @ w, m, rtol=0.0, atol=1e-8 * cond * np.abs(m).max())
         assert w.tobytes() == optimal_weights(nodes, spec).weights.tobytes()
 
-    # a panel's rows: 255, 256 and 257 nodes fill one panel or spill one row over;
-    # 513 leaves one row in a third panel, 768 fills three
+    # 255 and 256 nodes are one panel, 257 spill one row into a second; 513 leave
+    # one row in a third panel, 768 fill three
     @pytest.mark.parametrize("n", [255, 256, 257, 513, 768])
     def test_panel_edges_meet_the_backward_error_bound(self, n):
         # ||G w - m|| <= 4 (n + 1) u ||G|| ||w||: the normwise backward error of a
